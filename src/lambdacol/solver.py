@@ -11,9 +11,16 @@ The solver iterates candidate spans upward from a lower bound and decides
 feasibility of each span by depth-first search over vertices in descending
 degree order with forward checking on label domains (stored as bitmasks: a
 chosen label ``x`` removes ``{x-1, x, x+1}`` from unassigned neighbours and
-``{x}`` from unassigned vertices at distance two).  Once the span is known, a
-second search in vertex-id order with ascending label choice produces the
-lexicographically smallest optimal witness.
+``{x}`` from unassigned vertices at distance two).  Reversal ``x -> k - x``
+maps colourings of span ``k`` to colourings, so the first vertex searched
+only takes labels up to ``k // 2``.
+
+The lexicographically smallest optimal witness is then built vertex by vertex
+in id order from an incumbent, the smaller of the colouring found and its
+reversal.  Each label below the incumbent's that the fixed prefix leaves
+open is fixed with forward checking, the later vertices are probed by the
+same search in degree order, and the first probe that succeeds becomes the
+incumbent.
 
 Three elementary lower bounds seed the iteration, each immediate from the
 definition: ``max_degree + 1`` (a vertex and its neighbours need pairwise
@@ -100,20 +107,13 @@ def find_violation(g: Graph, c: Colouring):
         raise ValueError(f"colouring covers {len(c.labels)} vertices, graph has {g.n}")
     lab = c.labels
     d1 = g.adj_masks
+    d2 = _second_neighbourhoods(d1)
     for u in range(g.n):
-        # second neighbourhood of u
-        reach = 0
-        m = d1[u]
-        while m:
-            b = m & -m
-            m ^= b
-            reach |= d1[b.bit_length() - 1]
-        reach &= ~d1[u] & ~(1 << u)
         for v in range(u + 1, g.n):
             if d1[u] >> v & 1:
                 if abs(lab[u] - lab[v]) < 2:
                     return (u, v, 1)
-            elif reach >> v & 1:
+            elif d2[u] >> v & 1:
                 if lab[u] == lab[v]:
                     return (u, v, 2)
     return None
@@ -227,24 +227,28 @@ def _lower_bound(n, d1, d2):
 # search core (shared with the census)
 # ---------------------------------------------------------------------------
 
-def _search_masks(n, d1, d2, k, order, collect):
+def _search_masks(d1, d2, order, dom):
     """DFS with forward checking; returns a label list or None.
 
-    ``collect`` False: pure feasibility (returns [] on success).  ``collect``
-    True: returns the first (lexicographically smallest along ``order``)
-    assignment found.
+    Labels the vertices of ``order`` in that order, each taking the smallest
+    label left in its domain first; ``dom[v]`` is the bitmask of labels open
+    to vertex v.  Returns the first assignment found, the lexicographically
+    smallest along ``order``.  A vertex outside ``order`` counts as fixed: it
+    must have a single-label domain, already forward-checked into the rest,
+    and keeps that label.
     """
-    pos = [0] * n
+    n = len(dom)
+    pos = [-1] * n
     for i, v in enumerate(order):
         pos[v] = i
-    later1 = [[u for u in _bits(d1[v]) if pos[u] > pos[v]] for v in range(n)]
-    later2 = [[u for u in _bits(d2[v]) if pos[u] > pos[v]] for v in range(n)]
-    full = (1 << (k + 1)) - 1
-    dom = [full] * n
-    labels = [0] * n
+    later1 = [[u for u in _bits(d1[v]) if pos[u] > pos[v]] for v in order]
+    later2 = [[u for u in _bits(d2[v]) if pos[u] > pos[v]] for v in order]
+    dom = list(dom)
+    labels = [m.bit_length() - 1 for m in dom]
+    depth = len(order)
 
     def rec(i):
-        if i == n:
+        if i == depth:
             return True
         v = order[i]
         avail = dom[v]
@@ -255,7 +259,7 @@ def _search_masks(n, d1, d2, k, order, collect):
             m3 = (7 << x) >> 1
             changed = []
             dead = False
-            for u in later1[v]:
+            for u in later1[i]:
                 old = dom[u]
                 nd = old & ~m3
                 if nd != old:
@@ -265,7 +269,7 @@ def _search_masks(n, d1, d2, k, order, collect):
                         dead = True
                         break
             if not dead:
-                for u in later2[v]:
+                for u in later2[i]:
                     old = dom[u]
                     nd = old & ~b
                     if nd != old:
@@ -282,9 +286,7 @@ def _search_masks(n, d1, d2, k, order, collect):
                 dom[u] = old
         return False
 
-    if rec(0):
-        return labels if collect else []
-    return None
+    return labels if rec(0) else None
 
 
 def _bits(mask):
@@ -294,16 +296,71 @@ def _bits(mask):
         yield b.bit_length() - 1
 
 
-def _min_span_masks(n, d1, d2):
-    """Smallest feasible span for bitmask adjacency with >= 1 edge."""
-    order = sorted(range(n), key=lambda v: (-d1[v].bit_count(), v))
+def _degree_order(d1):
+    """Vertices by descending degree, ties by id: the feasibility order."""
+    return sorted(range(len(d1)), key=lambda v: (-d1[v].bit_count(), v))
+
+
+def _optimal_colouring(n, d1, d2):
+    """Smallest feasible span and a colouring at it, for >= 1 edge.
+
+    ``x -> k - x`` maps colourings of span ``k`` to colourings, so the first
+    vertex in degree order only needs the labels ``0..k//2``.
+    """
+    order = _degree_order(d1)
     k = _lower_bound(n, d1, d2)
     while True:
-        if _search_masks(n, d1, d2, k, order, collect=False) is not None:
-            return k
+        dom = [(1 << (k + 1)) - 1] * n
+        dom[order[0]] = (1 << (k // 2 + 1)) - 1
+        labels = _search_masks(d1, d2, order, dom)
+        if labels is not None:
+            return k, labels
         k += 1
         if k > 2 * (n - 1):  # greedy labelling 0,2,4,... always works
             raise AssertionError("span search exceeded the trivial upper bound")
+
+
+def _min_span_masks(n, d1, d2):
+    """Smallest feasible span for bitmask adjacency with >= 1 edge."""
+    return _optimal_colouring(n, d1, d2)[0]
+
+
+def _fix(d1, d2, dom, v, x):
+    """Copy of ``dom`` with v labelled x, forward-checked; None on a wipe-out."""
+    dom = list(dom)
+    dom[v] = 1 << x
+    for u in _bits(d1[v]):
+        dom[u] &= ~((7 << x) >> 1)
+    for u in _bits(d2[v]):
+        dom[u] &= ~(1 << x)
+    return None if 0 in dom else dom
+
+
+def _lex_least_witness(d1, d2, k, incumbent):
+    """The lexicographically least colouring with labels in ``0..k``.
+
+    ``incumbent`` is any such colouring.  Vertex by vertex in id order, each
+    label below the incumbent's still open to the vertex is tried in
+    ascending order: it is fixed with forward checking and feasibility of the
+    later vertices is probed in degree order from the fixed domains.  The
+    first success becomes the incumbent, so after vertex v its prefix through
+    v is the least one that extends; v is then fixed to the incumbent's
+    label, which always extends.
+    """
+    dom = [(1 << (k + 1)) - 1] * len(d1)
+    rest = _degree_order(d1)
+    for v in range(len(d1)):
+        rest.remove(v)
+        for x in _bits(dom[v] & ((1 << incumbent[v]) - 1)):
+            trial = _fix(d1, d2, dom, v, x)
+            if trial is None:
+                continue
+            labels = _search_masks(d1, d2, rest, trial)
+            if labels is not None:
+                incumbent = labels
+                break
+        dom = _fix(d1, d2, dom, v, incumbent[v])
+    return incumbent
 
 
 # ---------------------------------------------------------------------------
@@ -325,35 +382,10 @@ def lambda_number(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> SolveReport:
         return SolveReport(0, c, ())
     d1 = g.adj_masks
     d2 = _second_neighbourhoods(d1)
-    k = _min_span_masks(g.n, d1, d2)
-    labels = _search_masks(g.n, d1, d2, k, list(range(g.n)), collect=True)
-    assert labels is not None, "witness search must succeed at the optimal span"
-    labels = _shift_consecutive_holes(g, labels)
+    k, labels = _optimal_colouring(g.n, d1, d2)
+    labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]))
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
-
-
-def _shift_consecutive_holes(g, labels):
-    """Collapse pairs of adjacent unused labels when revalidation allows.
-
-    If labels ``h`` and ``h+1`` are both holes, every label above ``h+1`` is
-    shifted down by one (pairs straddling the double gap had difference at
-    least 3, so all separations survive), and validity is rechecked before
-    accepting.  An optimal witness can never have consecutive holes (the shift
-    would lower its span), so in practice this is a no-op kept as a guard.
-    """
-    labels = list(labels)
-    while True:
-        c = Colouring(tuple(labels))
-        hs = holes_of(c)
-        pair = next((h for h in hs if h + 1 in hs), None)
-        if pair is None:
-            return labels
-        shifted = [x - 1 if x > pair + 1 else x for x in labels]
-        if is_lambda_colouring(g, Colouring(tuple(shifted))):
-            labels = shifted
-        else:
-            return labels
 
 
 def iter_optimal_colourings(g: Graph, span: int):
@@ -424,6 +456,10 @@ def lambda_via_path_cover(
     """
     if g.n == 0:
         raise ValueError("span of the empty graph is undefined")
+    if g.n > cap:
+        raise CapExceededError(
+            f"path cover limited to n <= {cap} vertices, got {g.n}"
+        )
     t = path_cover_number(g.complement(), cap=cap)
     if t >= 2:
         return PathCoverBound(t, True, g.n + t - 2)

@@ -111,6 +111,42 @@ def all_graphs(n):
         yield Graph(n, edges)
 
 
+def reference_lex_witness(g: Graph, k: int):
+    """Lexicographically least valid labelling with labels in ``0..k``.
+
+    Backtracking over vertex ids with ascending labels.  Each vertex keeps
+    the set of labels still allowed to it; a new label is checked against
+    every later vertex within distance two, by the distances of
+    :func:`floyd_warshall`, and removes the labels it rules out there.
+    Returns a tuple, or ``None`` when no labelling fits in ``0..k``.
+    """
+    dist = floyd_warshall(g)
+    allowed = [set(range(k + 1)) for _ in range(g.n)]
+    labels = []
+
+    def extend(v):
+        if v == g.n:
+            return True
+        for x in sorted(allowed[v]):
+            removed = []
+            for u in range(v + 1, g.n):
+                d = dist[v][u]
+                if d <= 2:
+                    ruled_out = {y for y in allowed[u] if abs(x - y) + d < 3}
+                    allowed[u] -= ruled_out
+                    removed.append((u, ruled_out))
+            if all(allowed[u] for u, _ in removed):
+                labels.append(x)
+                if extend(v + 1):
+                    return True
+                labels.pop()
+            for u, ruled_out in removed:
+                allowed[u] |= ruled_out
+        return False
+
+    return tuple(labels) if extend(0) else None
+
+
 def optimal_witness_by_brute_force(g: Graph):
     """Lexicographically least optimal labelling, from scratch."""
     k = brute_lambda(g)

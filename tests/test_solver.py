@@ -1,5 +1,8 @@
 """Exact solver: known spans, brute-force agreement, witnesses, files."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +31,7 @@ from oracles import (
     brute_lambda,
     is_valid_by_distances,
     optimal_witness_by_brute_force,
+    reference_lex_witness,
 )
 from test_graphs import graphs
 
@@ -109,6 +113,50 @@ def test_witness_is_lexicographically_least(n):
         if not g.edges:
             continue
         assert lambda_number(g).witness == optimal_witness_by_brute_force(g)
+
+
+def _assert_witness_matches_reference(g):
+    rep = lambda_number(g)
+    assert rep.witness.labels == reference_lex_witness(g, rep.lambda_value), g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_witness_matches_reference_exhaustively(n):
+    for g in all_graphs(n):
+        rep = lambda_number(g)
+        k = rep.lambda_value
+        assert rep.witness.labels == reference_lex_witness(g, k), g
+        assert k == 0 or reference_lex_witness(g, k - 1) is None, g
+
+
+def _random_graphs(kind, count):
+    """Seeded G(n, p) graphs: sparse by mean degree 1.5-4.5, dense by p.
+
+    Dense graphs stop at n = 11: beyond that the reference's id-order
+    backtracking takes minutes on some of them.
+    """
+    rng = random.Random(f"{kind}:0")
+    for _ in range(count):
+        if kind == "sparse":
+            n = rng.randint(6, 14)
+            p = rng.uniform(1.5, 4.5) / (n - 1)
+        else:
+            n = rng.randint(6, 11)
+            p = rng.uniform(0.55, 0.9)
+        pairs = [e for e in combinations(range(n), 2) if rng.random() < p]
+        yield Graph.from_edges(n, pairs)
+
+
+@pytest.mark.parametrize("kind,count", [("sparse", 40), ("dense", 30)])
+def test_witness_matches_reference_on_random_graphs(kind, count):
+    for g in _random_graphs(kind, count):
+        _assert_witness_matches_reference(g)
+
+
+@pytest.mark.slow
+def test_witness_matches_reference_on_every_graph_of_order_six():
+    for g in all_graphs(6):
+        _assert_witness_matches_reference(g)
 
 
 def test_iter_optimal_colourings_is_exhaustive_and_lex_ordered():
@@ -193,6 +241,15 @@ def test_delta_bound_holds(g):
 # ---------------------------------------------------------------------------
 # the path-cover route
 # ---------------------------------------------------------------------------
+
+def test_path_cover_route_checks_the_cap_before_the_complement(monkeypatch):
+    def refuse(self):
+        raise AssertionError("complement built before the cap check")
+
+    monkeypatch.setattr(Graph, "complement", refuse)
+    with pytest.raises(CapExceededError):
+        lambda_via_path_cover(Graph(30, frozenset()), cap=20)
+
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_path_cover_route_agrees_with_solver(n):
