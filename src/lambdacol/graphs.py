@@ -24,14 +24,15 @@ line.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 INF = math.inf
 
-#: Hard ceiling for the exact path-cover dynamic programme; the state space is
-#: ``2^n * n`` so anything much beyond this is hopeless anyway.
+#: Hard ceiling for the exact path-cover dynamic programme; it visits all
+#: ``2^n`` vertex subsets, so anything much beyond this is hopeless anyway.
 DEFAULT_PATH_COVER_CAP = 20
 
 
@@ -211,57 +212,81 @@ def path_cover_number(g: Graph, cap: int = DEFAULT_PATH_COVER_CAP) -> int:
 
     Isolated vertices are length-zero paths, so the answer is between 1 and
     ``n`` for any non-empty graph (and 0 for the empty one).  Exact dynamic
-    programme over ``(covered set, endpoint of current path)`` states; raises
+    programme over vertex subsets (see :func:`_path_cover_masks`); raises
     :class:`CapExceededError` when ``n`` exceeds ``cap``.
     """
     if g.n > cap:
         raise CapExceededError(
             f"path cover limited to n <= {cap} vertices, got {g.n}"
         )
-    n = g.n
-    if n == 0:
-        return 0
-    adj = g.adj_masks
-    full = (1 << n) - 1
-    # dp[mask*n + v]: fewest paths covering exactly `mask`, the current path
-    # ending at v.  0 doubles as "unreached" since every real value is >= 1.
-    dp = bytearray((1 << n) * n)
-    for v in range(n):
-        dp[(1 << v) * n + v] = 1
-    for mask in range(1, full + 1):
-        base = mask * n
-        best = 0
-        m = mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            cur = dp[base + v]
-            if not cur:
-                continue
-            if not best or cur < best:
-                best = cur
-            fm = adj[v] & ~mask
-            while fm:
-                ub = fm & -fm
-                u = ub.bit_length() - 1
-                fm ^= ub
-                idx = (mask | ub) * n + u
-                old = dp[idx]
-                if not old or cur < old:
-                    dp[idx] = cur
-        if best and mask != full:
-            nb = best + 1
-            fm = ~mask & full
-            while fm:
-                ub = fm & -fm
-                u = ub.bit_length() - 1
-                fm ^= ub
-                idx = (mask | ub) * n + u
-                old = dp[idx]
-                if not old or nb < old:
-                    dp[idx] = nb
-    return min(v for v in dp[full * n: full * n + n] if v)
+    return _path_cover_masks(g.adj_masks)
+
+
+def _complement_masks(adj):
+    """Bitmask adjacency of the complement of bitmask adjacency ``adj``."""
+    full = (1 << len(adj)) - 1
+    return tuple(full & ~m & ~(1 << v) for v, m in enumerate(adj))
+
+
+def _path_cover_masks(adj):
+    """Path cover number of bitmask adjacency ``adj``, in O(2^n * n) steps.
+
+    ``f[S]`` is the fewest paths covering the subset ``S`` and ``ends[S]``
+    the set of vertices that end a path in some cover of ``S`` by ``f[S]``
+    paths.  Taking the end ``u`` of a path off an optimal cover of ``S``
+    leaves a cover of ``S - u`` that either has one path fewer or still has
+    ``f[S]`` paths with one ending next to ``u``; a cover of ``S - u`` with
+    more than ``f[S - u]`` paths is never needed, since ``u`` can always
+    start a path of its own.  Hence
+    ``f[S] = min over u in S of f[S - u] + [ends[S - u] & adj[u] == 0]``
+    and ``ends[S]`` holds the ``u`` attaining the minimum.
+    """
+    size = 1 << len(adj)
+    f = bytearray(size)
+    ends = array("I", [0]) * size
+    vertices = [(1 << u, a) for u, a in enumerate(adj)]
+    for s in range(1, size):
+        best = 255
+        e = 0
+        for b, a in vertices:
+            if s & b:
+                r = s ^ b
+                c = f[r] if ends[r] & a else f[r] + 1
+                if c < best:
+                    best = c
+                    e = b
+                elif c == best:
+                    e |= b
+        f[s] = best
+        ends[s] = e
+    return f[size - 1]
+
+
+def _greedy_path_cover(adj):
+    """Paths in a greedy cover of bitmask adjacency ``adj``: an upper bound.
+
+    Each path starts at an uncovered vertex with the fewest uncovered
+    neighbours and grows from its end to the uncovered neighbour with the
+    fewest uncovered neighbours until the end has none.
+    """
+    left = (1 << len(adj)) - 1
+    paths = 0
+    while left:
+        paths += 1
+        cand = left
+        while cand:
+            v = min(_bits(cand), key=lambda u: (adj[u] & left).bit_count())
+            left &= ~(1 << v)
+            cand = adj[v] & left
+    return paths
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

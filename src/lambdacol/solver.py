@@ -26,7 +26,18 @@ Three elementary lower bounds seed the iteration, each immediate from the
 definition: ``max_degree + 1`` (a vertex and its neighbours need pairwise
 distinct labels and the centre needs gap 2 to each), ``2*(omega - 1)`` for a
 clique of size omega (pairwise gaps of 2), and ``n - 1`` when the graph has
-diameter at most two (all labels distinct).
+diameter at most two (all labels distinct).  At diameter two the span is
+``n + pc - 2``, where ``pc`` is the path cover number of the complement
+(Georges, Mauro and Whittlesey, 1994), so for ``n <=
+DEFAULT_PATH_COVER_CAP`` :func:`lambda_number` starts the iteration there
+and its first search only has to find a colouring.  The path-cover DP is skipped when a
+greedy cover of the complement already shows ``n + pc - 2`` is no more than
+the elementary bound.  The census keeps to the elementary bounds, so the
+checks of the theorem stay independent of it.
+
+At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
+(see :func:`_domains`), so both searches start such vertices from that
+two-label domain.
 """
 
 from __future__ import annotations
@@ -39,7 +50,10 @@ from .graphs import (
     Graph,
     GraphParseError,
     MalformedLineError,
-    path_cover_number,
+    _bits,
+    _complement_masks,
+    _greedy_path_cover,
+    _path_cover_masks,
 )
 
 #: Hard ceiling for the exact solver; configurable per call.
@@ -213,12 +227,17 @@ def _second_neighbourhoods(adj):
     return tuple(d2)
 
 
-def _lower_bound(n, d1, d2):
+def _diameter_two(n, d1, d2):
+    """Whether every pair of distinct vertices is at distance one or two."""
+    full = (1 << n) - 1
+    return all((1 << v) | d1[v] | d2[v] == full for v in range(n))
+
+
+def _lower_bound(n, d1, diameter_two):
     """Best of the three elementary bounds for a graph with >= 1 edge."""
     lb = max(m.bit_count() for m in d1) + 1
     lb = max(lb, 2 * (_clique_number(d1) - 1))
-    full = (1 << n) - 1
-    if all((1 << v) | d1[v] | d2[v] == full for v in range(n)):
+    if diameter_two:
         lb = max(lb, n - 1)
     return lb
 
@@ -289,29 +308,34 @@ def _search_masks(d1, d2, order, dom):
     return labels if rec(0) else None
 
 
-def _bits(mask):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
-
-
 def _degree_order(d1):
     """Vertices by descending degree, ties by id: the feasibility order."""
     return sorted(range(len(d1)), key=lambda v: (-d1[v].bit_count(), v))
 
 
-def _optimal_colouring(n, d1, d2):
-    """Smallest feasible span and a colouring at it, for >= 1 edge.
+def _domains(d1, k):
+    """Label domains at span ``k``: ``0..k``, or ``{0, k}`` at degree k - 1.
 
-    ``x -> k - x`` maps colourings of span ``k`` to colourings, so the first
-    vertex in degree order only needs the labels ``0..k//2``.
+    The closed neighbourhood of a vertex of degree ``k - 1`` needs ``k``
+    distinct labels, and a label ``0 < x < k`` on the vertex leaves its
+    neighbours only the ``k - 2`` labels of ``0..k`` outside ``x-1..x+1``.
+    """
+    full = (1 << (k + 1)) - 1
+    ends = 1 | 1 << k
+    return [ends if m.bit_count() == k - 1 else full for m in d1]
+
+
+def _optimal_colouring(n, d1, d2, k):
+    """Smallest feasible span from a lower bound ``k``, and a colouring at it.
+
+    For a graph with >= 1 edge.  ``x -> k - x`` maps colourings of span
+    ``k`` to colourings (and the domains of :func:`_domains` to themselves),
+    so the first vertex in degree order only needs the labels ``0..k//2``.
     """
     order = _degree_order(d1)
-    k = _lower_bound(n, d1, d2)
     while True:
-        dom = [(1 << (k + 1)) - 1] * n
-        dom[order[0]] = (1 << (k // 2 + 1)) - 1
+        dom = _domains(d1, k)
+        dom[order[0]] &= (1 << (k // 2 + 1)) - 1
         labels = _search_masks(d1, d2, order, dom)
         if labels is not None:
             return k, labels
@@ -321,8 +345,13 @@ def _optimal_colouring(n, d1, d2):
 
 
 def _min_span_masks(n, d1, d2):
-    """Smallest feasible span for bitmask adjacency with >= 1 edge."""
-    return _optimal_colouring(n, d1, d2)[0]
+    """Smallest feasible span for bitmask adjacency with >= 1 edge.
+
+    Search from the elementary bounds alone: the census and the checks of
+    the path-cover theorem rely on it staying independent of path covers.
+    """
+    lb = _lower_bound(n, d1, _diameter_two(n, d1, d2))
+    return _optimal_colouring(n, d1, d2, lb)[0]
 
 
 def _fix(d1, d2, dom, v, x):
@@ -347,7 +376,7 @@ def _lex_least_witness(d1, d2, k, incumbent):
     v is the least one that extends; v is then fixed to the incumbent's
     label, which always extends.
     """
-    dom = [(1 << (k + 1)) - 1] * len(d1)
+    dom = _domains(d1, k)
     rest = _degree_order(d1)
     for v in range(len(d1)):
         rest.remove(v)
@@ -380,9 +409,18 @@ def lambda_number(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> SolveReport:
     if not g.edges:
         c = Colouring((0,) * g.n)
         return SolveReport(0, c, ())
+    n = g.n
     d1 = g.adj_masks
     d2 = _second_neighbourhoods(d1)
-    k, labels = _optimal_colouring(g.n, d1, d2)
+    diameter_two = _diameter_two(n, d1, d2)
+    k = _lower_bound(n, d1, diameter_two)
+    if diameter_two and n <= DEFAULT_PATH_COVER_CAP:
+        # span = n + pc(complement) - 2 here; the DP runs only when a greedy
+        # cover leaves room above the elementary bound
+        comp = _complement_masks(d1)
+        if n + _greedy_path_cover(comp) - 2 > k:
+            k = max(k, n + _path_cover_masks(comp) - 2)
+    k, labels = _optimal_colouring(n, d1, d2, k)
     labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]))
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
@@ -460,7 +498,7 @@ def lambda_via_path_cover(
         raise CapExceededError(
             f"path cover limited to n <= {cap} vertices, got {g.n}"
         )
-    t = path_cover_number(g.complement(), cap=cap)
+    t = _path_cover_masks(_complement_masks(g.adj_masks))
     if t >= 2:
         return PathCoverBound(t, True, g.n + t - 2)
     return PathCoverBound(t, False, g.n - 1)

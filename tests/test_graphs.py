@@ -22,6 +22,7 @@ from lambdacol import (
     parse_graph,
     path_cover_number,
 )
+from lambdacol.graphs import _greedy_path_cover
 from oracles import all_graphs, brute_path_cover, floyd_warshall
 
 INF = math.inf
@@ -131,10 +132,22 @@ def test_path_cover_known_values():
     assert path_cover_number(star) == 2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_path_cover_matches_brute_force_exhaustively(n):
     for g in all_graphs(n):
         assert path_cover_number(g) == brute_path_cover(g)
+
+
+@pytest.mark.slow
+def test_path_cover_matches_brute_force_on_every_graph_of_order_six():
+    for g in all_graphs(6):
+        assert path_cover_number(g) == brute_path_cover(g), g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_greedy_path_cover_is_an_upper_bound(n):
+    for g in all_graphs(n):
+        assert _greedy_path_cover(g.adj_masks) >= brute_path_cover(g), g
 
 
 @given(graphs(max_n=6))

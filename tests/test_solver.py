@@ -26,6 +26,7 @@ from lambdacol import (
     parse_colouring,
     path_complement,
 )
+from lambdacol.solver import _min_span_masks, _second_neighbourhoods
 from oracles import (
     all_graphs,
     brute_lambda,
@@ -46,6 +47,10 @@ def K(n):
 
 def C(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def K_ab(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +77,22 @@ def test_known_spans(g, want):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_path_complement_span_is_n(n):
     assert lambda_number(path_complement(n)).lambda_value == n
+
+
+@pytest.mark.parametrize("a,b", [(7, 7), (5, 9), (8, 8)])
+def test_complete_bipartite_span_and_witness(a, b):
+    # diameter two with complement K_a + K_b: the path-cover theorem gives
+    # span n + 2 - 2; side 0..a-1 takes labels 0..a-1, the other a+1..a+b
+    rep = lambda_number(K_ab(a, b))
+    assert rep.lambda_value == a + b
+    assert rep.witness.labels == tuple(range(a)) + tuple(range(a + 1, a + b + 1))
+
+
+def test_path_complement_seventeen():
+    g = path_complement(17)
+    rep = lambda_number(g)
+    assert rep.lambda_value == 17
+    assert is_valid_by_distances(g, rep.witness.labels)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -157,6 +178,18 @@ def test_witness_matches_reference_on_random_graphs(kind, count):
 def test_witness_matches_reference_on_every_graph_of_order_six():
     for g in all_graphs(6):
         _assert_witness_matches_reference(g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_vertices_of_degree_span_minus_one_sit_at_the_ends(n):
+    # checked on the enumerator, which knows nothing of degrees
+    for g in all_graphs(n):
+        if not g.edges:
+            continue
+        k = lambda_number(g).lambda_value
+        pinned = [v for v in range(n) if g.degree(v) == k - 1]
+        for labels in iter_optimal_colourings(g, k):
+            assert all(labels[v] in (0, k) for v in pinned), (g, labels)
 
 
 def test_iter_optimal_colourings_is_exhaustive_and_lex_ordered():
@@ -258,6 +291,11 @@ def test_path_cover_route_agrees_with_solver(n):
             continue
         bound = lambda_via_path_cover(g)
         lam = lambda_number(g).lambda_value if g.edges else 0
+        if g.edges:
+            # the solver starts from the theorem at diameter two; the
+            # theorem-free search must land on the same span
+            d1 = g.adj_masks
+            assert lam == _min_span_masks(n, d1, _second_neighbourhoods(d1)), g
         if bound.exact:
             assert bound.path_cover >= 2
             assert lam == bound.value == g.n + bound.path_cover - 2
