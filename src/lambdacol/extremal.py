@@ -46,9 +46,8 @@ from .solver import (
     Colouring,
     DEFAULT_SOLVER_CAP,
     _min_span_masks,
+    _search_masks,
     _second_neighbourhoods,
-    is_lambda_colouring,
-    iter_optimal_colourings,
     lambda_number,
 )
 from .shapes import (
@@ -62,6 +61,7 @@ from .shapes import (
 from .standardise import (
     ColouredPartition,
     StandardisedGraph,
+    _is_layered_matching,
     partition_of,
     shape_of,
 )
@@ -132,8 +132,7 @@ def _compositions(total, length):
 
 
 def _valid_shape_rows(n, t):
-    """The valid shapes for ``(n, t)`` as one int8 matrix (row per shape)."""
-    assert n < 128, "int8 shape search assumes n < 128"
+    """The valid shapes for ``(n, t)``, ``n < 128``, as one int8 matrix."""
     blocks = []
     for c0 in range(1, n):
         for ct in range(1, n - c0 + 1):
@@ -183,6 +182,8 @@ def max_edges(n, t, max_shapes=DEFAULT_MAX_SHAPES):
     into ``t + 1`` parts) exceeds ``max_shapes``.
     """
     _check_range(n, t)
+    if n >= 128:
+        raise CapExceededError(f"int8 shape search needs n < 128, got {n}")
     space = comb(n - 2 + t, t)
     if space > max_shapes:
         raise CapExceededError(
@@ -359,9 +360,9 @@ def build_stationary(shape: PartitionShape, matchings="canonical"):
     """Materialise a graph realising ``shape`` with the stationary edge rules.
 
     Every noncontiguous class pair gets a matching saturating its smaller
-    class; nothing else.  ``matchings`` maps a pair ``(m, p)`` (``p >= m+2``,
-    both classes non-empty) to an injection: a tuple of distinct larger-class
-    ranks, one per smaller-class rank (ties broken toward ``m`` as "smaller").
+    class; nothing else.  ``matchings`` maps a pair ``(m, p)`` (``p >= m+2``)
+    to an injection: a tuple of distinct larger-class ranks, one per
+    smaller-class rank (ties broken toward ``m`` as "smaller").
     ``"canonical"`` aligns equal ranks, reproducing the standardised graph.
     Returns ``(graph, partition)``; the class map is a valid colouring of
     span exactly the shape's top index.
@@ -369,37 +370,7 @@ def build_stationary(shape: PartitionShape, matchings="canonical"):
     if not is_valid_shape(shape):
         raise ValueError(f"not a valid shape: {shape.sizes}")
     sg = StandardisedGraph(shape)
-    if matchings == "canonical" or matchings is None:
-        g = sg.graph()
-    else:
-        s = shape.sizes
-        edges = set()
-        for m in range(len(s) - 2):
-            for p in range(m + 2, len(s)):
-                lo = min(s[m], s[p])
-                if lo == 0:
-                    continue
-                small, big = (m, p) if s[m] <= s[p] else (p, m)
-                inj = matchings.get((m, p))
-                if inj is None:
-                    inj = tuple(range(lo))
-                inj = tuple(inj)
-                if len(inj) != lo or len(set(inj)) != lo or \
-                        any(not 0 <= x < s[big] for x in inj):
-                    raise ValueError(
-                        f"matching for pair {(m, p)} is not an injection of "
-                        f"0..{lo - 1} into 0..{s[big] - 1}: {inj}"
-                    )
-                for i in range(lo):
-                    u = sg.vertex(small, i)
-                    v = sg.vertex(big, inj[i])
-                    edges.add((min(u, v), max(u, v)))
-        g = Graph(shape.n, frozenset(edges))
-    assert g.m == edge_bound(shape)
-    part = sg.partition()
-    labels = Colouring(sg.class_labels)
-    assert is_lambda_colouring(g, labels) and labels.span == shape.t
-    return g, part
+    return sg.graph(matchings), sg.partition()
 
 
 def is_stationary(g: Graph, partition: ColouredPartition):
@@ -420,30 +391,12 @@ def is_stationary(g: Graph, partition: ColouredPartition):
     shape = shape_of(partition)
     if not is_valid_shape(shape):
         return False, None
-    t = partition.t
-    class_of = {}
+    class_of = [0] * g.n
     for m, cl in enumerate(partition.classes):
         for v in cl:
             class_of[v] = m
-    partner = {}
-    for u, v in g.edges:
-        cu, cv = class_of[u], class_of[v]
-        if abs(cu - cv) < 2:
-            return False, None
-        partner[u, cv] = partner.get((u, cv), 0) + 1
-        partner[v, cu] = partner.get((v, cu), 0) + 1
-    if any(k > 1 for k in partner.values()):
+    if not _is_layered_matching(g, class_of, shape):
         return False, None
-    s = shape.sizes
-    for m in range(t - 1):
-        for p in range(m + 2, t + 1):
-            if min(s[m], s[p]) == 0:
-                continue
-            small = m if s[m] <= s[p] else p
-            other = p if small == m else m
-            if any(partner.get((v, other), 0) != 1
-                   for v in partition.classes[small]):
-                return False, None
     st = _stationary_type_of(shape)
     if st is None:
         return False, None
@@ -482,7 +435,7 @@ def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
         return ClassificationReport(Case.NOT_MAXIMAL, shape, mx, None)
     ok, st = is_stationary(g, part)
     if not ok or shape not in argmax:
-        witness, part, shape, st = _research_witness(g, t, argmax)
+        shape, st = _research_witness(g, t, argmax)
     if g.n % (t + 1) == 0:
         case = Case.DIVISIBLE
     elif spread(shape) <= 1:
@@ -498,23 +451,27 @@ def _research_witness(g, t, argmax):
     Maximal graphs always yield a stationary partition from *any* optimal
     colouring (equality in the edge bound forces the matchings), so this
     only runs if that argument is somehow violated; it raises if the scan
-    comes up empty rather than misreport.
+    comes up empty rather than misreport.  Returns the shape and type of
+    the first stationary colouring in lexicographic order whose span is
+    ``t`` and whose shape attains the maximum.
     """
-    for labels in iter_optimal_colourings(g, t):
+
+    def stationary(labels):
         if max(labels) != t or min(labels) != 0:
-            continue
-        c = Colouring(labels)
-        part = partition_of(g, c)
-        shape = shape_of(part)
-        if shape not in argmax:
-            continue
-        ok, st = is_stationary(g, part)
-        if ok:
-            return c, part, shape, st
-    raise RuntimeError(
-        "maximal graph admits no stationary optimal partition — "
-        "this contradicts the classification and indicates a bug"
-    )
+            return False
+        part = partition_of(g, Colouring(tuple(labels)))
+        return shape_of(part) in argmax and is_stationary(g, part)[0]
+
+    d1 = g.adj_masks
+    labels = _search_masks(d1, _second_neighbourhoods(d1), range(g.n),
+                           [(1 << (t + 1)) - 1] * g.n, visit=stationary)
+    if labels is None:
+        raise RuntimeError(
+            "maximal graph admits no stationary optimal partition — "
+            "this contradicts the classification and indicates a bug"
+        )
+    part = partition_of(g, Colouring(tuple(labels)))
+    return shape_of(part), is_stationary(g, part)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ perfect matching exactly when their indices differ by at least 2 (consecutive
 classes and class interiors stay edgeless).  Every choice of matchings gives a
 graph on ``(t+1)*l`` vertices with ``C(t, 2)*l`` edges and span exactly ``t``;
 the class map itself is a valid colouring.  Width-1 members are exactly the
-:func:`path_complement` graphs.
+:func:`path_complement` graphs.  A member is the layered matching on the
+shape ``(l,) * (t+1)``, so :func:`family_member` and :func:`is_family_member`
+use the one builder and checker of :mod:`lambdacol.standardise`.
 
 The family is universal: any graph with a valid colouring of span ``t`` sits
 inside some member with ``l`` equal to its largest colour class.
@@ -32,15 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, is_subgraph
+from .shapes import PartitionShape
 from .solver import Colouring, is_lambda_colouring
+from .standardise import StandardisedGraph, _is_layered_matching
 
 
 class EmbeddingConsistencyError(RuntimeError):
     """An identity the embedding relies on failed at runtime.
 
-    Both checked identities (unmatched sets of a class pair having equal
-    sizes; no vertex with two neighbours in one other class) are theorems for
-    valid colourings, so this error indicates a bug, not bad input.
+    The checked identities (no vertex with two neighbours in one other
+    class; unmatched sets of a class pair having equal sizes; the result a
+    family member containing the input) are theorems for valid colourings,
+    so this error indicates a bug, not bad input.
     """
 
 
@@ -75,10 +80,6 @@ class FamilyAssignment:
         if any(k != self.l for k in counts):
             raise ValueError(f"class sizes {counts} are not all {self.l}")
 
-    def members(self, m) -> list:
-        """Vertices of class ``m``, ascending."""
-        return [v for v, cm in enumerate(self.class_of) if cm == m]
-
 
 def class_colouring(fa: FamilyAssignment) -> Colouring:
     """The class map read as a labelling (valid on every member graph)."""
@@ -102,32 +103,7 @@ def path_complement(n: int) -> Graph:
     for k in range(4, n + 1):
         for i in range(k - 1):
             edges.add((i, k))
-    g = Graph(n + 1, frozenset(edges))
-    assert g.m == n * (n - 1) // 2
-    return g
-
-
-def _normalise_matchings(t, l, matchings):
-    """Expand a matching spec into a per-pair permutation dict."""
-    pairs = [(m, p) for m in range(t + 1) for p in range(m + 2, t + 1)]
-    if matchings is None or matchings == "canonical":
-        return {pair: tuple(range(l)) for pair in pairs}
-    out = {}
-    for pair in pairs:
-        perm = matchings.get(pair)
-        if perm is None:
-            out[pair] = tuple(range(l))
-            continue
-        perm = tuple(perm)
-        if sorted(perm) != list(range(l)):
-            raise ValueError(
-                f"matching for class pair {pair} is not a bijection of 0..{l - 1}: {perm}"
-            )
-        out[pair] = perm
-    extra = set(matchings) - set(pairs)
-    if extra:
-        raise ValueError(f"matchings given for non-noncontiguous pairs: {sorted(extra)}")
-    return out
+    return Graph(n + 1, frozenset(edges))
 
 
 def family_member(t: int, l: int, matchings="canonical"):
@@ -137,58 +113,26 @@ def family_member(t: int, l: int, matchings="canonical"):
     maps a noncontiguous class pair ``(m, p)`` to a permutation ``sigma`` of
     ``0..l-1``, joining index ``i`` of class ``m`` to index ``sigma[i]`` of
     class ``p``; pairs not mentioned (or the string ``"canonical"``) use the
-    identity.  Returns ``(graph, assignment)``.
+    identity.  This is the standardised graph of the shape ``(l,) * (t+1)``
+    with those matchings.  Returns ``(graph, assignment)``.
     """
-    if t < 3:
-        raise ValueError(f"need t >= 3, got {t}")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
-    perms = _normalise_matchings(t, l, matchings)
-    edges = set()
-    for (m, p), perm in perms.items():
-        for i in range(l):
-            u = m * l + i
-            v = p * l + perm[i]
-            edges.add((min(u, v), max(u, v)))
-    g = Graph((t + 1) * l, frozenset(edges))
-    assert g.m == t * (t - 1) // 2 * l
-    fa = FamilyAssignment(t, l, tuple(m for m in range(t + 1) for _ in range(l)))
-    return g, fa
+    sg = StandardisedGraph(PartitionShape((l,) * (t + 1)))
+    return sg.graph(matchings), FamilyAssignment(t, l, sg.class_labels)
 
 
 def is_family_member(g: Graph, fa: FamilyAssignment) -> bool:
     """Return ``True`` when ``g``'s edges realise the layer structure of ``fa``.
 
     Requires: no edge inside a class or between consecutive classes, and a
-    perfect matching between every pair of classes at index distance >= 2.
-    Class sizes are rechecked defensively even though the assignment type
-    enforces them.
+    perfect matching between every pair of classes at index distance >= 2
+    (a matching saturating one of two equal classes is perfect).
     """
     if len(fa.class_of) != g.n:
         raise ValueError(
             f"assignment covers {len(fa.class_of)} vertices, graph has {g.n}"
         )
-    classes = [fa.members(m) for m in range(fa.t + 1)]
-    if any(len(cl) != fa.l for cl in classes):
-        return False
-    # partner count per vertex per noncontiguous class
-    partner = {}
-    for u, v in g.edges:
-        cu, cv = fa.class_of[u], fa.class_of[v]
-        if abs(cu - cv) < 2:
-            return False
-        partner[u, cv] = partner.get((u, cv), 0) + 1
-        partner[v, cu] = partner.get((v, cu), 0) + 1
-    if any(k > 1 for k in partner.values()):
-        return False
-    # each vertex must be matched into every noncontiguous class
-    for m, cl in enumerate(classes):
-        for p in range(fa.t + 1):
-            if abs(m - p) < 2:
-                continue
-            if any(partner.get((v, p), 0) != 1 for v in cl):
-                return False
-    return True
+    shape = PartitionShape((fa.l,) * (fa.t + 1))
+    return _is_layered_matching(g, fa.class_of, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +181,6 @@ def embed_universal(g: Graph, c: Colouring):
             next_id += 1
         padded.append(members)
     total = next_id
-    assert total == (t + 1) * width
     class_of = [0] * total
     for m, members in enumerate(padded):
         for v in members:
@@ -264,6 +207,8 @@ def embed_universal(g: Graph, c: Colouring):
 
     gstar = Graph(total, frozenset(edges))
     fa = FamilyAssignment(t, width, tuple(class_of))
-    assert is_family_member(gstar, fa)
-    assert is_subgraph(g, gstar)
+    if not is_family_member(gstar, fa):
+        raise EmbeddingConsistencyError("the padded graph is not a family member")
+    if not is_subgraph(g, gstar):
+        raise EmbeddingConsistencyError("the padded graph lost an edge of the input")
     return gstar, fa, tuple(range(g.n))

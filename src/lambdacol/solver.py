@@ -38,6 +38,12 @@ checks of the theorem stay independent of it.
 At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
 (see :func:`_domains`), so both searches start such vertices from that
 two-label domain.
+
+One recursive forward-checking core, :func:`_search_masks`, runs every
+search.  A leaf callback, when given, sees each completion in lexicographic
+order until it accepts one: :func:`iter_optimal_colourings` collects them all
+(id order, full domains, no pinning), the classification's fallback scan
+stops at the first stationary one.
 """
 
 from __future__ import annotations
@@ -243,18 +249,20 @@ def _lower_bound(n, d1, diameter_two):
 
 
 # ---------------------------------------------------------------------------
-# search core (shared with the census)
+# search core (shared with the census and the enumeration)
 # ---------------------------------------------------------------------------
 
-def _search_masks(d1, d2, order, dom):
+def _search_masks(d1, d2, order, dom, visit=None):
     """DFS with forward checking; returns a label list or None.
 
     Labels the vertices of ``order`` in that order, each taking the smallest
     label left in its domain first; ``dom[v]`` is the bitmask of labels open
-    to vertex v.  Returns the first assignment found, the lexicographically
-    smallest along ``order``.  A vertex outside ``order`` counts as fixed: it
-    must have a single-label domain, already forward-checked into the rest,
-    and keeps that label.
+    to vertex v.  Returns the first completion, the lexicographically
+    smallest along ``order``; with ``visit``, the first that ``visit``
+    accepts (returns true for), each completion being passed to it in that
+    order as the search's own label list.  A vertex outside ``order`` counts
+    as fixed: it must have a single-label domain, already forward-checked
+    into the rest, and keeps that label.
     """
     n = len(dom)
     pos = [-1] * n
@@ -268,7 +276,7 @@ def _search_masks(d1, d2, order, dom):
 
     def rec(i):
         if i == depth:
-            return True
+            return visit is None or visit(labels)
         v = order[i]
         avail = dom[v]
         while avail:
@@ -427,59 +435,19 @@ def lambda_number(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> SolveReport:
 
 
 def iter_optimal_colourings(g: Graph, span: int):
-    """Yield every valid colouring of ``g`` with labels in ``0..span``.
+    """Iterate over every valid colouring of ``g`` with labels in ``0..span``.
 
     Lexicographic order by label vector.  Includes colourings whose maximum is
     below ``span`` or minimum above 0; callers filter.  Intended for small
-    graphs (exhaustive).
+    graphs (exhaustive; all are found before the first is returned).
     """
     d1 = g.adj_masks
-    d2 = _second_neighbourhoods(d1)
-    n = g.n
-    full = (1 << (span + 1)) - 1
-    dom = [full] * n
-    labels = [0] * n
-    later1 = [[u for u in _bits(d1[v]) if u > v] for v in range(n)]
-    later2 = [[u for u in _bits(d2[v]) if u > v] for v in range(n)]
-
-    def rec(v):
-        if v == n:
-            yield tuple(labels)
-            return
-        avail = dom[v]
-        while avail:
-            b = avail & -avail
-            avail ^= b
-            x = b.bit_length() - 1
-            m3 = (7 << x) >> 1
-            changed = []
-            dead = False
-            for u in later1[v]:
-                old = dom[u]
-                nd = old & ~m3
-                if nd != old:
-                    dom[u] = nd
-                    changed.append((u, old))
-                    if not nd:
-                        dead = True
-                        break
-            if not dead:
-                for u in later2[v]:
-                    old = dom[u]
-                    nd = old & ~b
-                    if nd != old:
-                        dom[u] = nd
-                        changed.append((u, old))
-                        if not nd:
-                            dead = True
-                            break
-            if not dead:
-                labels[v] = x
-                yield from rec(v + 1)
-            for u, old in changed:
-                dom[u] = old
-
-    yield from rec(0)
+    found = []
+    # list.append returns None, so the search visits every completion
+    _search_masks(d1, _second_neighbourhoods(d1), range(g.n),
+                  [(1 << (span + 1)) - 1] * g.n,
+                  visit=lambda labels: found.append(tuple(labels)))
+    return iter(found)
 
 
 def lambda_via_path_cover(

@@ -19,6 +19,12 @@ class sizes.  Three facts make this the workhorse of the extremal theory:
 * when ``c`` is optimal the span is preserved, so extremal questions about
   graphs reduce to integer questions about shapes.
 
+The standardised graph, the layer family and the stationary extremal graphs
+are all *layered matchings*: every noncontiguous class pair joined by a
+matching that saturates the smaller class.  :meth:`StandardisedGraph.graph`
+builds all three, for any choice of matchings, and :func:`_is_layered_matching`
+checks membership and stationarity alike by counting partners and edges.
+
 Label reversal ``m -> t - m`` (the *dual*) preserves validity and span; it is
 provided for colourings, partitions, and shapes alike because the sporadic
 extremal families are closed under it.
@@ -133,16 +139,44 @@ class StandardisedGraph:
             m for m, size in enumerate(self.shape.sizes) for _ in range(size)
         )
 
-    def graph(self) -> Graph:
+    def graph(self, matchings=None) -> Graph:
+        """The layered matching on this shape, the standardised graph by default.
+
+        ``matchings`` maps a noncontiguous pair ``(m, p)`` to an injection of
+        the smaller class's ranks (ties: class ``m``) into the larger's;
+        pairs not mentioned (all, for ``None`` or ``"canonical"``) align
+        equal ranks.  Other keys and non-injections raise ``ValueError``.
+        """
         s = self.shape.sizes
+        off = self.offsets
+        pairs = [(m, p) for m in range(len(s)) for p in range(m + 2, len(s))]
+        if matchings is None or matchings == "canonical":
+            matchings = {}
+        extra = set(matchings).difference(pairs)
+        if extra:
+            raise ValueError(
+                f"matchings given for non-noncontiguous pairs: {sorted(extra)}"
+            )
         edges = set()
-        for m in range(len(s) - 2):
-            for p in range(m + 2, len(s)):
-                for i in range(min(s[m], s[p])):
-                    edges.add((self.vertex(m, i), self.vertex(p, i)))
-        g = Graph(self.shape.n, frozenset(edges))
-        assert g.m == edge_bound(self.shape)
-        return g
+        for m, p in pairs:
+            lo = min(s[m], s[p])
+            inj = matchings.get((m, p))
+            if inj is None:
+                edges.update((off[m] + i, off[p] + i) for i in range(lo))
+                continue
+            inj = tuple(inj)
+            big = p if s[m] <= s[p] else m
+            if len(inj) != lo or len(set(inj)) != lo or \
+                    any(not 0 <= x < s[big] for x in inj):
+                raise ValueError(
+                    f"matching for pair {(m, p)} is not an injection of "
+                    f"0..{lo - 1} into 0..{s[big] - 1}: {inj}"
+                )
+            if big == p:
+                edges.update((off[m] + i, off[p] + x) for i, x in enumerate(inj))
+            else:
+                edges.update((off[m] + x, off[p] + i) for i, x in enumerate(inj))
+        return Graph(self.shape.n, frozenset(edges))
 
     def partition(self) -> ColouredPartition:
         s = self.shape.sizes
@@ -151,6 +185,26 @@ class StandardisedGraph:
             for m in range(len(s))
         )
         return ColouredPartition(self.shape.t, classes)
+
+
+def _is_layered_matching(g: Graph, class_of, shape: PartitionShape) -> bool:
+    """Whether ``g``'s edges are a layered matching of the classes of ``shape``.
+
+    ``class_of[v]`` is v's class.  No edge may lie inside a class or join
+    consecutive classes, and no vertex may have two partners in one class.
+    The edges between two classes then form a matching, which has at most
+    as many edges as the smaller class has vertices, so all of them
+    saturate their smaller class exactly when ``g`` has the shape's edge
+    bound of edges.
+    """
+    partnered = set()
+    for u, v in g.edges:
+        cu, cv = class_of[u], class_of[v]
+        if abs(cu - cv) < 2 or (u, cv) in partnered or (v, cu) in partnered:
+            return False
+        partnered.add((u, cv))
+        partnered.add((v, cu))
+    return g.m == edge_bound(shape)
 
 
 def edge_standardise(g: Graph, c: Colouring):
@@ -175,5 +229,4 @@ def edge_standardise(g: Graph, c: Colouring):
     for m, members in enumerate(classes):
         for i, v in enumerate(members):
             corr[v] = sg.vertex(m, i)
-    assert edge_bound(shape) >= g.m
     return sg, tuple(corr)

@@ -111,6 +111,35 @@ def all_graphs(n):
         yield Graph(n, edges)
 
 
+def is_layered_matching(g, class_of) -> bool:
+    """Layered matching straight from the definition, pair by pair.
+
+    ``class_of[v]`` is the class of vertex v.  Every edge joins classes at
+    index distance >= 2, and for every two classes ``A``, ``B`` at index
+    distance >= 2 the edges between them number ``min(|A|, |B|)`` with no
+    vertex in two of them: a matching saturating the smaller class.
+    """
+    classes = {}
+    for v, m in enumerate(class_of):
+        classes.setdefault(m, []).append(v)
+    for u, v in g.edges:
+        if abs(class_of[u] - class_of[v]) < 2:
+            return False
+    for a, b in combinations(sorted(classes), 2):
+        if b - a < 2:
+            continue
+        between = [
+            (u, v) for u, v in g.edges
+            if {class_of[u], class_of[v]} == {a, b}
+        ]
+        ends = [w for e in between for w in e]
+        if len(set(ends)) != len(ends):
+            return False
+        if len(between) != min(len(classes[a]), len(classes[b])):
+            return False
+    return True
+
+
 def reference_lex_witness(g: Graph, k: int):
     """Lexicographically least valid labelling with labels in ``0..k``.
 

@@ -1,6 +1,10 @@
 """Command-line verbs: golden outputs, JSON mode, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,9 @@ def p3_file(tmp_path):
     p = tmp_path / "p3.txt"
     p.write_text("p 3 2\ne 0 1\ne 1 2\n")
     return str(p)
+
+
+LAMBDA_G3 = "lambda 3\nc 0 0\nc 1 1\nc 2 2\nc 3 3\nholes none\n"
 
 
 def write_colouring(tmp_path, name, text):
@@ -53,7 +60,7 @@ def test_construct_gtl_golden(capsys):
 def test_lambda_golden(capsys, g3_file):
     code, out, _ = run(capsys, "lambda", g3_file)
     assert code == 0
-    assert out == "lambda 3\nc 0 0\nc 1 1\nc 2 2\nc 3 3\nholes none\n"
+    assert out == LAMBDA_G3
 
 
 def test_check_valid_and_invalid(capsys, g3_file, tmp_path):
@@ -173,6 +180,28 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert code == 1
     code, _, err = run(capsys, "census", "8")
     assert code == 1 and "census" in err
+    code, _, err = run(capsys, "maxedges", "200", "3")
+    assert code == 1 and "error:" in err
+
+
+def test_optimised_interpreter_keeps_errors_and_answers(g3_file):
+    # under -O every assert is gone, so no answer or error may rest on one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "lambdacol.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    res = cli("maxedges", "200", "3")
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "Traceback" not in res.stderr
+    res = cli("lambda", g3_file)
+    assert res.returncode == 0
+    assert res.stdout == LAMBDA_G3
 
 
 def test_usage_errors_exit_two(capsys):

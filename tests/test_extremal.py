@@ -25,7 +25,11 @@ from lambdacol import (
     valid_shapes,
     verify_classification,
 )
-from lambdacol.extremal import _sporadic_shape, _valid_shape_rows
+from lambdacol.extremal import (
+    _research_witness,
+    _sporadic_shape,
+    _valid_shape_rows,
+)
 from test_shapes import small_valid_shapes
 
 
@@ -172,6 +176,8 @@ def test_build_stationary_rejects_bad_inputs():
         build_stationary(S(2, 1, 2, 2), matchings={(0, 2): (0, 0)})
     with pytest.raises(ValueError):
         build_stationary(S(2, 1, 2, 2), matchings={(0, 2): (0, 1, 2)})
+    with pytest.raises(ValueError):
+        build_stationary(S(2, 1, 2, 2), matchings={(1, 2): (0,)})  # contiguous
 
 
 def test_is_stationary_tags():
@@ -234,6 +240,27 @@ def test_is_stationary_requires_cover():
     g, part = build_stationary(S(1, 1, 1, 1))
     with pytest.raises(ValueError):
         is_stationary(Graph(5, g.edges), part)
+
+
+@pytest.mark.parametrize("sizes", [
+    (2, 2, 2, 2), (3, 2, 1, 3), (2, 0, 2, 2), (3, 2, 3, 1, 3), (2, 1, 2, 1, 2),
+])
+def test_research_witness_agrees_with_the_lex_least_witness(sizes):
+    # the fallback scan's first stationary colouring of a maximal graph is
+    # its lexicographically least optimal one, the one classify reads
+    g, part = build_stationary(S(*sizes))
+    rep = classify(g)
+    _, argmax = max_edges(g.n, part.t)
+    assert _research_witness(g, part.t, argmax) == (
+        rep.witness_shape, rep.stationary,
+    )
+
+
+def test_research_witness_raises_when_nothing_is_stationary():
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])  # P3 plus a vertex, span 3
+    _, argmax = max_edges(4, 3)
+    with pytest.raises(RuntimeError):
+        _research_witness(g, 3, argmax)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lambdacol import (
     Colouring,
+    EmbeddingConsistencyError,
     FamilyAssignment,
     Graph,
     class_colouring,
@@ -18,6 +19,7 @@ from lambdacol import (
     path_complement,
     distances,
 )
+from lambdacol import families
 from oracles import all_graphs
 from test_graphs import graphs
 
@@ -94,6 +96,9 @@ def test_family_member_custom_matchings():
     canonical, _ = family_member(3, 2)
     assert g != canonical
     assert lambda_number(g).lambda_value == 3
+    # sigma itself, not its inverse: 0 -> 1, 1 -> 2, 2 -> 0 into class 2
+    g, _ = family_member(3, 3, matchings={(0, 2): (1, 2, 0)})
+    assert {(0, 7), (1, 8), (2, 6)} <= g.edges
 
 
 def test_family_member_rejects_bad_matchings():
@@ -193,6 +198,15 @@ def test_embed_accepts_suboptimal_colourings():
     assert is_family_member(host, fa)
     assert host.n == 5
     assert is_subgraph(g, host)
+
+
+@pytest.mark.parametrize("check", ["is_family_member", "is_subgraph"])
+def test_embed_raises_when_an_identity_fails(monkeypatch, check):
+    # typed errors, not asserts, so the checks survive python -O
+    monkeypatch.setattr(families, check, lambda *args: False)
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(EmbeddingConsistencyError):
+        embed_universal(g, Colouring((2, 0, 3)))
 
 
 def test_embed_rejects_invalid_or_narrow_colourings():

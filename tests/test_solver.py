@@ -1,7 +1,7 @@
 """Exact solver: known spans, brute-force agreement, witnesses, files."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,18 +193,17 @@ def test_vertices_of_degree_span_minus_one_sit_at_the_ends(n):
 
 
 def test_iter_optimal_colourings_is_exhaustive_and_lex_ordered():
-    g = P(3)
-    got = list(iter_optimal_colourings(g, 3))
-    assert got == sorted(got)
-    assert len(got) == len(set(got))
-    want = [
-        labels
-        for labels in (
-            (a, b, c) for a in range(4) for b in range(4) for c in range(4)
-        )
-        if is_valid_by_distances(g, labels)
-    ]
-    assert got == want
+    # every graph with n <= 4, at its span and one above
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            k = brute_lambda(g)
+            for span in (k, k + 1):
+                got = list(iter_optimal_colourings(g, span))
+                want = [
+                    labels for labels in product(range(span + 1), repeat=n)
+                    if is_valid_by_distances(g, labels)
+                ]
+                assert got == want, (g, span)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Rank-aligned standardisation and label-class partitions."""
+"""Rank-aligned standardisation, label-class partitions, layered matchings."""
+
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,18 +9,25 @@ from hypothesis import given, settings
 from lambdacol import (
     ColouredPartition,
     Colouring,
+    FamilyAssignment,
     Graph,
     PartitionShape,
     StandardisedGraph,
+    build_stationary,
     dual,
     dual_shape,
     edge_bound,
     edge_standardise,
+    family_member,
+    is_family_member,
     is_lambda_colouring,
+    is_stationary,
+    is_valid_shape,
     lambda_number,
     partition_of,
     shape_of,
 )
+from oracles import is_layered_matching
 from test_graphs import graphs
 from test_shapes import small_valid_shapes
 
@@ -157,3 +167,95 @@ def test_edge_standardise_rejects_narrow_or_invalid():
     g3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         edge_standardise(g3, Colouring((0, 0, 3)))  # invalid colouring
+
+
+# ---------------------------------------------------------------------------
+# the layered-matching builder and checker, against the oracle
+# ---------------------------------------------------------------------------
+
+def _random_injections(rng, sizes):
+    out = {}
+    for m in range(len(sizes)):
+        for p in range(m + 2, len(sizes)):
+            lo, hi = sorted((sizes[m], sizes[p]))
+            if rng.random() < 0.7:
+                out[m, p] = tuple(rng.sample(range(hi), lo))
+    return out
+
+
+def _tampered(rng, g):
+    """``g`` with one vertex pair toggled, or one edge's end moved."""
+    edges = set(g.edges)
+    if edges and rng.random() < 0.5:
+        u, v = rng.choice(sorted(edges))
+        edges.remove((u, v))
+        v = rng.choice([w for w in range(g.n) if w != u])
+    else:
+        u, v = rng.sample(range(g.n), 2)
+    edges ^= {(min(u, v), max(u, v))}
+    return Graph(g.n, frozenset(edges))
+
+
+def test_family_membership_agrees_with_the_oracle():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        t, l = rng.randint(3, 5), rng.randint(1, 3)
+        relabel = list(range((t + 1) * l))
+        rng.shuffle(relabel)
+        g, fa = family_member(t, l, _random_injections(rng, (l,) * (t + 1)))
+        # the same member with shuffled vertex ids
+        g = Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in g.edges])
+        class_of = [0] * g.n
+        for v, m in enumerate(fa.class_of):
+            class_of[relabel[v]] = m
+        fa = FamilyAssignment(t, l, tuple(class_of))
+        if rng.random() < 0.2:
+            g = Graph.from_edges(g.n, [
+                e for e in combinations(range(g.n), 2) if rng.random() < 0.3
+            ])
+        elif rng.random() < 0.7:
+            g = _tampered(rng, g)
+        want = is_layered_matching(g, fa.class_of)
+        assert is_family_member(g, fa) == want, (g, fa)
+        seen.add(want)
+    assert seen == {False, True}
+
+
+def test_stationary_edge_condition_agrees_with_the_oracle():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(400):
+        t = rng.randint(3, 5)
+        shape = PartitionShape(tuple(rng.randint(0, 3) for _ in range(t + 1)))
+        if not is_valid_shape(shape):
+            continue
+        canonical, part = build_stationary(shape)
+        # the shape condition alone, read off the canonical build
+        shape_ok = is_stationary(canonical, part)[0]
+        g, part = build_stationary(shape, _random_injections(rng, shape.sizes))
+        class_of = [0] * g.n
+        for m, cl in enumerate(part.classes):
+            for v in cl:
+                class_of[v] = m
+        assert is_layered_matching(g, class_of)
+        if rng.random() < 0.7:
+            g = _tampered(rng, g)
+        want = is_layered_matching(g, class_of)
+        assert is_stationary(g, part)[0] == (want and shape_ok), (g, part)
+        if shape_ok:
+            seen.add(want)
+    assert seen == {False, True}
+
+
+def test_family_member_is_the_stationary_build_of_the_equal_shape():
+    rng = random.Random(13)
+    for _ in range(40):
+        t, l = rng.randint(3, 6), rng.randint(1, 4)
+        perms = _random_injections(rng, (l,) * (t + 1))
+        g, fa = family_member(t, l, perms)
+        h, part = build_stationary(PartitionShape((l,) * (t + 1)), perms)
+        assert g == h
+        assert fa.class_of == tuple(
+            m for m, cl in enumerate(part.classes) for _ in cl
+        )
