@@ -434,12 +434,13 @@ def lambda_number(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> SolveReport:
     return SolveReport(k, c, holes_of(c))
 
 
-def iter_optimal_colourings(g: Graph, span: int):
-    """Iterate over every valid colouring of ``g`` with labels in ``0..span``.
+def iter_optimal_colourings(g: Graph, span: int) -> list:
+    """Every valid colouring of ``g`` with labels in ``0..span``, as a list.
 
     Lexicographic order by label vector.  Includes colourings whose maximum is
-    below ``span`` or minimum above 0; callers filter.  Intended for small
-    graphs (exhaustive; all are found before the first is returned).
+    below ``span`` or minimum above 0; callers filter.  The whole list is
+    built before it is returned, so time and memory grow with the number of
+    colourings (``(span + 1) ** n`` on an edgeless graph): small graphs only.
     """
     d1 = g.adj_masks
     found = []
@@ -447,7 +448,7 @@ def iter_optimal_colourings(g: Graph, span: int):
     _search_masks(d1, _second_neighbourhoods(d1), range(g.n),
                   [(1 << (span + 1)) - 1] * g.n,
                   visit=lambda labels: found.append(tuple(labels)))
-    return iter(found)
+    return found
 
 
 def lambda_via_path_cover(

@@ -161,10 +161,7 @@ class StandardisedGraph:
         for m, p in pairs:
             lo = min(s[m], s[p])
             inj = matchings.get((m, p))
-            if inj is None:
-                edges.update((off[m] + i, off[p] + i) for i in range(lo))
-                continue
-            inj = tuple(inj)
+            inj = tuple(range(lo)) if inj is None else tuple(inj)
             big = p if s[m] <= s[p] else m
             if len(inj) != lo or len(set(inj)) != lo or \
                     any(not 0 <= x < s[big] for x in inj):

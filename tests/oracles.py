@@ -140,6 +140,25 @@ def is_layered_matching(g, class_of) -> bool:
     return True
 
 
+def is_stationary_shape(sizes) -> bool:
+    """The shape condition of a stationary partition, from the definition.
+
+    Class sizes pairwise within one, or, at span 3 or 4, one of the
+    sporadic patterns below with some ``k`` (read left to right or right to
+    left).
+    """
+    if max(sizes) - min(sizes) <= 1:
+        return True
+    t, k = len(sizes) - 1, max(sizes)
+    patterns = {
+        3: [(k, k - 1, k - 2, k), (k - 1, k, k - 2, k),
+            (k, k - 2, k, k), (k, k - 3, k, k)],
+        4: [(k, k - 2, k, k - 1, k), (k, k - 2, k, k - 2, k),
+            (k, k, k - 2, k, k)],
+    }.get(t, [])
+    return tuple(sizes) in patterns or tuple(sizes[::-1]) in patterns
+
+
 def reference_lex_witness(g: Graph, k: int):
     """Lexicographically least valid labelling with labels in ``0..k``.
 

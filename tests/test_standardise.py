@@ -27,7 +27,7 @@ from lambdacol import (
     partition_of,
     shape_of,
 )
-from oracles import is_layered_matching
+from oracles import is_layered_matching, is_stationary_shape
 from test_graphs import graphs
 from test_shapes import small_valid_shapes
 
@@ -230,9 +230,9 @@ def test_stationary_edge_condition_agrees_with_the_oracle():
         shape = PartitionShape(tuple(rng.randint(0, 3) for _ in range(t + 1)))
         if not is_valid_shape(shape):
             continue
+        shape_ok = is_stationary_shape(shape.sizes)
         canonical, part = build_stationary(shape)
-        # the shape condition alone, read off the canonical build
-        shape_ok = is_stationary(canonical, part)[0]
+        assert is_stationary(canonical, part)[0] == shape_ok, shape
         g, part = build_stationary(shape, _random_injections(rng, shape.sizes))
         class_of = [0] * g.n
         for m, cl in enumerate(part.classes):
