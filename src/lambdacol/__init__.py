@@ -89,6 +89,7 @@ from .standardise import (
 from .extremal import (
     Case,
     CENSUS_CAP,
+    ClassificationError,
     ClassificationReport,
     DEFAULT_MAX_SHAPES,
     StationaryType,

@@ -15,6 +15,7 @@ import sys
 from .extremal import (
     DEFAULT_MAX_SHAPES,
     CENSUS_CAP,
+    ClassificationError,
     brute_force_graph_census,
     classify,
     max_edges,
@@ -340,14 +341,14 @@ def _build_parser():
     p.add_argument("n", type=int)
     p.add_argument("t", type=int)
     p.add_argument("--max-shapes", type=int, default=DEFAULT_MAX_SHAPES,
-                   help="shape search-space cap")
+                   help="shape search work cap, in 3^(T+1)*N subset steps")
 
     p = add("classify", _cmd_classify, "classify one graph file")
     p.add_argument("file")
     p.add_argument("--max-n", type=int, default=DEFAULT_SOLVER_CAP,
                    help="solver size cap")
     p.add_argument("--max-shapes", type=int, default=DEFAULT_MAX_SHAPES,
-                   help="shape search-space cap")
+                   help="shape search work cap, in 3^(T+1)*N subset steps")
 
     p = add("verify", _cmd_verify, "verify the classification at (N, T)")
     p.add_argument("n", type=int)
@@ -355,7 +356,7 @@ def _build_parser():
     p.add_argument("--census-limit", type=int, default=6,
                    help="largest n to cross-check against the graph census")
     p.add_argument("--max-shapes", type=int, default=DEFAULT_MAX_SHAPES,
-                   help="shape search-space cap")
+                   help="shape search work cap, in 3^(T+1)*N subset steps")
 
     p = add("census", _cmd_census,
             "max edges per span over all labelled graphs on N vertices")
@@ -380,8 +381,8 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (GraphParseError, EmbeddingConsistencyError, CapExceededError,
-            ValueError, OSError) as exc:
+    except (GraphParseError, EmbeddingConsistencyError, ClassificationError,
+            CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

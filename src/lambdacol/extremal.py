@@ -4,9 +4,9 @@ Fix ``n`` and a target span ``t`` with ``n >= t + 1 >= 4``.  Standardisation
 reduces "how many edges can an n-vertex graph of span t have" to integer
 arithmetic: the answer is the maximum of the shape edge bound over all valid
 shapes (standardised graphs on valid shapes do achieve span exactly ``t``).
-:func:`max_edges` performs that maximisation — vectorised, since the shape
-space at ``(n, t) = (30, 7)`` has several million points — and returns the
-full attaining set.
+:func:`max_edges` performs that maximisation — by a dynamic programme over
+nested layers of class indices, since the shape space at ``(n, t) = (30, 7)``
+alone has several million points — and returns the full attaining set.
 
 The attaining shapes are completely classified:
 
@@ -33,13 +33,11 @@ oracle that enumerates every labelled graph and solves each one exactly.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from math import comb
-
-import numpy as np
 
 from .graphs import CapExceededError, Graph
 from .solver import (
@@ -52,9 +50,7 @@ from .solver import (
 )
 from .shapes import (
     PartitionShape,
-    adjacent_max_pairs,
     dual_shape,
-    edge_bound,
     is_valid_shape,
     spread,
 )
@@ -66,11 +62,16 @@ from .standardise import (
     shape_of,
 )
 
-#: Refuse shape searches whose raw composition count exceeds this.
+#: Cap on a shape search's work, ``3^(t+1) * n`` subset steps.
 DEFAULT_MAX_SHAPES = 20_000_000
 
 #: Largest n for the labelled-graph census (2^C(n,2) graphs).
 CENSUS_CAP = 7
+
+
+class ClassificationError(RuntimeError):
+    """A graph contradicted the classification (a bug in the solver or the
+    shape search)."""
 
 
 def _check_range(n, t):
@@ -107,111 +108,85 @@ def valid_shapes(n, t):
         yield PartitionShape(sizes)
 
 
-_COMP_CACHE = {}
-
-
-def _compositions(total, length):
-    """All non-negative int vectors of ``length`` summing to ``total`` (int8)."""
-    key = (total, length)
-    cached = _COMP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if length == 1:
-        arr = np.array([[total]], dtype=np.int8)
-    else:
-        blocks = []
-        for v in range(total + 1):
-            rest = _compositions(total - v, length - 1)
-            block = np.empty((rest.shape[0], length), dtype=np.int8)
-            block[:, 0] = v
-            block[:, 1:] = rest
-            blocks.append(block)
-        arr = np.vstack(blocks)
-    _COMP_CACHE[key] = arr
-    return arr
-
-
-def _valid_shape_rows(n, t):
-    """The valid shapes for ``(n, t)``, ``n < 128``, as one int8 matrix."""
-    blocks = []
-    for c0 in range(1, n):
-        for ct in range(1, n - c0 + 1):
-            inner = _compositions(n - c0 - ct, t - 1)
-            block = np.empty((inner.shape[0], t + 1), dtype=np.int8)
-            block[:, 0] = c0
-            block[:, 1:t] = inner
-            block[:, t] = ct
-            blocks.append(block)
-    arr = np.vstack(blocks)
-    keep = np.ones(len(arr), dtype=bool)
-    for i in range(t):
-        keep &= ~((arr[:, i] == 0) & (arr[:, i + 1] == 0))
-    return arr[keep]
-
-
-def _edge_bound_per_row(arr):
-    cols = arr.shape[1]
-    acc = np.zeros(len(arr), dtype=np.int32)
-    for i in range(cols - 2):
-        for j in range(i + 2, cols):
-            acc += np.minimum(arr[:, i], arr[:, j])
-    return acc
-
-
-def _equitable_closed_form(shape):
-    """Edge bound of a near-equal shape without the pair sum.
-
-    With ``b = floor(n / (t+1))`` and ``r = n - (t+1) b`` large classes, the
-    standardised graph is ``b`` stacked copies of the span-``t`` complete
-    standardised layer plus an almost-complete graph on the ``r`` overflow
-    vertices, missing one edge per adjacent large pair.
-    """
-    t, n = shape.t, shape.n
-    b, r = divmod(n, t + 1)
-    assert min(shape.sizes) == b and max(shape.sizes) == b + (1 if r else 0)
-    large = frozenset(i for i, s in enumerate(shape.sizes) if s == b + 1)
-    k = sum(1 for i in range(t) if i in large and i + 1 in large)
-    return b * comb(t, 2) + comb(r, 2) - k
+def _subset_max(f):
+    """``h[S] = max(f[T] for T ⊆ S)``, folding in one index bit at a time."""
+    b = 1
+    while b < len(f):
+        f = [x if not s & b or x > f[s ^ b] else f[s ^ b]
+             for s, x in enumerate(f)]
+        b *= 2
+    return f
 
 
 def max_edges(n, t, max_shapes=DEFAULT_MAX_SHAPES):
     """Largest edge count among valid shapes for ``(n, t)``, with the argmax.
 
     Returns ``(value, frozenset of attaining shapes)``.  Raises
-    :class:`CapExceededError` when the search space (compositions of ``n - 2``
-    into ``t + 1`` parts) exceeds ``max_shapes``.
+    :class:`CapExceededError` when ``3^(t+1) * n``, a bound on the search's
+    subset steps, exceeds ``max_shapes``.
     """
     _check_range(n, t)
-    if n >= 128:
-        raise CapExceededError(f"int8 shape search needs n < 128, got {n}")
-    space = comb(n - 2 + t, t)
-    if space > max_shapes:
+    # 3^(t+1) >= 2^(t+1), so the first test settles huge t without the power
+    if t + 1 > max_shapes.bit_length() or 3 ** (t + 1) * n > max_shapes:
         raise CapExceededError(
-            f"shape space for (n={n}, t={t}) has {space} points, cap {max_shapes}"
+            f"shape search for (n={n}, t={t}) needs 3^{t + 1} * {n} subset "
+            f"steps, cap {max_shapes}"
         )
     return _max_edges_cached(n, t)
 
 
 @lru_cache(maxsize=None)
 def _max_edges_cached(n, t):
-    arr = _valid_shape_rows(n, t)
-    bounds = _edge_bound_per_row(arr)
-    mx = int(bounds.max())
-    rows = arr[bounds == mx]
-    shapes = frozenset(
-        PartitionShape(tuple(int(x) for x in row)) for row in rows
-    )
-    # Internal cross-check: every near-equal attaining shape must agree with
-    # the closed-form count (the b-copies-plus-overflow decomposition).
-    for s in shapes:
-        if spread(s) <= 1:
-            assert edge_bound(s) == _equitable_closed_form(s)
-    return mx, shapes
+    # The layer cake.  With layers S_r = {i : c_i > r}, min(c_i, c_j) counts
+    # the r with both i and j in S_r, so a shape's edge bound is the sum of
+    # g(S_r) over its layers S_0 ⊇ S_1 ⊇ ...  Shapes and chains of non-empty
+    # layers with sizes summing to n correspond one to one, and the shape is
+    # valid exactly when S_0 holds 0 and t and misses no two adjacent indices.
+    # best[m * full + S] is the largest bound of a chain of total size m with
+    # top layer S (-1 when |S| > m):
+    #     best[m][S] = g(S) + max over non-empty T ⊆ S of best[m - |S|][T],
+    # with nothing below S when |S| = m.
+    full = 1 << (t + 1)
+    gain = [sum((s >> (i + 2)).bit_count() for i in range(t - 1) if s >> i & 1)
+            for s in range(full)]  # g(S): pairs of S at distance >= 2
+    size = [s.bit_count() for s in range(full)]
+    best = array("i", [-1] * full)
+    # below[k % (t + 2)][S]: max of best[k][T] over T ⊆ S; zero for k = 0
+    below = [[0] * full] * (t + 2)
+    for m in range(1, n + 1):
+        under = [below[(m - c) % (t + 2)] for c in range(t + 2)]
+        row = [gain[s] + under[size[s]][s] if 0 < size[s] <= m else -1
+               for s in range(full)]
+        best.extend(row)
+        below[m % (t + 2)] = _subset_max(row)
+
+    ends, pairs = full >> 1 | 1, (full >> 1) - 1
+    tops = [s for s in range(full)
+            if s & ends == ends and (s | s >> 1) & pairs == pairs]
+    value = max(best[n * full + s] for s in tops)
+    # Walk back every chain that attains the value, counting layer
+    # memberships into class sizes.
+    shapes = set()
+    stack = [(n, s, (0,) * (t + 1)) for s in tops
+             if best[n * full + s] == value]
+    while stack:
+        m, s, sizes = stack.pop()
+        sizes = tuple(c + (s >> i & 1) for i, c in enumerate(sizes))
+        k = m - size[s]
+        if k == 0:
+            shapes.add(PartitionShape(sizes))
+            continue
+        need = best[m * full + s] - gain[s]
+        sub = s
+        while sub:
+            if best[k * full + sub] == need:
+                stack.append((k, sub, sizes))
+            sub = (sub - 1) & s
+    return value, frozenset(shapes)
 
 
 def _clear_caches():
-    """Reset memoised search state (the shape-row cache can hold ~100 MB)."""
-    _COMP_CACHE.clear()
+    """Reset memoised search state: the shape maxima and the census."""
     _max_edges_cached.cache_clear()
     _CENSUS_CACHE.clear()
 
@@ -223,7 +198,6 @@ def _clear_caches():
 def _equitable_min_k_shapes(n, t):
     """Near-equal shapes whose adjacent large pairs are fewest possible."""
     b, r = divmod(n, t + 1)
-    assert r >= 1
     best_k = None
     best = []
     for pos in combinations(range(t + 1), r):
@@ -419,7 +393,8 @@ def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
     checked to be stationary; the case tag is derived from the solver's
     deterministic lexicographic witness, with a bounded re-search over
     optimal colourings as a fallback if that witness's shape were somehow
-    not attaining (unreachable in theory, guarded in code).
+    not attaining (unreachable in theory, guarded in code).  A graph with
+    more edges than the maximum raises :class:`ClassificationError`.
     """
     report = lambda_number(g, cap=cap)
     t = report.lambda_value
@@ -427,7 +402,10 @@ def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
         raise ValueError(f"classification needs span >= 3, got {t}")
     _check_range(g.n, t)
     mx, argmax = max_edges(g.n, t, max_shapes=max_shapes)
-    assert g.m <= mx, "edge bound violated — solver or shape oracle broken"
+    if g.m > mx:
+        raise ClassificationError(
+            f"{g.m} edges exceed the maximum {mx} for (n={g.n}, t={t})"
+        )
     witness = report.witness
     part = partition_of(g, witness)
     shape = shape_of(part)
@@ -466,7 +444,7 @@ def _research_witness(g, t, argmax):
     labels = _search_masks(d1, _second_neighbourhoods(d1), range(g.n),
                            [(1 << (t + 1)) - 1] * g.n, visit=stationary)
     if labels is None:
-        raise RuntimeError(
+        raise ClassificationError(
             "maximal graph admits no stationary optimal partition — "
             "this contradicts the classification and indicates a bug"
         )

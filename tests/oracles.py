@@ -8,6 +8,8 @@ meaningful evidence.  Sizes are expected to stay tiny.
 from itertools import combinations, permutations, product
 from math import inf
 
+import numpy as np
+
 from lambdacol import Colouring, Graph, PartitionShape
 
 
@@ -98,6 +100,59 @@ def reference_edge_bound(shape) -> int:
         min(s[i], s[j])
         for i, j in combinations(range(len(s)), 2)
         if j - i >= 2
+    )
+
+
+def _int8_compositions(total, length, memo):
+    """Every non-negative int8 row of ``length`` entries summing to ``total``."""
+    key = (total, length)
+    if key not in memo:
+        if length == 1:
+            memo[key] = np.array([[total]], dtype=np.int8)
+        else:
+            blocks = []
+            for v in range(total + 1):
+                rest = _int8_compositions(total - v, length - 1, memo)
+                block = np.empty((rest.shape[0], length), dtype=np.int8)
+                block[:, 0] = v
+                block[:, 1:] = rest
+                blocks.append(block)
+            memo[key] = np.vstack(blocks)
+    return memo[key]
+
+
+def valid_shape_rows(n, t):
+    """Every valid shape for ``(n, t)``, ``n < 128``, as a row of one int8
+    matrix: both ends fixed, the middle composed, adjacent holes dropped."""
+    memo = {}
+    blocks = []
+    for c0 in range(1, n):
+        for ct in range(1, n - c0 + 1):
+            inner = _int8_compositions(n - c0 - ct, t - 1, memo)
+            block = np.empty((inner.shape[0], t + 1), dtype=np.int8)
+            block[:, 0] = c0
+            block[:, 1:t] = inner
+            block[:, t] = ct
+            blocks.append(block)
+    rows = np.vstack(blocks)
+    keep = np.ones(len(rows), dtype=bool)
+    for i in range(t):
+        keep &= ~((rows[:, i] == 0) & (rows[:, i + 1] == 0))
+    return rows[keep]
+
+
+def max_edges_by_rows(n, t):
+    """``(largest edge bound, attaining shapes)``, scoring every valid shape
+    row at once."""
+    rows = valid_shape_rows(n, t)
+    bounds = np.zeros(len(rows), dtype=np.int32)
+    for i in range(t - 1):
+        for j in range(i + 2, t + 1):
+            bounds += np.minimum(rows[:, i], rows[:, j])
+    value = int(bounds.max())
+    return value, frozenset(
+        PartitionShape(tuple(int(x) for x in row))
+        for row in rows[bounds == value]
     )
 
 

@@ -88,6 +88,9 @@ def test_maxedges_golden(capsys):
     lines = out.splitlines()
     assert lines[0] == "6" and len(lines) == 11
     assert lines[1:] == sorted(lines[1:])
+    code, out, _ = run(capsys, "maxedges", "200", "3")
+    assert code == 0
+    assert out == "150\n50,50,50,50\n"
 
 
 def test_verify_golden(capsys):
@@ -180,8 +183,17 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert code == 1
     code, _, err = run(capsys, "census", "8")
     assert code == 1 and "census" in err
-    code, _, err = run(capsys, "maxedges", "200", "3")
-    assert code == 1 and "error:" in err
+    code, _, err = run(capsys, "maxedges", "5000", "20")
+    assert code == 1 and "error:" in err and "cap" in err
+
+
+def test_classification_errors_exit_one(capsys, g3_file, monkeypatch):
+    # a graph above the shape maximum is reported, not asserted
+    monkeypatch.setattr("lambdacol.extremal.max_edges",
+                        lambda n, t, max_shapes: (0, frozenset()))
+    code, out, err = run(capsys, "classify", g3_file)
+    assert code == 1 and out == ""
+    assert "error:" in err and "exceed the maximum" in err
 
 
 def test_optimised_interpreter_keeps_errors_and_answers(g3_file):
@@ -196,12 +208,14 @@ def test_optimised_interpreter_keeps_errors_and_answers(g3_file):
             capture_output=True, text=True, env=env, timeout=120,
         )
 
-    res = cli("maxedges", "200", "3")
+    res = cli("maxedges", "5000", "20")
     assert res.returncode == 1
     assert "error:" in res.stderr and "Traceback" not in res.stderr
     res = cli("lambda", g3_file)
     assert res.returncode == 0
     assert res.stdout == LAMBDA_G3
+    res = cli("maxedges", "200", "3")
+    assert res.returncode == 0 and res.stdout == "150\n50,50,50,50\n"
 
 
 def test_usage_errors_exit_two(capsys):

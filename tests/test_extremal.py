@@ -1,11 +1,17 @@
 """Maximum edge counts, predictions, stationarity, classification, census."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from lambdacol import (
     CapExceededError,
     Case,
+    ClassificationError,
     Colouring,
     Graph,
     PartitionShape,
@@ -25,12 +31,12 @@ from lambdacol import (
     valid_shapes,
     verify_classification,
 )
-from lambdacol.extremal import (
-    _research_witness,
-    _sporadic_shape,
-    _valid_shape_rows,
-)
+from lambdacol.extremal import _research_witness, _sporadic_shape
+from oracles import max_edges_by_rows, valid_shape_rows
 from test_shapes import small_valid_shapes
+
+#: The classification sweep's grid: (t, largest n) per span.
+SWEEP_GRID = [(3, 20), (4, 25), (5, 30), (6, 30), (7, 30)]
 
 
 def S(*sizes):
@@ -85,10 +91,49 @@ def test_max_edges_range_and_cap():
         max_edges(30, 7, max_shapes=1000)
 
 
+def test_max_edges_cap_is_checked_before_any_work():
+    # the cap is the work 3^(t+1) * n, exact at the boundary
+    assert max_edges(8, 3, max_shapes=3 ** 4 * 8)[0] == 6
+    with pytest.raises(CapExceededError):
+        max_edges(8, 3, max_shapes=3 ** 4 * 8 - 1)
+    # a span far past the cap is refused without computing 3^(t+1)
+    with pytest.raises(CapExceededError):
+        max_edges(10 ** 12, 10 ** 12 - 1)
+
+
+def test_max_edges_beyond_the_old_int8_range():
+    # t = 3 and 4 | n: only the all-equal shape, with n - n/4 edges
+    assert max_edges(200, 3) == (150, frozenset({S(50, 50, 50, 50)}))
+    # 26 per noncontiguous pair; the sporadic (27,25,27,25,27) ties
+    value, am = max_edges(131, 4)
+    assert value == 6 * 26 and am == predicted_shapes(131, 4)
+    assert S(27, 25, 27, 25, 27) in am
+
+
 @pytest.mark.parametrize("n,t", [(6, 3), (9, 3), (7, 4), (10, 4), (8, 5)])
 def test_vectorised_rows_agree_with_generator(n, t):
-    rows = {tuple(int(x) for x in r) for r in _valid_shape_rows(n, t)}
+    # the row oracle below enumerates exactly the valid shapes
+    rows = {tuple(int(x) for x in r) for r in valid_shape_rows(n, t)}
     assert rows == {s.sizes for s in valid_shapes(n, t)}
+
+
+@pytest.mark.parametrize("t,hi", SWEEP_GRID)
+def test_layer_dp_agrees_with_the_row_oracle_on_the_sweep_grid(t, hi):
+    for n in range(t + 1, hi + 1):
+        assert max_edges(n, t) == max_edges_by_rows(n, t), (n, t)
+
+
+def test_importing_the_package_loads_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lambdacol; "
+         "print(lambdacol.__file__, 'numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert Path(out[0]).resolve().is_relative_to(Path(src).resolve())
+    assert out[1] == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +190,14 @@ def test_predicted_equals_attaining(t):
     for n in range(t + 1, 28):
         value, am = max_edges(n, t)
         assert am == predicted_shapes(n, t), (n, t)
+
+
+@pytest.mark.parametrize("t", [8, 9, 10])
+def test_predicted_equals_attaining_at_large_spans(t):
+    # a slice of scripts/classification_sweep.py's wide check (t <= 10,
+    # n <= 100)
+    for n in range(t + 1, 41):
+        assert max_edges(n, t)[1] == predicted_shapes(n, t), (n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +312,7 @@ def test_research_witness_agrees_with_the_lex_least_witness(sizes):
 def test_research_witness_raises_when_nothing_is_stationary():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])  # P3 plus a vertex, span 3
     _, argmax = max_edges(4, 3)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ClassificationError):
         _research_witness(g, 3, argmax)
 
 
@@ -308,6 +361,15 @@ def test_classify_not_maximal():
     assert rep.case == Case.NOT_MAXIMAL
     assert rep.max_edges == 3
     assert rep.stationary is None
+
+
+def test_classify_raises_when_a_graph_beats_the_maximum(monkeypatch):
+    # more edges than the shape maximum means the solver or the shape search
+    # is broken: a typed error, which python -O keeps
+    monkeypatch.setattr("lambdacol.extremal.max_edges",
+                        lambda n, t, max_shapes: (2, frozenset()))
+    with pytest.raises(ClassificationError, match="3 edges exceed"):
+        classify(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
 
 
 def test_classify_rejects_out_of_scope_graphs():

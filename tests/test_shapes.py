@@ -1,5 +1,8 @@
 """Shape functionals and the delete/insert transforms."""
 
+from functools import cache
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,15 +25,18 @@ from lambdacol import (
 from oracles import reference_edge_bound, reference_valid_shapes
 
 
+@cache
 def small_valid_shapes():
     """Hypothesis strategy: a valid shape with 4..6 classes, entries <= 5."""
-    pool = [
-        s
-        for t in (3, 4, 5)
-        for n in range(t + 1, 5 * (t + 1) + 1)
-        for s in valid_shapes(n, t)
-        if max(s.sizes) <= 5
-    ]
+    pool = sorted(
+        (
+            s
+            for length in (4, 5, 6)
+            for s in map(PartitionShape, product(range(6), repeat=length))
+            if is_valid_shape(s) and s.n >= s.t + 1
+        ),
+        key=lambda s: (s.t, s.n, s.sizes),
+    )
     return st.sampled_from(pool)
 
 
