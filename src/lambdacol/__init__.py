@@ -43,6 +43,7 @@ from .solver import (
     NotNormalisedError,
     PathCoverBound,
     SolveReport,
+    SpanSearchError,
     VertexRangeError,
     delta_lower_bound,
     find_violation,
@@ -55,6 +56,7 @@ from .solver import (
     parse_colouring,
 )
 from .families import (
+    CONSTRUCTION_CAP,
     EmbeddingConsistencyError,
     FamilyAssignment,
     class_colouring,

@@ -42,6 +42,7 @@ from .shapes import (
 )
 from .solver import (
     DEFAULT_SOLVER_CAP,
+    SpanSearchError,
     find_violation,
     format_colouring,
     lambda_number,
@@ -382,7 +383,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (GraphParseError, EmbeddingConsistencyError, ClassificationError,
-            CapExceededError, ValueError, OSError) as exc:
+            SpanSearchError, CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

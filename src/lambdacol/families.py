@@ -33,10 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, is_subgraph
+from .graphs import CapExceededError, Graph, is_subgraph
 from .shapes import PartitionShape
 from .solver import Colouring, is_lambda_colouring
 from .standardise import StandardisedGraph, _is_layered_matching
+
+
+#: Largest graph, in vertices plus edges, that :func:`path_complement` and
+#: :func:`family_member` build.  Both sizes follow from the arguments, so the
+#: cap is checked before any edge is made.
+CONSTRUCTION_CAP = 500_000
 
 
 class EmbeddingConsistencyError(RuntimeError):
@@ -90,15 +96,25 @@ def class_colouring(fa: FamilyAssignment) -> Colouring:
 # constructions
 # ---------------------------------------------------------------------------
 
+def _check_construction_size(vertices, edges):
+    if vertices + edges > CONSTRUCTION_CAP:
+        raise CapExceededError(
+            f"constructions limited to {CONSTRUCTION_CAP} vertices plus "
+            f"edges, got {vertices} + {edges}"
+        )
+
+
 def path_complement(n: int) -> Graph:
     """The recursive ``n + 1``-vertex graph of span ``n`` (``n >= 3``).
 
     Base: vertices 0..3 with edges 02, 03, 13.  Step: vertex ``k`` joined to
     ``0..k-2``.  Equivalently the complement of the path on ``n + 1``
-    vertices, whence the name.
+    vertices, whence the name.  Raises :class:`CapExceededError` above
+    :data:`CONSTRUCTION_CAP`.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    _check_construction_size(n + 1, n * (n - 1) // 2)
     edges = {(0, 2), (0, 3), (1, 3)}
     for k in range(4, n + 1):
         for i in range(k - 1):
@@ -114,8 +130,10 @@ def family_member(t: int, l: int, matchings="canonical"):
     ``0..l-1``, joining index ``i`` of class ``m`` to index ``sigma[i]`` of
     class ``p``; pairs not mentioned (or the string ``"canonical"``) use the
     identity.  This is the standardised graph of the shape ``(l,) * (t+1)``
-    with those matchings.  Returns ``(graph, assignment)``.
+    with those matchings.  Returns ``(graph, assignment)``; raises
+    :class:`CapExceededError` above :data:`CONSTRUCTION_CAP`.
     """
+    _check_construction_size((t + 1) * l, t * (t - 1) // 2 * l)
     sg = StandardisedGraph(PartitionShape((l,) * (t + 1)))
     return sg.graph(matchings), FamilyAssignment(t, l, sg.class_labels)
 

@@ -118,6 +118,21 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def complement_path_cover(self) -> tuple:
+        """A minimum path cover of the complement, as vertex tuples.
+
+        The greedy cover when it has one path or meets the bound of
+        :func:`_end_slots`, else the DP's (:func:`_path_cover_masks`), which
+        takes ``2^n`` steps, so callers check their size cap before reading
+        it.
+        """
+        comp = _complement_masks(self.adj_masks)
+        paths = _greedy_path_cover(comp)
+        if len(paths) > max(1, (_end_slots(comp, (1 << self.n) - 1) + 1) // 2):
+            paths = _path_cover_masks(comp)
+        return tuple(tuple(p) for p in paths)
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -219,7 +234,7 @@ def path_cover_number(g: Graph, cap: int = DEFAULT_PATH_COVER_CAP) -> int:
         raise CapExceededError(
             f"path cover limited to n <= {cap} vertices, got {g.n}"
         )
-    return _path_cover_masks(g.adj_masks)
+    return len(_path_cover_masks(g.adj_masks))
 
 
 def _complement_masks(adj):
@@ -229,17 +244,20 @@ def _complement_masks(adj):
 
 
 def _path_cover_masks(adj):
-    """Path cover number of bitmask adjacency ``adj``, in O(2^n * n) steps.
+    """A minimum path cover of bitmask adjacency ``adj``, in O(2^n * n) steps.
 
-    ``f[S]`` is the fewest paths covering the subset ``S`` and ``ends[S]``
-    the set of vertices that end a path in some cover of ``S`` by ``f[S]``
-    paths.  Taking the end ``u`` of a path off an optimal cover of ``S``
-    leaves a cover of ``S - u`` that either has one path fewer or still has
-    ``f[S]`` paths with one ending next to ``u``; a cover of ``S - u`` with
-    more than ``f[S - u]`` paths is never needed, since ``u`` can always
-    start a path of its own.  Hence
+    Returns the paths as vertex lists.  ``f[S]`` is the fewest paths covering
+    the subset ``S`` and ``ends[S]`` the set of vertices that end a path in
+    some cover of ``S`` by ``f[S]`` paths.  Taking the end ``u`` of a path
+    off an optimal cover of ``S`` leaves a cover of ``S - u`` that either has
+    one path fewer or still has ``f[S]`` paths with one ending next to ``u``;
+    a cover of ``S - u`` with more than ``f[S - u]`` paths is never needed,
+    since ``u`` can always start a path of its own.  Hence
     ``f[S] = min over u in S of f[S - u] + [ends[S - u] & adj[u] == 0]``
-    and ``ends[S]`` holds the ``u`` attaining the minimum.
+    and ``ends[S]`` holds the ``u`` attaining the minimum.  The cover is
+    walked back from the full set through those ends: the path at ``u``
+    goes on to an end of ``S - u`` next to ``u`` when ``f[S - u] = f[S]``,
+    and stops at ``u`` otherwise.
     """
     size = 1 << len(adj)
     f = bytearray(size)
@@ -259,26 +277,60 @@ def _path_cover_masks(adj):
                     e |= b
         f[s] = best
         ends[s] = e
-    return f[size - 1]
+    paths = []
+    path = None
+    s = size - 1
+    cand = ends[s]
+    while s:
+        u = (cand & -cand).bit_length() - 1
+        if path is None:
+            path = []
+            paths.append(path)
+        path.append(u)
+        r = s ^ 1 << u
+        if f[r] == f[s]:
+            cand = ends[r] & adj[u]
+        else:
+            cand = ends[r]
+            path = None
+        s = r
+    return paths
 
 
 def _greedy_path_cover(adj):
-    """Paths in a greedy cover of bitmask adjacency ``adj``: an upper bound.
+    """A path cover of bitmask adjacency ``adj``, not always a minimum one.
 
     Each path starts at an uncovered vertex with the fewest uncovered
     neighbours and grows from its end to the uncovered neighbour with the
     fewest uncovered neighbours until the end has none.
     """
     left = (1 << len(adj)) - 1
-    paths = 0
+    paths = []
     while left:
-        paths += 1
+        path = []
         cand = left
         while cand:
             v = min(_bits(cand), key=lambda u: (adj[u] & left).bit_count())
+            path.append(v)
             left &= ~(1 << v)
             cand = adj[v] & left
+        paths.append(path)
     return paths
+
+
+def _end_slots(adj, within):
+    """Path ends that any path cover of the vertex set ``within`` fills.
+
+    Every path has two end slots (a one-vertex path fills both with its
+    vertex), and a vertex with ``d < 2`` neighbours in ``within`` fills at
+    least ``2 - d`` of them, so a cover needs at least half this many paths.
+    """
+    slots = 0
+    for v in _bits(within):
+        d = (adj[v] & within).bit_count()
+        if d < 2:
+            slots += 2 - d
+    return slots
 
 
 def _bits(mask):

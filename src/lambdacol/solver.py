@@ -26,21 +26,34 @@ Three elementary lower bounds seed the iteration, each immediate from the
 definition: ``max_degree + 1`` (a vertex and its neighbours need pairwise
 distinct labels and the centre needs gap 2 to each), ``2*(omega - 1)`` for a
 clique of size omega (pairwise gaps of 2), and ``n - 1`` when the graph has
-diameter at most two (all labels distinct).  At diameter two the span is
-``n + pc - 2``, where ``pc`` is the path cover number of the complement
-(Georges, Mauro and Whittlesey, 1994), so for ``n <=
-DEFAULT_PATH_COVER_CAP`` :func:`lambda_number` starts the iteration there
-and its first search only has to find a colouring.  The path-cover DP is skipped when a
-greedy cover of the complement already shows ``n + pc - 2`` is no more than
-the elementary bound.  The census keeps to the elementary bounds, so the
-checks of the theorem stay independent of it.
+diameter at most two (all labels distinct).
+
+At diameter two with ``n <= DEFAULT_PATH_COVER_CAP``, :func:`lambda_number`
+takes the route path cover -> layout -> label-order probes, and runs no DFS.
+Every label is distinct there, and two vertices take consecutive labels
+only when they are adjacent in the complement, so a colouring is an ordered
+list of paths of the complement with a one-label hole between consecutive
+paths, and the span is ``n + pc - 2`` for the path cover number ``pc`` of
+the complement (Georges, Mauro and Whittlesey, 1994).  A greedy cover of the
+complement is a minimum one when ``n + len(cover) - 2`` meets the
+elementary bound; otherwise the minimum cover cached on the graph,
+:attr:`Graph.complement_path_cover`, is read.  Laying the paths out in order gives
+the first colouring.  The witness is then built by the same vertex-by-vertex
+driver, but each probe walks the labels ``0..k`` in order, placing at each
+label a complement neighbour of the last vertex placed, or a hole
+(:func:`_probe_in_label_order`; the label-order subset search of Havet,
+Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
+most one vertex).  The DFS still decides graphs that are not diameter two
+or have more vertices than the cap, the census (which keeps to the
+elementary bounds, so the checks of the theorem stay independent of it)
+and the enumeration.
 
 At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
-(see :func:`_domains`), so both searches start such vertices from that
+(see :func:`_domains`), so every search starts such vertices from that
 two-label domain.
 
 One recursive forward-checking core, :func:`_search_masks`, runs every
-search.  A leaf callback, when given, sees each completion in lexicographic
+search off that route.  A leaf callback, when given, sees each completion in lexicographic
 order until it accepts one: :func:`iter_optimal_colourings` collects them all
 (id order, full domains, no pinning), the classification's fallback scan
 stops at the first stationary one.
@@ -58,8 +71,8 @@ from .graphs import (
     MalformedLineError,
     _bits,
     _complement_masks,
+    _end_slots,
     _greedy_path_cover,
-    _path_cover_masks,
 )
 
 #: Hard ceiling for the exact solver; configurable per call.
@@ -84,6 +97,10 @@ class VertexRangeError(GraphParseError):
 
 class NotNormalisedError(GraphParseError):
     """A colouring file's minimum label was not 0."""
+
+
+class SpanSearchError(RuntimeError):
+    """The span search passed the trivial upper bound: a solver fault."""
 
 
 @dataclass(frozen=True)
@@ -349,7 +366,7 @@ def _optimal_colouring(n, d1, d2, k):
             return k, labels
         k += 1
         if k > 2 * (n - 1):  # greedy labelling 0,2,4,... always works
-            raise AssertionError("span search exceeded the trivial upper bound")
+            raise SpanSearchError("span search exceeded the trivial upper bound")
 
 
 def _min_span_masks(n, d1, d2):
@@ -373,31 +390,123 @@ def _fix(d1, d2, dom, v, x):
     return None if 0 in dom else dom
 
 
+def _probe_in_label_order(comp, dom, k):
+    """A colouring of a diameter-two graph within domains ``dom``, or None.
+
+    All labels are distinct at diameter two, and two vertices may take
+    consecutive labels exactly when they are adjacent in the complement
+    ``comp``.  So the labels ``0..k`` are walked in order, each taking an
+    unplaced vertex whose domain holds it and that is a complement
+    neighbour of the vertex at the label before, or a hole.  A vertex whose
+    domain is a single label goes at exactly that label.  A branch is cut
+    when a vertex left has a domain ending before the current label, or when
+    the labels left cannot hold the vertices left: these form paths of the
+    complement with a hole between consecutive paths, and there are at least
+    half as many paths as :func:`_end_slots` counts.  A state (vertices
+    placed, vertex or hole at the last label, label) that failed is not
+    entered again.
+    """
+    n = len(dom)
+    full = (1 << n) - 1
+    holds = [0] * (k + 1)  # vertices whose domain holds the label
+    pinned = [-1] * (k + 1)  # the vertex whose domain is just the label
+    expired = [0] * (k + 2)  # vertices whose domain ends below the label
+    for v, m in enumerate(dom):
+        for x in _bits(m):
+            holds[x] |= 1 << v
+        top = m.bit_length() - 1
+        if m == 1 << top:
+            pinned[top] = v
+        for x in range(top + 1, k + 2):
+            expired[x] |= 1 << v
+    labels = [0] * n
+    dead = set()
+
+    def rec(placed, last, x):
+        if placed == full:
+            return True
+        left = full ^ placed
+        count = left.bit_count()
+        room = k + 1 - x
+        if count > room or expired[x] & left:
+            return False
+        key = (placed * (n + 1) + last + 1) * (k + 1) + x
+        if key in dead:
+            return False
+        # the paths the vertices left form need holes between them
+        if count + (_end_slots(comp, left) + 1) // 2 - 1 > room:
+            return False
+        v = pinned[x]
+        if v >= 0:
+            cand = 1 << v
+        else:
+            cand = holds[x] & left
+        if last >= 0:
+            cand &= comp[last]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            u = b.bit_length() - 1
+            labels[u] = x
+            if rec(placed | b, u, x + 1):
+                return True
+        if v < 0 and rec(placed, -1, x + 1):
+            return True
+        dead.add(key)
+        return False
+
+    return labels if rec(0, -1, 0) else None
+
+
 def _lex_least_witness(d1, d2, k, incumbent):
     """The lexicographically least colouring with labels in ``0..k``.
 
     ``incumbent`` is any such colouring.  Vertex by vertex in id order, each
     label below the incumbent's still open to the vertex is tried in
     ascending order: it is fixed with forward checking and feasibility of the
-    later vertices is probed in degree order from the fixed domains.  The
-    first success becomes the incumbent, so after vertex v its prefix through
-    v is the least one that extends; v is then fixed to the incumbent's
-    label, which always extends.
+    later vertices is probed from the fixed domains, in label order at
+    diameter two with ``n <= DEFAULT_PATH_COVER_CAP``
+    (:func:`_probe_in_label_order`), by the DFS in degree order otherwise.
+    The first success becomes the incumbent, so after vertex v its prefix
+    through v is the least one that extends; v is then fixed to the
+    incumbent's label, which always extends.
     """
+    n = len(d1)
     dom = _domains(d1, k)
     rest = _degree_order(d1)
-    for v in range(len(d1)):
+    if n <= DEFAULT_PATH_COVER_CAP and _diameter_two(n, d1, d2):
+        comp = _complement_masks(d1)
+        probe = lambda trial: _probe_in_label_order(comp, trial, k)
+    else:
+        probe = lambda trial: _search_masks(d1, d2, rest, trial)
+    for v in range(n):
         rest.remove(v)
         for x in _bits(dom[v] & ((1 << incumbent[v]) - 1)):
             trial = _fix(d1, d2, dom, v, x)
             if trial is None:
                 continue
-            labels = _search_masks(d1, d2, rest, trial)
+            labels = probe(trial)
             if labels is not None:
                 incumbent = labels
                 break
         dom = _fix(d1, d2, dom, v, incumbent[v])
     return incumbent
+
+
+def _path_layout(n, paths):
+    """Labels putting ``paths`` in order, one hole between consecutive ones.
+
+    Span ``n + len(paths) - 2``; at diameter two a colouring when ``paths``
+    cover the complement.
+    """
+    labels = [0] * n
+    x = 0
+    for path in paths:
+        for v in path:
+            labels[v] = x
+            x += 1
+        x += 1
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +532,15 @@ def lambda_number(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> SolveReport:
     diameter_two = _diameter_two(n, d1, d2)
     k = _lower_bound(n, d1, diameter_two)
     if diameter_two and n <= DEFAULT_PATH_COVER_CAP:
-        # span = n + pc(complement) - 2 here; the DP runs only when a greedy
-        # cover leaves room above the elementary bound
-        comp = _complement_masks(d1)
-        if n + _greedy_path_cover(comp) - 2 > k:
-            k = max(k, n + _path_cover_masks(comp) - 2)
-    k, labels = _optimal_colouring(n, d1, d2, k)
+        # span = n + pc(complement) - 2; a greedy cover meeting the
+        # elementary bound is a minimum one, else read the cached cover
+        paths = _greedy_path_cover(_complement_masks(d1))
+        if n + len(paths) - 2 > k:
+            paths = g.complement_path_cover
+        k = n + len(paths) - 2
+        labels = _path_layout(n, paths)
+    else:
+        k, labels = _optimal_colouring(n, d1, d2, k)
     labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]))
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
@@ -467,7 +579,7 @@ def lambda_via_path_cover(
         raise CapExceededError(
             f"path cover limited to n <= {cap} vertices, got {g.n}"
         )
-    t = _path_cover_masks(_complement_masks(g.adj_masks))
+    t = len(g.complement_path_cover)
     if t >= 2:
         return PathCoverBound(t, True, g.n + t - 2)
     return PathCoverBound(t, False, g.n - 1)

@@ -196,6 +196,24 @@ def test_classification_errors_exit_one(capsys, g3_file, monkeypatch):
     assert "error:" in err and "exceed the maximum" in err
 
 
+def test_oversized_constructions_exit_one(capsys):
+    # refused from the arguments alone: building gn 3000 takes half a minute
+    code, out, err = run(capsys, "construct", "gn", "3000")
+    assert code == 1 and out == ""
+    assert "error:" in err and "constructions limited" in err
+    code, out, err = run(capsys, "construct", "gtl", "2000", "30")
+    assert code == 1 and out == ""
+    assert "error:" in err and "constructions limited" in err
+
+
+def test_solver_fault_exits_one(capsys, g3_file, monkeypatch):
+    # a search that never succeeds runs past the trivial upper bound
+    monkeypatch.setattr("lambdacol.solver._search_masks", lambda *a: None)
+    code, out, err = run(capsys, "lambda", g3_file)
+    assert code == 1 and out == ""
+    assert "error:" in err and "trivial upper bound" in err
+
+
 def test_optimised_interpreter_keeps_errors_and_answers(g3_file):
     # under -O every assert is gone, so no answer or error may rest on one
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -22,7 +22,7 @@ from lambdacol import (
     parse_graph,
     path_cover_number,
 )
-from lambdacol.graphs import _greedy_path_cover
+from lambdacol.graphs import _end_slots, _greedy_path_cover, _path_cover_masks
 from oracles import all_graphs, brute_path_cover, floyd_warshall
 
 INF = math.inf
@@ -144,10 +144,35 @@ def test_path_cover_matches_brute_force_on_every_graph_of_order_six():
         assert path_cover_number(g) == brute_path_cover(g), g
 
 
+def _is_path_cover(g, paths):
+    """Whether ``paths`` are vertex-disjoint paths of ``g`` covering it."""
+    flat = [v for path in paths for v in path]
+    return sorted(flat) == list(range(g.n)) and all(
+        b in g.adjacency[a] for path in paths for a, b in zip(path, path[1:])
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_greedy_path_cover_is_an_upper_bound(n):
     for g in all_graphs(n):
-        assert _greedy_path_cover(g.adj_masks) >= brute_path_cover(g), g
+        paths = _greedy_path_cover(g.adj_masks)
+        assert _is_path_cover(g, paths), g
+        assert len(paths) >= brute_path_cover(g), g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5,
+                               pytest.param(6, marks=pytest.mark.slow)])
+def test_complement_path_cover_is_a_minimum_cover(n):
+    # the cover walked back through the DP's tables and the cached cover
+    # (greedy or DP), against permutations; the end-slot bound below both
+    for g in all_graphs(n):
+        comp = g.complement()
+        pc = brute_path_cover(comp)
+        walked = _path_cover_masks(comp.adj_masks)
+        assert _is_path_cover(comp, walked) and len(walked) == pc, g
+        cached = g.complement_path_cover
+        assert _is_path_cover(comp, cached) and len(cached) == pc, g
+        assert (_end_slots(comp.adj_masks, (1 << n) - 1) + 1) // 2 <= pc, g
 
 
 @given(graphs(max_n=6))

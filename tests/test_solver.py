@@ -14,6 +14,7 @@ from lambdacol import (
     MalformedLineError,
     MissingVertexError,
     NotNormalisedError,
+    SpanSearchError,
     VertexRangeError,
     delta_lower_bound,
     find_violation,
@@ -26,7 +27,18 @@ from lambdacol import (
     parse_colouring,
     path_complement,
 )
-from lambdacol.solver import _min_span_masks, _second_neighbourhoods
+import lambdacol.graphs as graphs_module
+from lambdacol.graphs import _bits, _complement_masks
+from lambdacol.solver import (
+    _degree_order,
+    _diameter_two,
+    _domains,
+    _fix,
+    _min_span_masks,
+    _probe_in_label_order,
+    _search_masks,
+    _second_neighbourhoods,
+)
 from oracles import (
     all_graphs,
     brute_lambda,
@@ -180,6 +192,105 @@ def test_witness_matches_reference_on_every_graph_of_order_six():
         _assert_witness_matches_reference(g)
 
 
+def _gnp(n, p, rng):
+    return Graph.from_edges(
+        n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _diameter_two_graphs():
+    """Seeded diameter-two G(n, p) graphs with 12 to 14 vertices."""
+    for seed in (49, 99, 101, 129):
+        yield _gnp(14, 0.88, random.Random(seed))
+    rng = random.Random("diameter-two:12-14")
+    found = 0
+    while found < 12:
+        g = _gnp(rng.randint(12, 14), rng.uniform(0.6, 0.9), rng)
+        d1 = g.adj_masks
+        if _diameter_two(g.n, d1, _second_neighbourhoods(d1)):
+            found += 1
+            yield g
+
+
+# Spans and lex-least witnesses of _diameter_two_graphs(), in order, as the
+# vertex-order DFS probes found them; too large for reference_lex_witness.
+DIAMETER_TWO_WITNESSES = [
+    (19, (0, 2, 4, 7, 9, 5, 14, 15, 10, 17, 11, 12, 13, 19)),
+    (19, (0, 3, 5, 2, 8, 10, 12, 15, 6, 13, 1, 4, 17, 19)),
+    (18, (1, 4, 6, 0, 2, 9, 7, 13, 15, 16, 18, 11, 14, 10)),
+    (18, (0, 4, 6, 8, 12, 13, 1, 11, 9, 2, 14, 16, 18, 3)),
+    (15, (0, 4, 6, 5, 9, 10, 7, 13, 3, 15, 2, 1, 11)),
+    (17, (0, 2, 5, 8, 10, 11, 14, 6, 1, 17, 13, 15, 3)),
+    (13, (0, 1, 3, 4, 6, 7, 9, 10, 8, 5, 2, 12, 11, 13)),
+    (13, (0, 6, 4, 10, 7, 3, 1, 13, 2, 5, 8, 12, 11)),
+    (11, (0, 2, 1, 4, 7, 9, 6, 10, 5, 3, 11, 8)),
+    (12, (0, 8, 6, 9, 4, 3, 2, 7, 5, 10, 1, 12)),
+    (12, (0, 8, 9, 2, 3, 7, 6, 11, 4, 1, 5, 12)),
+    (13, (0, 2, 4, 1, 6, 7, 13, 10, 8, 12, 3, 9, 5, 11)),
+    (15, (0, 2, 4, 7, 11, 8, 13, 9, 5, 15, 1, 6)),
+    (13, (0, 1, 2, 3, 5, 6, 12, 13, 11, 10, 4, 8, 9, 7)),
+    (12, (0, 3, 1, 5, 2, 6, 10, 12, 8, 7, 4, 9)),
+    (11, (0, 2, 4, 1, 9, 5, 3, 7, 6, 10, 8, 11)),
+]
+
+
+def test_witnesses_of_dense_diameter_two_graphs():
+    got = [(rep.lambda_value, rep.witness.labels)
+           for rep in map(lambda_number, _diameter_two_graphs())]
+    assert got == DIAMETER_TWO_WITNESSES
+
+
+def test_at_most_one_path_cover_dp_per_graph(monkeypatch):
+    # the pathcover and lambda verbs on one graph share the complement's cover
+    calls = []
+    dp = graphs_module._path_cover_masks
+    monkeypatch.setattr(graphs_module, "_path_cover_masks",
+                        lambda adj: calls.append(adj) or dp(adj))
+    needed = 0
+    for g in _diameter_two_graphs():
+        before = len(calls)
+        lambda_number(Graph(g.n, g.edges))  # a fresh copy caches no cover
+        needed += len(calls) - before
+        before = len(calls)
+        lambda_via_path_cover(g)
+        lambda_number(g)
+        assert len(calls) - before <= 1, g
+    # lambda_number alone runs the DP on some of them, so it reads the cache
+    assert needed > 0
+
+
+def _fixed_prefixes(d1, d2, dom, v):
+    """Every domain list reached by fixing vertices v, v+1, ... in turn."""
+    yield v, dom
+    if v < len(dom):
+        for x in _bits(dom[v]):
+            trial = _fix(d1, d2, dom, v, x)
+            if trial is not None:
+                yield from _fixed_prefixes(d1, d2, trial, v + 1)
+
+
+@pytest.mark.parametrize("n,above", [(2, 1), (3, 1), (4, 1), (5, 0)])
+def test_label_order_probe_agrees_with_the_dfs(n, above):
+    # from every prefix the witness driver can fix, at the span (where the
+    # driver probes) and up to ``above`` spans higher
+    for g in all_graphs(n):
+        d1 = g.adj_masks
+        d2 = _second_neighbourhoods(d1)
+        if not g.edges or not _diameter_two(n, d1, d2):
+            continue
+        comp = _complement_masks(d1)
+        order = _degree_order(d1)
+        k = lambda_number(g).lambda_value
+        for span in range(k, k + above + 1):
+            for v, dom in _fixed_prefixes(d1, d2, _domains(d1, span), 0):
+                rest = [u for u in order if u >= v]
+                want = _search_masks(d1, d2, rest, dom)
+                got = _probe_in_label_order(comp, dom, span)
+                assert (got is None) == (want is None), (g, span, dom)
+                if got is not None:
+                    assert all(dom[u] >> got[u] & 1 for u in range(n))
+                    assert is_valid_by_distances(g, got), (g, span, got)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_vertices_of_degree_span_minus_one_sit_at_the_ends(n):
     # checked on the enumerator, which knows nothing of degrees
@@ -254,6 +365,12 @@ def test_solver_cap_and_empty():
         lambda_number(Graph(25, frozenset()), cap=24)
     big = Graph(25, frozenset())
     assert lambda_number(big, cap=25).lambda_value == 0
+
+
+def test_span_search_past_the_trivial_bound_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr("lambdacol.solver._search_masks", lambda *a: None)
+    with pytest.raises(SpanSearchError):
+        lambda_number(P(4))
 
 
 def test_delta_lower_bound():
