@@ -41,10 +41,8 @@ from itertools import combinations
 
 from .graphs import CapExceededError, Graph
 from .solver import (
-    Colouring,
     DEFAULT_SOLVER_CAP,
     _min_span_masks,
-    _search_masks,
     _second_neighbourhoods,
     lambda_number,
 )
@@ -183,12 +181,6 @@ def _max_edges_cached(n, t):
                 stack.append((k, sub, sizes))
             sub = (sub - 1) & s
     return value, frozenset(shapes)
-
-
-def _clear_caches():
-    """Reset memoised search state: the shape maxima and the census."""
-    _max_edges_cached.cache_clear()
-    _CENSUS_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +381,12 @@ def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
     requires span >= 3 and ``n >= span + 1``, and reports either
     ``NOT_MAXIMAL`` or the classification case: ``DIVISIBLE`` when
     ``(span+1) | n``, else ``EQUITABLE_MIN_K`` or ``SPORADIC`` according to
-    the witness shape.  For maximal graphs the optimal witness partition is
-    checked to be stationary; the case tag is derived from the solver's
-    deterministic lexicographic witness, with a bounded re-search over
-    optimal colourings as a fallback if that witness's shape were somehow
-    not attaining (unreachable in theory, guarded in code).  A graph with
-    more edges than the maximum raises :class:`ClassificationError`.
+    the witness shape, read from the solver's lexicographically least
+    optimal witness.  At equality with the maximum that witness's shape
+    meets the edge bound exactly, so it attains the maximum and its
+    partition is stationary.  A graph with more edges than the maximum, or
+    a maximal one whose witness is not stationary or not attaining, raises
+    :class:`ClassificationError`.
     """
     report = lambda_number(g, cap=cap)
     t = report.lambda_value
@@ -413,7 +405,10 @@ def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
         return ClassificationReport(Case.NOT_MAXIMAL, shape, mx, None)
     ok, st = is_stationary(g, part)
     if not ok or shape not in argmax:
-        shape, st = _research_witness(g, t, argmax)
+        raise ClassificationError(
+            f"the optimal witness of a maximal graph has shape {shape.sizes}, "
+            "which is not stationary or not attaining"
+        )
     if g.n % (t + 1) == 0:
         case = Case.DIVISIBLE
     elif spread(shape) <= 1:
@@ -421,35 +416,6 @@ def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
     else:
         case = Case.SPORADIC
     return ClassificationReport(case, shape, mx, st)
-
-
-def _research_witness(g, t, argmax):
-    """Fallback scan over optimal colourings for a stationary witness.
-
-    Maximal graphs always yield a stationary partition from *any* optimal
-    colouring (equality in the edge bound forces the matchings), so this
-    only runs if that argument is somehow violated; it raises if the scan
-    comes up empty rather than misreport.  Returns the shape and type of
-    the first stationary colouring in lexicographic order whose span is
-    ``t`` and whose shape attains the maximum.
-    """
-
-    def stationary(labels):
-        if max(labels) != t or min(labels) != 0:
-            return False
-        part = partition_of(g, Colouring(tuple(labels)))
-        return shape_of(part) in argmax and is_stationary(g, part)[0]
-
-    d1 = g.adj_masks
-    labels = _search_masks(d1, _second_neighbourhoods(d1), range(g.n),
-                           [(1 << (t + 1)) - 1] * g.n, visit=stationary)
-    if labels is None:
-        raise ClassificationError(
-            "maximal graph admits no stationary optimal partition — "
-            "this contradicts the classification and indicates a bug"
-        )
-    part = partition_of(g, Colouring(tuple(labels)))
-    return shape_of(part), is_stationary(g, part)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,9 @@ CONSTRUCTION_CAP = 500_000
 class EmbeddingConsistencyError(RuntimeError):
     """An identity the embedding relies on failed at runtime.
 
-    The checked identities (no vertex with two neighbours in one other
-    class; unmatched sets of a class pair having equal sizes; the result a
-    family member containing the input) are theorems for valid colourings,
-    so this error indicates a bug, not bad input.
+    The checked identities (unmatched sets of a class pair having equal
+    sizes; the result a family member containing the input) are theorems
+    for valid colourings, so this error indicates a bug, not bad input.
     """
 
 
@@ -176,19 +175,6 @@ def embed_universal(g: Graph, c: Colouring):
     for v, x in enumerate(c.labels):
         classes[x].append(v)
     width = max(len(cl) for cl in classes)
-
-    # A valid colouring never gives a vertex two neighbours in one other
-    # class (they would be distance <= 2 apart with equal labels).  The
-    # embedding's matchings rely on this, so verify rather than trust.
-    for u in range(g.n):
-        seen = set()
-        for w in g.adjacency[u]:
-            p = c.labels[w]
-            if p in seen:
-                raise EmbeddingConsistencyError(
-                    f"vertex {u} has two neighbours labelled {p}"
-                )
-            seen.add(p)
 
     next_id = g.n
     padded = []

@@ -122,15 +122,11 @@ class Graph:
     def complement_path_cover(self) -> tuple:
         """A minimum path cover of the complement, as vertex tuples.
 
-        The greedy cover when it has one path or meets the bound of
-        :func:`_end_slots`, else the DP's (:func:`_path_cover_masks`), which
-        takes ``2^n`` steps, so callers check their size cap before reading
-        it.
+        From :func:`_min_path_cover`: the greedy cover when it meets
+        :func:`_path_cover_bound`, else the DP's, which takes ``2^n`` steps,
+        so callers check their size cap before reading it.
         """
-        comp = _complement_masks(self.adj_masks)
-        paths = _greedy_path_cover(comp)
-        if len(paths) > max(1, (_end_slots(comp, (1 << self.n) - 1) + 1) // 2):
-            paths = _path_cover_masks(comp)
+        paths = _min_path_cover(_complement_masks(self.adj_masks))
         return tuple(tuple(p) for p in paths)
 
     @property
@@ -212,10 +208,22 @@ def distances(g: Graph) -> DistanceMatrix:
 
 def is_connected(g: Graph) -> bool:
     """A graph on 0 or 1 vertices counts as connected."""
-    if g.n <= 1:
-        return True
-    dist0 = distances(g).entries[0]
-    return all(d != INF for d in dist0)
+    return g.n <= 1 or next(_components(g.adj_masks)) == (1 << g.n) - 1
+
+
+def _components(adj):
+    """Vertex sets of the connected components of ``adj``, as bitmasks."""
+    left = (1 << len(adj)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        left ^= comp
+        yield comp
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +234,70 @@ def path_cover_number(g: Graph, cap: int = DEFAULT_PATH_COVER_CAP) -> int:
     """Minimum number of vertex-disjoint paths covering all of ``V(g)``.
 
     Isolated vertices are length-zero paths, so the answer is between 1 and
-    ``n`` for any non-empty graph (and 0 for the empty one).  Exact dynamic
-    programme over vertex subsets (see :func:`_path_cover_masks`); raises
-    :class:`CapExceededError` when ``n`` exceeds ``cap``.
+    ``n`` for any non-empty graph (and 0 for the empty one).  The size of
+    :func:`_min_path_cover`'s cover: the greedy one when it meets
+    :func:`_path_cover_bound`, else the exact dynamic programme over vertex
+    subsets (:func:`_path_cover_masks`).  Raises :class:`CapExceededError`
+    when ``n`` exceeds ``cap``.
     """
     if g.n > cap:
         raise CapExceededError(
             f"path cover limited to n <= {cap} vertices, got {g.n}"
         )
-    return len(_path_cover_masks(g.adj_masks))
+    return len(_min_path_cover(g.adj_masks))
 
 
 def _complement_masks(adj):
     """Bitmask adjacency of the complement of bitmask adjacency ``adj``."""
     full = (1 << len(adj)) - 1
     return tuple(full & ~m & ~(1 << v) for v, m in enumerate(adj))
+
+
+def _min_path_cover(adj):
+    """A minimum path cover of bitmask adjacency ``adj``, as vertex lists.
+
+    The greedy cover is minimum when it meets :func:`_path_cover_bound`;
+    only otherwise does the ``2^n`` DP run.
+    """
+    paths = _greedy_path_cover(adj)
+    if len(paths) > _path_cover_bound(adj):
+        paths = _path_cover_masks(adj)
+    return paths
+
+
+def _path_cover_bound(adj):
+    """A lower bound on the path cover number of bitmask adjacency ``adj``.
+
+    The larger of two counts.  No path leaves a component, and each
+    component needs at least one path and half its :func:`_end_slots`.  A
+    path on ``m`` vertices holds at most ``ceil(m/2)`` vertices of an
+    independent set, so ``p`` paths on ``n`` vertices hold at most
+    ``(n + p) / 2`` of them: ``p >= 2 * alpha - n``, with ``alpha`` the
+    clique number of the complement.
+    """
+    by_slots = sum(max(1, (_end_slots(adj, c) + 1) // 2)
+                   for c in _components(adj))
+    return max(by_slots, 2 * _clique_number(_complement_masks(adj)) - len(adj))
+
+
+def _clique_number(adj) -> int:
+    """Exact clique number from bitmask adjacency (branch and bound)."""
+    best = 0
+
+    def expand(size, cand):
+        nonlocal best
+        if size > best:
+            best = size
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            b = cand & -cand
+            v = b.bit_length() - 1
+            expand(size + 1, cand & adj[v])
+            cand ^= b
+
+    expand(0, (1 << len(adj)) - 1)
+    return best
 
 
 def _path_cover_masks(adj):

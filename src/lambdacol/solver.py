@@ -22,11 +22,11 @@ open is fixed with forward checking, the later vertices are probed by the
 same search in degree order, and the first probe that succeeds becomes the
 incumbent.
 
-Three elementary lower bounds seed the iteration, each immediate from the
-definition: ``max_degree + 1`` (a vertex and its neighbours need pairwise
-distinct labels and the centre needs gap 2 to each), ``2*(omega - 1)`` for a
-clique of size omega (pairwise gaps of 2), and ``n - 1`` when the graph has
-diameter at most two (all labels distinct).
+Off the diameter-two route below, three elementary lower bounds seed the
+iteration, each immediate from the definition: ``max_degree + 1`` (a vertex
+and its neighbours need pairwise distinct labels and the centre needs gap 2
+to each), ``2*(omega - 1)`` for a clique of size omega (pairwise gaps of 2),
+and ``n - 1`` when the graph has diameter at most two (all labels distinct).
 
 At diameter two with ``n <= DEFAULT_PATH_COVER_CAP``, :func:`lambda_number`
 takes the route path cover -> layout -> label-order probes, and runs no DFS.
@@ -34,13 +34,14 @@ Every label is distinct there, and two vertices take consecutive labels
 only when they are adjacent in the complement, so a colouring is an ordered
 list of paths of the complement with a one-label hole between consecutive
 paths, and the span is ``n + pc - 2`` for the path cover number ``pc`` of
-the complement (Georges, Mauro and Whittlesey, 1994).  A greedy cover of the
-complement is a minimum one when ``n + len(cover) - 2`` meets the
-elementary bound; otherwise the minimum cover cached on the graph,
-:attr:`Graph.complement_path_cover`, is read.  Laying the paths out in order gives
-the first colouring.  The witness is then built by the same vertex-by-vertex
-driver, but each probe walks the labels ``0..k`` in order, placing at each
-label a complement neighbour of the last vertex placed, or a hole
+the complement (Georges, Mauro and Whittlesey, 1994).  The minimum cover is
+the one cached on the graph, :attr:`Graph.complement_path_cover`: a greedy
+cover when it meets one lower bound on the cover number (components, path
+ends and independent sets of the complement), else the subset DP's.  Laying
+the paths out in order gives the first colouring.  The witness is then built
+by the same vertex-by-vertex driver, but each probe walks the labels
+``0..k`` in order, placing at each label a complement neighbour of the last
+vertex placed, or a hole
 (:func:`_probe_in_label_order`; the label-order subset search of Havet,
 Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
 most one vertex).  The DFS still decides graphs that are not diameter two
@@ -53,10 +54,9 @@ At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
 two-label domain.
 
 One recursive forward-checking core, :func:`_search_masks`, runs every
-search off that route.  A leaf callback, when given, sees each completion in lexicographic
-order until it accepts one: :func:`iter_optimal_colourings` collects them all
-(id order, full domains, no pinning), the classification's fallback scan
-stops at the first stationary one.
+search off that route.  A leaf callback, when given, sees each completion in
+lexicographic order until it accepts one: :func:`iter_optimal_colourings`
+collects them all (id order, full domains, no pinning).
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ from .graphs import (
     GraphParseError,
     MalformedLineError,
     _bits,
+    _clique_number,
     _complement_masks,
     _end_slots,
-    _greedy_path_cover,
 )
 
 #: Hard ceiling for the exact solver; configurable per call.
@@ -212,27 +212,6 @@ def delta_lower_bound(g: Graph) -> int:
     if not g.edges:
         raise ValueError("degree lower bound requires at least one edge")
     return g.max_degree() + 1
-
-
-def _clique_number(adj) -> int:
-    """Exact clique number from bitmask adjacency (branch and bound)."""
-    n = len(adj)
-    best = 0
-
-    def expand(size, cand):
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            b = cand & -cand
-            v = b.bit_length() - 1
-            expand(size + 1, cand & adj[v])
-            cand ^= b
-
-    expand(0, (1 << n) - 1)
-    return best
 
 
 def _second_neighbourhoods(adj):
@@ -458,24 +437,23 @@ def _probe_in_label_order(comp, dom, k):
     return labels if rec(0, -1, 0) else None
 
 
-def _lex_least_witness(d1, d2, k, incumbent):
+def _lex_least_witness(d1, d2, k, incumbent, comp):
     """The lexicographically least colouring with labels in ``0..k``.
 
     ``incumbent`` is any such colouring.  Vertex by vertex in id order, each
     label below the incumbent's still open to the vertex is tried in
     ascending order: it is fixed with forward checking and feasibility of the
-    later vertices is probed from the fixed domains, in label order at
-    diameter two with ``n <= DEFAULT_PATH_COVER_CAP``
-    (:func:`_probe_in_label_order`), by the DFS in degree order otherwise.
-    The first success becomes the incumbent, so after vertex v its prefix
-    through v is the least one that extends; v is then fixed to the
-    incumbent's label, which always extends.
+    later vertices is probed from the fixed domains, in label order on the
+    diameter-two route, where ``comp`` holds the complement's masks
+    (:func:`_probe_in_label_order`), by the DFS in degree order when
+    ``comp`` is ``None``.  The first success becomes the incumbent, so after
+    vertex v its prefix through v is the least one that extends; v is then
+    fixed to the incumbent's label, which always extends.
     """
     n = len(d1)
     dom = _domains(d1, k)
     rest = _degree_order(d1)
-    if n <= DEFAULT_PATH_COVER_CAP and _diameter_two(n, d1, d2):
-        comp = _complement_masks(d1)
+    if comp is not None:
         probe = lambda trial: _probe_in_label_order(comp, trial, k)
     else:
         probe = lambda trial: _search_masks(d1, d2, rest, trial)
@@ -530,18 +508,18 @@ def lambda_number(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> SolveReport:
     d1 = g.adj_masks
     d2 = _second_neighbourhoods(d1)
     diameter_two = _diameter_two(n, d1, d2)
-    k = _lower_bound(n, d1, diameter_two)
     if diameter_two and n <= DEFAULT_PATH_COVER_CAP:
-        # span = n + pc(complement) - 2; a greedy cover meeting the
-        # elementary bound is a minimum one, else read the cached cover
-        paths = _greedy_path_cover(_complement_masks(d1))
-        if n + len(paths) - 2 > k:
-            paths = g.complement_path_cover
+        # span = n + pc(complement) - 2, from the cached minimum cover
+        comp = _complement_masks(d1)
+        paths = g.complement_path_cover
         k = n + len(paths) - 2
         labels = _path_layout(n, paths)
     else:
-        k, labels = _optimal_colouring(n, d1, d2, k)
-    labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]))
+        comp = None
+        k, labels = _optimal_colouring(n, d1, d2,
+                                       _lower_bound(n, d1, diameter_two))
+    labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]),
+                                comp)
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
 

@@ -31,7 +31,7 @@ from lambdacol import (
     valid_shapes,
     verify_classification,
 )
-from lambdacol.extremal import _research_witness, _sporadic_shape
+from lambdacol.extremal import _sporadic_shape
 from oracles import max_edges_by_rows, valid_shape_rows
 from test_shapes import small_valid_shapes
 
@@ -295,25 +295,14 @@ def test_is_stationary_requires_cover():
         is_stationary(Graph(5, g.edges), part)
 
 
-@pytest.mark.parametrize("sizes", [
-    (2, 2, 2, 2), (3, 2, 1, 3), (2, 0, 2, 2), (3, 2, 3, 1, 3), (2, 1, 2, 1, 2),
-])
-def test_research_witness_agrees_with_the_lex_least_witness(sizes):
-    # the fallback scan's first stationary colouring of a maximal graph is
-    # its lexicographically least optimal one, the one classify reads
-    g, part = build_stationary(S(*sizes))
-    rep = classify(g)
-    _, argmax = max_edges(g.n, part.t)
-    assert _research_witness(g, part.t, argmax) == (
-        rep.witness_shape, rep.stationary,
-    )
-
-
-def test_research_witness_raises_when_nothing_is_stationary():
-    g = Graph.from_edges(4, [(0, 1), (1, 2)])  # P3 plus a vertex, span 3
-    _, argmax = max_edges(4, 3)
-    with pytest.raises(ClassificationError):
-        _research_witness(g, 3, argmax)
+def test_classify_raises_when_a_maximal_witness_is_not_stationary(monkeypatch):
+    # equality in the edge bound makes the witness stationary; a witness
+    # that is not means the solver or the shape search is broken
+    monkeypatch.setattr("lambdacol.extremal.is_stationary",
+                        lambda g, part: (False, None))
+    g, _ = build_stationary(S(2, 2, 2, 2))
+    with pytest.raises(ClassificationError, match="not stationary"):
+        classify(g)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ from lambdacol import (
     parse_graph,
     path_cover_number,
 )
-from lambdacol.graphs import _end_slots, _greedy_path_cover, _path_cover_masks
+from lambdacol.graphs import (
+    _end_slots,
+    _greedy_path_cover,
+    _path_cover_bound,
+    _path_cover_masks,
+)
 from oracles import all_graphs, brute_path_cover, floyd_warshall
 
 INF = math.inf
@@ -119,6 +124,14 @@ def test_distance_matrix_basics():
     assert is_connected(Graph.from_edges(2, [(0, 1)])) is True
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_is_connected_agrees_with_distances(n):
+    for g in all_graphs(n):
+        d = distances(g)
+        want = all(d[0, v] != INF for v in range(n))
+        assert is_connected(g) is want, g
+
+
 # ---------------------------------------------------------------------------
 # path covers
 # ---------------------------------------------------------------------------
@@ -164,7 +177,9 @@ def test_greedy_path_cover_is_an_upper_bound(n):
                                pytest.param(6, marks=pytest.mark.slow)])
 def test_complement_path_cover_is_a_minimum_cover(n):
     # the cover walked back through the DP's tables and the cached cover
-    # (greedy or DP), against permutations; the end-slot bound below both
+    # (greedy or DP), against permutations; the end-slot bound and the
+    # bound that accepts greedy covers below the cover number of the
+    # complement and of the graph itself
     for g in all_graphs(n):
         comp = g.complement()
         pc = brute_path_cover(comp)
@@ -173,6 +188,8 @@ def test_complement_path_cover_is_a_minimum_cover(n):
         cached = g.complement_path_cover
         assert _is_path_cover(comp, cached) and len(cached) == pc, g
         assert (_end_slots(comp.adj_masks, (1 << n) - 1) + 1) // 2 <= pc, g
+        assert _path_cover_bound(comp.adj_masks) <= pc, g
+        assert _path_cover_bound(g.adj_masks) <= brute_path_cover(g), g
 
 
 @given(graphs(max_n=6))

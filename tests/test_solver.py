@@ -26,14 +26,21 @@ from lambdacol import (
     lambda_via_path_cover,
     parse_colouring,
     path_complement,
+    path_cover_number,
 )
 import lambdacol.graphs as graphs_module
-from lambdacol.graphs import _bits, _complement_masks
+from lambdacol.graphs import (
+    _bits,
+    _complement_masks,
+    _end_slots,
+    _path_cover_bound,
+)
 from lambdacol.solver import (
     _degree_order,
     _diameter_two,
     _domains,
     _fix,
+    _lower_bound,
     _min_span_masks,
     _probe_in_label_order,
     _search_masks,
@@ -256,6 +263,33 @@ def test_at_most_one_path_cover_dp_per_graph(monkeypatch):
         assert len(calls) - before <= 1, g
     # lambda_number alone runs the DP on some of them, so it reads the cache
     assert needed > 0
+
+
+def test_no_path_cover_dp_where_a_bound_settles_the_cover(monkeypatch):
+    # K_{9,11}: the complement K_9 + K_11 has two components; the edgeless
+    # graph on 20 vertices: an independent set of 20 needs 20 paths
+    def refuse(adj):
+        raise AssertionError("path-cover DP run")
+
+    monkeypatch.setattr(graphs_module, "_path_cover_masks", refuse)
+    k9_11 = Graph.from_edges(20, [(i, j) for i in range(9)
+                                  for j in range(9, 20)])
+    assert lambda_number(k9_11).lambda_value == 20
+    assert path_cover_number(Graph(20, frozenset())) == 20
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_path_cover_bound_is_no_weaker_than_the_checks_it_replaced(n):
+    # on the complement of every diameter-two graph: the elementary span
+    # bound read as a cover bound, and the end slots counted over all of it
+    for g in all_graphs(n):
+        d1 = g.adj_masks
+        if not g.edges or not _diameter_two(n, d1, _second_neighbourhoods(d1)):
+            continue
+        comp = _complement_masks(d1)
+        bound = _path_cover_bound(comp)
+        assert bound >= _lower_bound(n, d1, True) - n + 2, g
+        assert bound >= max(1, (_end_slots(comp, (1 << n) - 1) + 1) // 2), g
 
 
 def _fixed_prefixes(d1, d2, dom, v):
