@@ -277,27 +277,43 @@ def _path_cover_bound(adj):
     """
     by_slots = sum(max(1, (_end_slots(adj, c) + 1) // 2)
                    for c in _components(adj))
-    return max(by_slots, 2 * _clique_number(_complement_masks(adj)) - len(adj))
+    alpha = _max_cliques(_complement_masks(adj))[0].bit_count()
+    return max(by_slots, 2 * alpha - len(adj))
 
 
-def _clique_number(adj) -> int:
-    """Exact clique number from bitmask adjacency (branch and bound)."""
-    best = 0
+def _max_cliques(adj, limit=1):
+    """Up to ``limit`` maximum cliques of bitmask adjacency ``adj``, as masks.
 
-    def expand(size, cand):
-        nonlocal best
-        if size > best:
-            best = size
+    Branch and bound over vertices in id order.  A branch ends at a clique
+    that no candidate left extends, and only such cliques are kept; every
+    maximum clique is one.  ``bar`` is the least size still worth reaching:
+    the largest kept, or one more once ``limit`` cliques of that size are
+    held.  Each clique is reached along one branch, so none repeats.  The
+    size of any of them is the clique number; the only maximum clique of
+    the graph on no vertices is empty.
+    """
+    found = []
+    bar = 0
+
+    def expand(clique, size, cand):
+        nonlocal bar
+        if not cand:
+            if size >= bar:
+                if size == bar and len(found) < limit:
+                    found.append(clique)
+                else:
+                    found[:] = [clique]
+                bar = size + (len(found) >= limit)
+            return
         while cand:
-            if size + cand.bit_count() <= best:
+            if size + cand.bit_count() < bar:
                 return
             b = cand & -cand
-            v = b.bit_length() - 1
-            expand(size + 1, cand & adj[v])
+            expand(clique | b, size + 1, cand & adj[b.bit_length() - 1])
             cand ^= b
 
-    expand(0, (1 << len(adj)) - 1)
-    return best
+    expand(0, 0, (1 << len(adj)) - 1)
+    return found
 
 
 def _path_cover_masks(adj):

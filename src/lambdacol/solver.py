@@ -22,11 +22,20 @@ open is fixed with forward checking, the later vertices are probed by the
 same search in degree order, and the first probe that succeeds becomes the
 incumbent.
 
-Off the diameter-two route below, three elementary lower bounds seed the
-iteration, each immediate from the definition: ``max_degree + 1`` (a vertex
-and its neighbours need pairwise distinct labels and the centre needs gap 2
-to each), ``2*(omega - 1)`` for a clique of size omega (pairwise gaps of 2),
-and ``n - 1`` when the graph has diameter at most two (all labels distinct).
+Off the diameter-two route below, the iteration starts from the distance-two
+clique bound: vertices pairwise within distance two need pairwise distinct
+labels, so a clique of the square graph G^2 on ``q`` vertices forces span
+``>= q - 1``.  With ``q = omega(G^2)`` this holds ``max_degree + 1`` (a
+closed neighbourhood is such a clique, and its centre needs gap 2 to each
+neighbour) and ``n - 1`` at diameter two (G^2 is complete); the start is the
+larger of it and ``2*(omega - 1)`` for a clique of G of size omega (pairwise
+gaps of 2).  At span ``k = omega(G^2) - 1`` a maximum clique of G^2 is
+*tight*: it has ``k + 1`` members and uses every label once.  Every search
+at that span, witness probes included, is cut on the tight cliques (at most
+``n`` of them): a branch dies when the labels left to a tight clique's
+unplaced members are fewer than those members, the pigeonhole filter of
+all-different propagation (Regin, 1994).  The cut drops only branches
+without completions, so the colourings found and their order are the same.
 
 At diameter two with ``n <= DEFAULT_PATH_COVER_CAP``, :func:`lambda_number`
 takes the route path cover -> layout -> label-order probes, and runs no DFS.
@@ -45,9 +54,11 @@ vertex placed, or a hole
 (:func:`_probe_in_label_order`; the label-order subset search of Havet,
 Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
 most one vertex).  The DFS still decides graphs that are not diameter two
-or have more vertices than the cap, the census (which keeps to the
-elementary bounds, so the checks of the theorem stay independent of it)
-and the enumeration.
+or have more vertices than the cap, the census and the enumeration.  The
+census keeps to three elementary bounds, ``max_degree + 1``,
+``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches with no cut,
+so the checks of the theorem stay independent of it and it pays nothing
+for the cliques of G^2.
 
 At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
 (see :func:`_domains`), so every search starts such vertices from that
@@ -70,9 +81,9 @@ from .graphs import (
     GraphParseError,
     MalformedLineError,
     _bits,
-    _clique_number,
     _complement_masks,
     _end_slots,
+    _max_cliques,
 )
 
 #: Hard ceiling for the exact solver; configurable per call.
@@ -236,19 +247,38 @@ def _diameter_two(n, d1, d2):
 
 
 def _lower_bound(n, d1, diameter_two):
-    """Best of the three elementary bounds for a graph with >= 1 edge."""
+    """Best of the three elementary bounds for a graph with >= 1 edge.
+
+    The census starts from this alone; :func:`lambda_number` raises it to
+    the distance-two clique bound of :func:`_square_cliques`.
+    """
     lb = max(m.bit_count() for m in d1) + 1
-    lb = max(lb, 2 * (_clique_number(d1) - 1))
+    lb = max(lb, 2 * (_max_cliques(d1)[0].bit_count() - 1))
     if diameter_two:
         lb = max(lb, n - 1)
     return lb
+
+
+def _square_cliques(d1, d2):
+    """Up to ``n`` maximum cliques of the square graph, as bitmasks.
+
+    A clique of the square is a vertex set pairwise within distance two, so
+    its members need distinct labels and the span is at least its size less
+    one.  The cap bounds the list on squares with very many maximum cliques.
+    """
+    return _max_cliques([a | b for a, b in zip(d1, d2)], len(d1))
+
+
+def _tight(cliques, k):
+    """The ``cliques`` with one member per label of span ``k``: ``k + 1``."""
+    return [q for q in cliques if q.bit_count() == k + 1]
 
 
 # ---------------------------------------------------------------------------
 # search core (shared with the census and the enumeration)
 # ---------------------------------------------------------------------------
 
-def _search_masks(d1, d2, order, dom, visit=None):
+def _search_masks(d1, d2, order, dom, tight=(), visit=None):
     """DFS with forward checking; returns a label list or None.
 
     Labels the vertices of ``order`` in that order, each taking the smallest
@@ -259,6 +289,13 @@ def _search_masks(d1, d2, order, dom, visit=None):
     order as the search's own label list.  A vertex outside ``order`` counts
     as fixed: it must have a single-label domain, already forward-checked
     into the rest, and keeps that label.
+
+    ``tight`` holds cliques of the square graph (bitmasks) with one member
+    per label, so each uses every label once.  A branch, the root included,
+    dies when the domains of a tight clique's unplaced members hold fewer
+    labels between them than there are such members.  That only cuts
+    branches without completions, so the completions and their order stay
+    the same.  Without ``tight`` no table of the cut is built.
     """
     n = len(dom)
     pos = [-1] * n
@@ -269,6 +306,22 @@ def _search_masks(d1, d2, order, dom, visit=None):
     dom = list(dom)
     labels = [m.bit_length() - 1 for m in dom]
     depth = len(order)
+    cut = None
+    if tight:
+        # per depth, the root first, the unplaced members of each tight
+        # clique among which the placement there can narrow a domain (at
+        # the root, -1 has every bit: each clique is checked once)
+        cut = []
+        for i in range(-1, depth):
+            near = d1[order[i]] | d2[order[i]] if i >= 0 else -1
+            rows = []
+            for q in tight:
+                left = [u for u in _bits(q) if pos[u] > i]
+                if any(near >> u & 1 for u in left):
+                    rows.append((left, len(left)))
+            cut.append(rows)
+        if _short(cut.pop(0), dom):
+            return None
 
     def rec(i):
         if i == depth:
@@ -301,7 +354,7 @@ def _search_masks(d1, d2, order, dom, visit=None):
                         if not nd:
                             dead = True
                             break
-            if not dead:
+            if not dead and (cut is None or not _short(cut[i], dom)):
                 labels[v] = x
                 if rec(i + 1):
                     return True
@@ -310,6 +363,17 @@ def _search_masks(d1, d2, order, dom, visit=None):
         return False
 
     return labels if rec(0) else None
+
+
+def _short(rows, dom):
+    """Whether some ``(members, count)`` row's domains hold < count labels."""
+    for members, count in rows:
+        held = 0
+        for u in members:
+            held |= dom[u]
+        if held.bit_count() < count:
+            return True
+    return False
 
 
 def _degree_order(d1):
@@ -329,18 +393,22 @@ def _domains(d1, k):
     return [ends if m.bit_count() == k - 1 else full for m in d1]
 
 
-def _optimal_colouring(n, d1, d2, k):
+def _optimal_colouring(n, d1, d2, k, cliques=()):
     """Smallest feasible span from a lower bound ``k``, and a colouring at it.
 
     For a graph with >= 1 edge.  ``x -> k - x`` maps colourings of span
     ``k`` to colourings (and the domains of :func:`_domains` to themselves),
     so the first vertex in degree order only needs the labels ``0..k//2``.
+    Each search is cut on the square's ``cliques`` that are tight at its
+    span (:func:`_search_masks`).
     """
     order = _degree_order(d1)
     while True:
         dom = _domains(d1, k)
         dom[order[0]] &= (1 << (k // 2 + 1)) - 1
-        labels = _search_masks(d1, d2, order, dom)
+        # the census passes no cliques and skips the filter
+        labels = _search_masks(d1, d2, order, dom,
+                               cliques and _tight(cliques, k))
         if labels is not None:
             return k, labels
         k += 1
@@ -437,7 +505,7 @@ def _probe_in_label_order(comp, dom, k):
     return labels if rec(0, -1, 0) else None
 
 
-def _lex_least_witness(d1, d2, k, incumbent, comp):
+def _lex_least_witness(d1, d2, k, incumbent, comp, cliques=()):
     """The lexicographically least colouring with labels in ``0..k``.
 
     ``incumbent`` is any such colouring.  Vertex by vertex in id order, each
@@ -445,8 +513,9 @@ def _lex_least_witness(d1, d2, k, incumbent, comp):
     ascending order: it is fixed with forward checking and feasibility of the
     later vertices is probed from the fixed domains, in label order on the
     diameter-two route, where ``comp`` holds the complement's masks
-    (:func:`_probe_in_label_order`), by the DFS in degree order when
-    ``comp`` is ``None``.  The first success becomes the incumbent, so after
+    (:func:`_probe_in_label_order`), by the DFS in degree order, cut on the
+    square's ``cliques`` that are tight at ``k``, when ``comp`` is
+    ``None``.  The first success becomes the incumbent, so after
     vertex v its prefix through v is the least one that extends; v is then
     fixed to the incumbent's label, which always extends.
     """
@@ -456,7 +525,8 @@ def _lex_least_witness(d1, d2, k, incumbent, comp):
     if comp is not None:
         probe = lambda trial: _probe_in_label_order(comp, trial, k)
     else:
-        probe = lambda trial: _search_masks(d1, d2, rest, trial)
+        tight = _tight(cliques, k)
+        probe = lambda trial: _search_masks(d1, d2, rest, trial, tight)
     for v in range(n):
         rest.remove(v)
         for x in _bits(dom[v] & ((1 << incumbent[v]) - 1)):
@@ -511,15 +581,17 @@ def lambda_number(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> SolveReport:
     if diameter_two and n <= DEFAULT_PATH_COVER_CAP:
         # span = n + pc(complement) - 2, from the cached minimum cover
         comp = _complement_masks(d1)
+        cliques = ()
         paths = g.complement_path_cover
         k = n + len(paths) - 2
         labels = _path_layout(n, paths)
     else:
         comp = None
-        k, labels = _optimal_colouring(n, d1, d2,
-                                       _lower_bound(n, d1, diameter_two))
+        cliques = _square_cliques(d1, d2)
+        lb = max(_lower_bound(n, d1, diameter_two), cliques[0].bit_count() - 1)
+        k, labels = _optimal_colouring(n, d1, d2, lb, cliques)
     labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]),
-                                comp)
+                                comp, cliques)
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
 

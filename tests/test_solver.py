@@ -28,7 +28,9 @@ from lambdacol import (
     path_complement,
     path_cover_number,
 )
+import lambdacol.extremal as extremal_module
 import lambdacol.graphs as graphs_module
+import lambdacol.solver as solver_module
 from lambdacol.graphs import (
     _bits,
     _complement_masks,
@@ -45,6 +47,7 @@ from lambdacol.solver import (
     _probe_in_label_order,
     _search_masks,
     _second_neighbourhoods,
+    _square_cliques,
 )
 from oracles import (
     all_graphs,
@@ -419,6 +422,126 @@ def test_delta_lower_bound():
 def test_delta_bound_holds(g):
     if g.edges:
         assert lambda_number(g).lambda_value >= delta_lower_bound(g)
+
+
+# ---------------------------------------------------------------------------
+# distance-two cliques
+# ---------------------------------------------------------------------------
+
+def _square_clique_start(g):
+    """The start of the span loop off the diameter-two route."""
+    d1 = g.adj_masks
+    d2 = _second_neighbourhoods(d1)
+    return max(_lower_bound(g.n, d1, _diameter_two(g.n, d1, d2)),
+               _square_cliques(d1, d2)[0].bit_count() - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_square_clique_bound_lies_between_the_elementary_bound_and_the_span(n):
+    # _min_span_masks searches upward from _lower_bound, so only a start
+    # above it needs the search
+    raised = 0
+    for g in all_graphs(n):
+        if g.edges:
+            d1 = g.adj_masks
+            d2 = _second_neighbourhoods(d1)
+            start = _square_clique_start(g)
+            lb = _lower_bound(n, d1, _diameter_two(n, d1, d2))
+            assert start >= lb, g
+            if start > lb:
+                raised += 1
+                assert start <= _min_span_masks(n, d1, d2), g
+    # the first graphs the bound raises have six vertices (72 of them)
+    assert raised or n < 6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tight_clique_cut_keeps_every_completion(n):
+    # at span omega(G^2) - 1 every maximum clique of the square is tight;
+    # from every prefix the witness driver can fix, the cut search must
+    # visit the same completions in the same order as the plain one
+    for g in all_graphs(n):
+        d1 = g.adj_masks
+        d2 = _second_neighbourhoods(d1)
+        cliques = _square_cliques(d1, d2)
+        k = cliques[0].bit_count() - 1
+        order = _degree_order(d1)
+        for v, dom in _fixed_prefixes(d1, d2, [(1 << k + 1) - 1] * n, 0):
+            rest = [u for u in order if u >= v]
+            runs = []
+            for tight in (), cliques:
+                found = []
+                _search_masks(d1, d2, rest, dom, tight,
+                              visit=lambda labels: found.append(tuple(labels)))
+                runs.append(found)
+            assert runs[0] == runs[1], (g, dom)
+
+
+# Bench instance sparse-157 (G(19, d/(n-1)) of the sparse workload, seed 1):
+# elementary bound 9, omega(G^2) - 1 = span = 12.
+SPARSE_157_EDGES = [
+    (0, 2), (0, 5), (0, 10), (1, 6), (1, 7), (1, 13), (1, 15), (1, 18),
+    (2, 5), (2, 9), (2, 16), (2, 17), (2, 18), (3, 7), (3, 11), (3, 12),
+    (3, 13), (3, 15), (3, 16), (3, 18), (4, 5), (4, 8), (4, 13), (4, 15),
+    (4, 17), (5, 12), (6, 7), (6, 8), (6, 10), (6, 11), (6, 12), (6, 13),
+    (6, 14), (7, 12), (7, 13), (8, 10), (8, 11), (8, 15), (8, 16), (9, 10),
+    (9, 15), (9, 17), (10, 14), (10, 17), (10, 18), (11, 18), (12, 14),
+    (12, 17), (13, 14), (13, 18),
+]
+
+
+def _square_clique_graphs():
+    """sparse-157, then seeded sparse graphs on 16 to 20 vertices whose
+    distance-two clique bound beats the elementary bounds."""
+    yield Graph.from_edges(19, SPARSE_157_EDGES)
+    rng = random.Random("square-clique:16-20")
+    found = 0
+    while found < 7:
+        n = rng.randint(16, 20)
+        g = _gnp(n, rng.uniform(1.5, 4.5) / (n - 1), rng)
+        d1 = g.adj_masks
+        if _square_clique_start(g) > _lower_bound(
+                n, d1, _diameter_two(n, d1, _second_neighbourhoods(d1))):
+            found += 1
+            yield g
+
+
+# Spans and lex-least witnesses of _square_clique_graphs(), in order, as the
+# solver found them before it had the distance-two clique bound and cut
+# (about 40 s for all eight, 30 s of it on sparse-157).
+SQUARE_CLIQUE_WITNESSES = [
+    (12, (0, 1, 3, 0, 4, 6, 9, 3, 2, 11, 5, 6, 12, 11, 7, 7, 10, 1, 8)),
+    (10, (0, 1, 3, 2, 2, 4, 6, 7, 5, 0, 1, 8, 10, 8, 0, 9, 3, 5)),
+    (10, (0, 0, 1, 10, 10, 9, 4, 6, 4, 7, 3, 7, 5, 2, 6, 8, 5, 0)),
+    (13, (0, 1, 3, 5, 8, 9, 6, 4, 6, 11, 2, 12, 2, 7, 13, 10)),
+    (11, (0, 5, 2, 9, 1, 0, 6, 8, 10, 2, 8, 4, 3, 10, 7, 5, 1, 11, 6)),
+    (7, (3, 1, 0, 4, 7, 7, 4, 5, 2, 2, 0, 5, 1, 7, 6, 7, 0)),
+    (7, (0, 2, 4, 5, 2, 0, 3, 6, 1, 4, 6, 7, 0, 3, 7, 7, 0, 0, 1, 5)),
+    (9, (0, 5, 2, 4, 3, 7, 9, 0, 7, 5, 2, 9, 3, 6, 8, 6, 0, 2, 1)),
+]
+
+
+def test_witnesses_of_sparse_graphs_at_the_square_clique_bound():
+    found = list(_square_clique_graphs())
+    got = [(rep.lambda_value, rep.witness.labels)
+           for rep in map(lambda_number, found)]
+    assert got == SQUARE_CLIQUE_WITNESSES
+    assert [span for span, _ in got] == list(map(_square_clique_start, found))
+
+
+def test_census_runs_without_the_square_cliques(monkeypatch):
+    # the census's spans stay independent of the distance-two clique bound,
+    # and its search pays nothing for it
+    def refuse(d1, d2):
+        raise AssertionError("square cliques searched")
+
+    monkeypatch.setattr(solver_module, "_square_cliques", refuse)
+    with pytest.raises(AssertionError, match="square cliques"):
+        lambda_number(P(4))
+    # a fresh cache, so the census runs; monkeypatch restores the old one
+    monkeypatch.setattr(extremal_module, "_CENSUS_CACHE", {})
+    assert extremal_module.brute_force_graph_census(4) == {
+        0: 0, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
 
 
 # ---------------------------------------------------------------------------
