@@ -56,7 +56,6 @@ from .solver import (
     parse_colouring,
 )
 from .families import (
-    CONSTRUCTION_CAP,
     EmbeddingConsistencyError,
     FamilyAssignment,
     class_colouring,
@@ -81,6 +80,7 @@ from .shapes import (
     spread,
 )
 from .standardise import (
+    CONSTRUCTION_CAP,
     ColouredPartition,
     StandardisedGraph,
     dual,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,8 +76,8 @@ class Graph:
     """An undirected simple graph on vertices ``0..n-1``.
 
     ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``.  Instances
-    are immutable and hashable; derived adjacency structure is computed once
-    and cached.
+    are immutable and hashable; neighbours are read from the bitmasks
+    :attr:`adj_masks`, computed once and cached.
     """
 
     n: int
@@ -99,15 +98,6 @@ class Graph:
         """Build a graph from any iterable of pairs, normalising order."""
         norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
         return cls(n, norm)
-
-    @cached_property
-    def adjacency(self) -> tuple:
-        """Neighbour sets, indexed by vertex."""
-        nbrs = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
 
     @cached_property
     def adj_masks(self) -> tuple:
@@ -137,13 +127,11 @@ class Graph:
         return sorted(self.edges)
 
     def degree(self, v) -> int:
-        return len(self.adjacency[v])
+        return self.adj_masks[v].bit_count()
 
     def max_degree(self) -> int:
         """Largest vertex degree; 0 for the empty or edgeless graph."""
-        if self.n == 0:
-            return 0
-        return max(len(a) for a in self.adjacency)
+        return max((m.bit_count() for m in self.adj_masks), default=0)
 
     def complement(self) -> "Graph":
         """The graph with exactly the missing pairs as edges."""
@@ -194,14 +182,9 @@ def distances(g: Graph) -> DistanceMatrix:
     rows = []
     for s in range(g.n):
         dist = [INF] * g.n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in g.adjacency[u]:
-                if dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
+        for d, layer in enumerate(_bfs_layers(g.adj_masks, 1 << s)):
+            for v in _bits(layer):
+                dist[v] = d
         rows.append(tuple(dist))
     return DistanceMatrix(tuple(rows))
 
@@ -215,15 +198,21 @@ def _components(adj):
     """Vertex sets of the connected components of ``adj``, as bitmasks."""
     left = (1 << len(adj)) - 1
     while left:
-        comp = frontier = left & -left
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= adj[v]
-            frontier = reach & ~comp
-            comp |= frontier
+        comp = sum(_bfs_layers(adj, left & -left))  # disjoint layers
         left ^= comp
         yield comp
+
+
+def _bfs_layers(adj, start):
+    """BFS layers of bitmask adjacency ``adj`` from vertex set ``start``."""
+    seen = frontier = start
+    while frontier:
+        yield frontier
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adj[v]
+        frontier = reach & ~seen
+        seen |= frontier
 
 
 # ---------------------------------------------------------------------------

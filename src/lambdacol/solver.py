@@ -157,13 +157,13 @@ def find_violation(g: Graph, c: Colouring):
     d1 = g.adj_masks
     d2 = _second_neighbourhoods(d1)
     for u in range(g.n):
-        for v in range(u + 1, g.n):
+        # only pairs within distance two can break the condition
+        for v in _bits((d1[u] | d2[u]) >> (u + 1) << (u + 1)):
             if d1[u] >> v & 1:
                 if abs(lab[u] - lab[v]) < 2:
                     return (u, v, 1)
-            elif d2[u] >> v & 1:
-                if lab[u] == lab[v]:
-                    return (u, v, 2)
+            elif lab[u] == lab[v]:
+                return (u, v, 2)
     return None
 
 
@@ -670,9 +670,11 @@ def parse_colouring(text: str, n: int) -> Colouring:
         if v in seen:
             raise DuplicateVertexError(f"line {lineno}: vertex {v} labelled twice")
         seen[v] = x
-    missing = [v for v in range(n) if v not in seen]
-    if missing:
-        raise MissingVertexError(f"vertices {missing} not labelled")
+    if len(seen) < n:
+        first = next(v for v in range(n) if v not in seen)
+        raise MissingVertexError(
+            f"{n - len(seen)} of {n} vertices unlabelled, the first is {first}"
+        )
     if n and min(seen.values()) != 0:
         raise NotNormalisedError(
             f"minimum label is {min(seen.values())}, colourings must start at 0"

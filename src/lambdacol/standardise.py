@@ -35,9 +35,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph
+from .graphs import CapExceededError, Graph
 from .shapes import PartitionShape, dual_shape, edge_bound
 from .solver import Colouring, is_lambda_colouring
+
+
+#: Largest construction: a graph of at most this many vertices plus edges,
+#: a partition into at most this many colour classes, a standardised graph
+#: on at most this many class pairs.  Each size follows from the input, so
+#: the cap is checked before anything of that size is built.
+CONSTRUCTION_CAP = 500_000
+
+
+def _check_construction_size(what, *counts):
+    if sum(counts) > CONSTRUCTION_CAP:
+        raise CapExceededError(
+            f"constructions limited to {CONSTRUCTION_CAP} {what}, got "
+            + " + ".join(map(str, counts))
+        )
 
 
 @dataclass(frozen=True)
@@ -67,10 +82,14 @@ class ColouredPartition:
 
 
 def partition_of(g: Graph, c: Colouring) -> ColouredPartition:
-    """The coloured partition of ``g`` under a valid colouring ``c``."""
+    """The coloured partition of ``g`` under a valid colouring ``c``.
+
+    Its ``span + 1`` classes are checked against :data:`CONSTRUCTION_CAP`.
+    """
     if not is_lambda_colouring(g, c):
         raise ValueError("colouring is not valid on the graph")
     t = c.span
+    _check_construction_size("colour classes", t + 1)
     classes = [set() for _ in range(t + 1)]
     for v, x in enumerate(c.labels):
         classes[x].add(v)
@@ -110,14 +129,17 @@ class StandardisedGraph:
     Vertices are numbered class-major: class ``m`` occupies the contiguous
     block starting at ``offset(m)``, with ranks ``0..c_m - 1``.  The edge set
     is the rank-aligned matching between every noncontiguous class pair, so
-    the edge count is exactly the shape's edge bound.
+    the edge count is exactly the shape's edge bound.  Shapes with more
+    than :data:`CONSTRUCTION_CAP` noncontiguous class pairs are refused.
     """
 
     shape: PartitionShape
 
     def __post_init__(self):
-        if len(self.shape.sizes) < 4:
+        t = self.shape.t
+        if t < 3:
             raise ValueError("standardised graphs need span >= 3 (4 classes)")
+        _check_construction_size("class pairs", t * (t - 1) // 2)
 
     @cached_property
     def offsets(self) -> tuple:
@@ -212,18 +234,12 @@ def edge_standardise(g: Graph, c: Colouring):
     (rank by ascending original id within each class).  The result has the
     same shape and spread, and at least as many edges as ``g``.
     """
-    if not is_lambda_colouring(g, c):
-        raise ValueError("colouring is not valid on the graph")
-    t = c.span
-    if t < 3:
-        raise ValueError(f"standardisation needs span >= 3, got {t}")
-    classes = [[] for _ in range(t + 1)]
-    for v, x in enumerate(c.labels):
-        classes[x].append(v)
-    shape = PartitionShape(tuple(len(cl) for cl in classes))
-    sg = StandardisedGraph(shape)
+    cp = partition_of(g, c)
+    if cp.t < 3:
+        raise ValueError(f"standardisation needs span >= 3, got {cp.t}")
+    sg = StandardisedGraph(shape_of(cp))
     corr = [0] * g.n
-    for m, members in enumerate(classes):
-        for i, v in enumerate(members):
+    for m, members in enumerate(cp.classes):
+        for i, v in enumerate(sorted(members)):
             corr[v] = sg.vertex(m, i)
     return sg, tuple(corr)

@@ -28,8 +28,12 @@ def floyd_warshall(g: Graph):
     return dist
 
 
-def is_valid_by_distances(g: Graph, labels) -> bool:
-    """The colouring condition checked straight from the definition."""
+def first_violation_by_distances(g: Graph, labels):
+    """``(u, v, d)`` for the first pair ``u < v`` breaking the condition.
+
+    Every pair is checked straight from the definition, in lexicographic
+    order; ``None`` when the labelling is valid.
+    """
     dist = floyd_warshall(g)
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -37,8 +41,13 @@ def is_valid_by_distances(g: Graph, labels) -> bool:
             if d is inf or d >= 3:
                 continue
             if abs(labels[u] - labels[v]) + d < 3:
-                return False
-    return True
+                return (u, v, d)
+    return None
+
+
+def is_valid_by_distances(g: Graph, labels) -> bool:
+    """The colouring condition checked straight from the definition."""
+    return first_violation_by_distances(g, labels) is None
 
 
 def brute_lambda(g: Graph) -> int:
@@ -66,11 +75,11 @@ def brute_path_cover(g: Graph) -> int:
     """
     if g.n == 0:
         return 0
-    adj = g.adjacency
+    adj = {e for u, v in g.edges for e in ((u, v), (v, u))}
     best = g.n
     for perm in permutations(range(g.n)):
         breaks = sum(
-            1 for a, b in zip(perm, perm[1:]) if b not in adj[a]
+            1 for a, b in zip(perm, perm[1:]) if (a, b) not in adj
         )
         if breaks + 1 < best:
             best = breaks + 1

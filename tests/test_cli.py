@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,54 @@ def test_oversized_constructions_exit_one(capsys):
     code, out, err = run(capsys, "construct", "gtl", "2000", "30")
     assert code == 1 and out == ""
     assert "error:" in err and "constructions limited" in err
+
+
+# inputs of a few bytes that name huge sizes: refused or answered at once
+
+def run_timed(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    return code, out, err, time.perf_counter() - start
+
+
+def graph_and_colouring(tmp_path, graph, colouring):
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "c.txt").write_text(colouring)
+    return str(tmp_path / "g.txt"), str(tmp_path / "c.txt")
+
+
+def test_missing_vertices_of_a_huge_header_exit_one(capsys, tmp_path):
+    # the unlabelled vertices are counted, not listed
+    g, c = graph_and_colouring(tmp_path, "p 1000000000 0\n", "c 0 0\n")
+    code, out, err, secs = run_timed(capsys, "check", g, c)
+    assert code == 1 and out == "" and secs < 1.0
+    assert err == ("error: 999999999 of 1000000000 vertices unlabelled, "
+                   "the first is 1\n")
+
+
+def test_huge_span_on_two_vertices_is_refused_before_building(capsys, tmp_path):
+    # span 20,000: about 2 * 10^8 class pairs for standardise and as many
+    # host edges for embed; check needs neither
+    g, c = graph_and_colouring(tmp_path, "p 2 0\n", "c 0 0\nc 1 20000\n")
+    assert run(capsys, "check", g, c)[:2] == (0, "valid span=20000\n")
+    for verb in ("standardise", "embed"):
+        code, out, err, secs = run_timed(capsys, verb, g, c)
+        assert code == 1 and out == "" and secs < 1.0
+        assert "error:" in err and "constructions limited" in err
+
+
+def test_check_on_a_long_path_reads_only_pairs_within_distance_two(
+        capsys, tmp_path):
+    # 2 * 10^8 vertex pairs, of which about 4 * 10^4 are within distance two
+    n = 20_000
+    g, c = graph_and_colouring(
+        tmp_path,
+        f"p {n} {n - 1}\n" + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)),
+        "".join(f"c {v} {2 * (v % 3)}\n" for v in range(n)),
+    )
+    code, out, _, secs = run_timed(capsys, "check", g, c)
+    assert (code, out) == (0, "valid span=4\n")
+    assert secs < 10.0
 
 
 def test_solver_fault_exits_one(capsys, g3_file, monkeypatch):

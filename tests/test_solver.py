@@ -52,6 +52,7 @@ from lambdacol.solver import (
 from oracles import (
     all_graphs,
     brute_lambda,
+    first_violation_by_distances,
     is_valid_by_distances,
     optimal_witness_by_brute_force,
     reference_lex_witness,
@@ -376,6 +377,18 @@ def test_find_violation_reports_first_pair():
     assert find_violation(g, Colouring((0, 2, 4, 1))) is None
     with pytest.raises(ValueError):
         find_violation(g, Colouring((0, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_find_violation_is_the_first_pair_by_definition(n):
+    # only pairs within distance two are visited; the first one is the same
+    rng = random.Random(n)
+    for g in all_graphs(n):
+        for _ in range(8):
+            labels = [rng.randrange(n + 2) for _ in range(n)]
+            labels = tuple(x - min(labels) for x in labels)
+            assert find_violation(g, Colouring(labels)) == \
+                first_violation_by_distances(g, labels), (g, labels)
 
 
 def test_colouring_must_be_normalised():

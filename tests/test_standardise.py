@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from lambdacol import (
+    CONSTRUCTION_CAP,
+    CapExceededError,
     ColouredPartition,
     Colouring,
     FamilyAssignment,
@@ -51,6 +53,13 @@ def test_partition_of_rejects_invalid_colourings():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         partition_of(g, Colouring((0, 1)))
+
+
+def test_partition_of_refuses_classes_above_the_cap():
+    # two labels, but span + 1 classes: refused before one is built
+    g = Graph(2, frozenset())
+    with pytest.raises(CapExceededError, match="colour classes"):
+        partition_of(g, Colouring((0, CONSTRUCTION_CAP)))
 
 
 def test_coloured_partition_validation():
@@ -125,6 +134,17 @@ def test_standardised_graph_properties(s):
 def test_standardised_graph_needs_four_classes(sizes):
     with pytest.raises(ValueError):
         StandardisedGraph(PartitionShape(sizes))
+
+
+def test_standardised_graph_refuses_class_pairs_above_the_cap():
+    # span t has t(t-1)/2 noncontiguous class pairs; t is the largest span
+    # within the cap
+    t = 3
+    while (t + 1) * t // 2 <= CONSTRUCTION_CAP:
+        t += 1
+    StandardisedGraph(PartitionShape((1,) + (0,) * (t - 1) + (1,)))
+    with pytest.raises(CapExceededError, match="class pairs"):
+        StandardisedGraph(PartitionShape((1,) + (0,) * t + (1,)))
 
 
 # ---------------------------------------------------------------------------
