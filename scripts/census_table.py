@@ -3,21 +3,24 @@
 
 Usage: census_table.py [--max-n N]
 
-For each n up to the limit (default 6, 7 takes minutes), enumerate every
-labelled graph, solve it exactly, and print the largest edge count per span
-next to the valid-shape maximum where the theory applies (3 <= t < n).
+For each n up to the limit (default 6; at most the census cap, 7, which
+takes minutes), enumerate every labelled graph, solve it exactly, and print
+the largest edge count per span next to the valid-shape maximum where the
+theory applies (3 <= t < n).
 """
 
 import argparse
 import sys
 import time
 
-from lambdacol import brute_force_graph_census, max_edges
+from lambdacol import CENSUS_CAP, brute_force_graph_census, max_edges
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-n", type=int, default=6)
+    ap.add_argument("--max-n", type=int, default=6,
+                    choices=range(2, CENSUS_CAP + 1), metavar="N",
+                    help=f"largest n to tabulate, 2..{CENSUS_CAP}")
     args = ap.parse_args()
     mismatches = 0
     for n in range(2, args.max_n + 1):

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the classification over a grid and print one verify line per point.
 
-Usage: classification_sweep.py [--census-limit N]
+Usage: classification_sweep.py
 
 Covers the documented ranges (t=3 to n=20, t=4 to n=25, t=5..7 to n=30) and
-cross-checks against the labelled-graph census wherever n is small enough.
+cross-checks against the labelled-graph census for n <= 6.
 Then checks, more widely (every t <= 10 and n <= 100), that the attaining
 shapes equal the predicted ones, printing a line only for a point that
 fails.  A nonzero exit means some point failed.
@@ -22,15 +22,12 @@ WIDE = (10, 100)
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--census-limit", type=int, default=6,
-                    help="largest n to cross-check against the graph census")
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     started = time.perf_counter()
     failures = 0
     for t, hi in RANGES:
         for n in range(t + 1, hi + 1):
-            rep = verify_classification(n, t, census_limit=args.census_limit)
+            rep = verify_classification(n, t)
             print(rep.line())
             if not rep.passed:
                 failures += 1

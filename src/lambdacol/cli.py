@@ -13,8 +13,6 @@ import json
 import sys
 
 from .extremal import (
-    DEFAULT_MAX_SHAPES,
-    CENSUS_CAP,
     ClassificationError,
     brute_force_graph_census,
     classify,
@@ -29,7 +27,6 @@ from .families import (
 )
 from .graphs import (
     CapExceededError,
-    DEFAULT_PATH_COVER_CAP,
     GraphParseError,
     format_graph,
     parse_graph,
@@ -41,7 +38,6 @@ from .shapes import (
     parse_shape,
 )
 from .solver import (
-    DEFAULT_SOLVER_CAP,
     SpanSearchError,
     find_violation,
     format_colouring,
@@ -75,7 +71,7 @@ def _graph_json(g):
 
 def _cmd_lambda(args):
     g = _read_graph(args.file)
-    rep = lambda_number(g, cap=args.max_n)
+    rep = lambda_number(g)
     if args.json:
         _emit_json({
             "lambda": rep.lambda_value,
@@ -195,7 +191,7 @@ def _cmd_shape_k(args):
 
 
 def _cmd_maxedges(args):
-    value, shapes = max_edges(args.n, args.t, max_shapes=args.max_shapes)
+    value, shapes = max_edges(args.n, args.t)
     ordered = sorted(s.sizes for s in shapes)
     if args.json:
         _emit_json({"max_edges": value, "shapes": [list(s) for s in ordered]})
@@ -208,7 +204,7 @@ def _cmd_maxedges(args):
 
 def _cmd_classify(args):
     g = _read_graph(args.file)
-    rep = classify(g, cap=args.max_n, max_shapes=args.max_shapes)
+    rep = classify(g)
     st = rep.stationary
     if args.json:
         _emit_json({
@@ -231,11 +227,7 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
-    rep = verify_classification(
-        args.n, args.t,
-        census_limit=args.census_limit,
-        max_shapes=args.max_shapes,
-    )
+    rep = verify_classification(args.n, args.t)
     if args.json:
         _emit_json({
             "n": rep.n,
@@ -255,7 +247,7 @@ def _cmd_verify(args):
 
 
 def _cmd_census(args):
-    table = brute_force_graph_census(args.n, cap=args.max_n)
+    table = brute_force_graph_census(args.n)
     if args.json:
         _emit_json({"n": args.n, "table": sorted(table.items())})
         return 0
@@ -266,7 +258,7 @@ def _cmd_census(args):
 
 def _cmd_pathcover(args):
     g = _read_graph(args.file)
-    bound = lambda_via_path_cover(g, cap=args.max_n)
+    bound = lambda_via_path_cover(g)
     if args.json:
         _emit_json({
             "path_cover": bound.path_cover,
@@ -309,8 +301,6 @@ def _build_parser():
 
     p = add("lambda", _cmd_lambda, "exact span of a graph file")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=DEFAULT_SOLVER_CAP,
-                   help="solver size cap")
 
     p = add("check", _cmd_check, "validate a colouring file against a graph")
     p.add_argument("file")
@@ -341,35 +331,21 @@ def _build_parser():
             "maximum edges and attaining shapes for order N, span T")
     p.add_argument("n", type=int)
     p.add_argument("t", type=int)
-    p.add_argument("--max-shapes", type=int, default=DEFAULT_MAX_SHAPES,
-                   help="shape search work cap, in 3^(T+1)*N subset steps")
 
     p = add("classify", _cmd_classify, "classify one graph file")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=DEFAULT_SOLVER_CAP,
-                   help="solver size cap")
-    p.add_argument("--max-shapes", type=int, default=DEFAULT_MAX_SHAPES,
-                   help="shape search work cap, in 3^(T+1)*N subset steps")
 
     p = add("verify", _cmd_verify, "verify the classification at (N, T)")
     p.add_argument("n", type=int)
     p.add_argument("t", type=int)
-    p.add_argument("--census-limit", type=int, default=6,
-                   help="largest n to cross-check against the graph census")
-    p.add_argument("--max-shapes", type=int, default=DEFAULT_MAX_SHAPES,
-                   help="shape search work cap, in 3^(T+1)*N subset steps")
 
     p = add("census", _cmd_census,
             "max edges per span over all labelled graphs on N vertices")
     p.add_argument("n", type=int)
-    p.add_argument("--max-n", type=int, default=CENSUS_CAP,
-                   help="census size cap")
 
     p = add("pathcover", _cmd_pathcover,
             "span via the complement's path-cover number")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=DEFAULT_PATH_COVER_CAP,
-                   help="path-cover size cap")
 
     return parser
 

@@ -41,7 +41,6 @@ from itertools import combinations
 
 from .graphs import CapExceededError, Graph
 from .solver import (
-    DEFAULT_SOLVER_CAP,
     _min_span_masks,
     _second_neighbourhoods,
     lambda_number,
@@ -60,11 +59,17 @@ from .standardise import (
     shape_of,
 )
 
-#: Cap on a shape search's work, ``3^(t+1) * n`` subset steps.
+#: Cap on a shape search's work, ``3^(t+1) * n`` subset steps, checked by
+#: :func:`max_edges`.
 DEFAULT_MAX_SHAPES = 20_000_000
 
-#: Largest n for the labelled-graph census (2^C(n,2) graphs).
+#: Largest n for the labelled-graph census (2^C(n,2) graphs), checked by
+#: :func:`brute_force_graph_census`.
 CENSUS_CAP = 7
+
+#: Largest n that :func:`verify_classification` cross-checks against the
+#: census; n = 7 takes minutes.
+_CENSUS_CHECK_LIMIT = 6
 
 
 class ClassificationError(RuntimeError):
@@ -116,19 +121,20 @@ def _subset_max(f):
     return f
 
 
-def max_edges(n, t, max_shapes=DEFAULT_MAX_SHAPES):
+def max_edges(n, t):
     """Largest edge count among valid shapes for ``(n, t)``, with the argmax.
 
     Returns ``(value, frozenset of attaining shapes)``.  Raises
     :class:`CapExceededError` when ``3^(t+1) * n``, a bound on the search's
-    subset steps, exceeds ``max_shapes``.
+    subset steps, exceeds :data:`DEFAULT_MAX_SHAPES`.
     """
     _check_range(n, t)
+    cap = DEFAULT_MAX_SHAPES
     # 3^(t+1) >= 2^(t+1), so the first test settles huge t without the power
-    if t + 1 > max_shapes.bit_length() or 3 ** (t + 1) * n > max_shapes:
+    if t + 1 > cap.bit_length() or 3 ** (t + 1) * n > cap:
         raise CapExceededError(
             f"shape search for (n={n}, t={t}) needs 3^{t + 1} * {n} subset "
-            f"steps, cap {max_shapes}"
+            f"steps, cap {cap}"
         )
     return _max_edges_cached(n, t)
 
@@ -373,8 +379,7 @@ def is_stationary(g: Graph, partition: ColouredPartition):
 # classification of a concrete graph
 # ---------------------------------------------------------------------------
 
-def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
-             max_shapes=DEFAULT_MAX_SHAPES) -> ClassificationReport:
+def classify(g: Graph) -> ClassificationReport:
     """Where ``g`` stands among graphs of its order and span.
 
     Solves the span exactly (so ``g.n`` must be within the solver cap),
@@ -388,12 +393,12 @@ def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
     a maximal one whose witness is not stationary or not attaining, raises
     :class:`ClassificationError`.
     """
-    report = lambda_number(g, cap=cap)
+    report = lambda_number(g)
     t = report.lambda_value
     if t < 3:
         raise ValueError(f"classification needs span >= 3, got {t}")
     _check_range(g.n, t)
-    mx, argmax = max_edges(g.n, t, max_shapes=max_shapes)
+    mx, argmax = max_edges(g.n, t)
     if g.m > mx:
         raise ClassificationError(
             f"{g.m} edges exceed the maximum {mx} for (n={g.n}, t={t})"
@@ -425,15 +430,16 @@ def classify(g: Graph, cap=DEFAULT_SOLVER_CAP,
 _CENSUS_CACHE = {}
 
 
-def brute_force_graph_census(n, cap=CENSUS_CAP):
+def brute_force_graph_census(n):
     """Exact span of every labelled graph on ``n`` vertices, summarised.
 
     Returns {span: max edge count over graphs attaining that span}.  The
     enumeration is over all ``2^C(n,2)`` labelled graphs, so ``n`` is capped
-    (7 means ~2M exact solves — minutes).  Results are memoised per process.
+    at :data:`CENSUS_CAP` (7 means ~2M exact solves — minutes).  Results are
+    memoised per process.
     """
-    if n > cap:
-        raise CapExceededError(f"census limited to n <= {cap}, got {n}")
+    if n > CENSUS_CAP:
+        raise CapExceededError(f"census limited to n <= {CENSUS_CAP}, got {n}")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n in _CENSUS_CACHE:
@@ -509,26 +515,25 @@ class VerificationReport:
         )
 
 
-def verify_classification(n, t, census_limit=6,
-                          max_shapes=DEFAULT_MAX_SHAPES) -> VerificationReport:
+def verify_classification(n, t) -> VerificationReport:
     """Check the classification story at one ``(n, t)`` point.
 
     Compares the shape oracle's attaining set with :func:`predicted_shapes`;
     for spans >= 5 additionally checks all attaining shapes are near-equal;
-    for ``n <= census_limit`` cross-checks the maximum against the
+    for ``n <= 6`` cross-checks the maximum against the
     labelled-graph census; and evaluates the shipped class-size window (all
     non-empty class sizes within ``[floor(n/(t+1)), floor(n/(t+1)) + 3]``),
     reported separately from ``passed``.  The sporadic shapes break its lower
     half, so ``inner_ok`` is a diagnostic, not a theorem; acceptance
     criterion 8 checks the window the classification actually gives.
     """
-    mx, argmax = max_edges(n, t, max_shapes=max_shapes)
+    mx, argmax = max_edges(n, t)
     predicted = predicted_shapes(n, t)
     eq_ok = None
     if t >= 5:
         eq_ok = all(spread(s) <= 1 for s in argmax)
     census_ok = None
-    if n <= min(census_limit, CENSUS_CAP):
+    if n <= _CENSUS_CHECK_LIMIT:
         census_ok = brute_force_graph_census(n).get(t) == mx
     b = n // (t + 1)
     inner_ok = all(

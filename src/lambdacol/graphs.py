@@ -30,8 +30,8 @@ from functools import cached_property
 
 INF = math.inf
 
-#: Hard ceiling for the exact path-cover dynamic programme; it visits all
-#: ``2^n`` vertex subsets, so anything much beyond this is hopeless anyway.
+#: Largest order for a minimum path cover, checked by :func:`_min_path_cover`:
+#: its dynamic programme visits all ``2^n`` vertex subsets.
 DEFAULT_PATH_COVER_CAP = 20
 
 
@@ -112,12 +112,10 @@ class Graph:
     def complement_path_cover(self) -> tuple:
         """A minimum path cover of the complement, as vertex tuples.
 
-        From :func:`_min_path_cover`: the greedy cover when it meets
-        :func:`_path_cover_bound`, else the DP's, which takes ``2^n`` steps,
-        so callers check their size cap before reading it.
+        From :func:`_min_path_cover`, which refuses graphs above
+        :data:`DEFAULT_PATH_COVER_CAP`.
         """
-        paths = _min_path_cover(_complement_masks(self.adj_masks))
-        return tuple(tuple(p) for p in paths)
+        return tuple(tuple(p) for p in _min_path_cover(self, complement=True))
 
     @property
     def m(self) -> int:
@@ -219,7 +217,7 @@ def _bfs_layers(adj, start):
 # path cover
 # ---------------------------------------------------------------------------
 
-def path_cover_number(g: Graph, cap: int = DEFAULT_PATH_COVER_CAP) -> int:
+def path_cover_number(g: Graph) -> int:
     """Minimum number of vertex-disjoint paths covering all of ``V(g)``.
 
     Isolated vertices are length-zero paths, so the answer is between 1 and
@@ -227,13 +225,9 @@ def path_cover_number(g: Graph, cap: int = DEFAULT_PATH_COVER_CAP) -> int:
     :func:`_min_path_cover`'s cover: the greedy one when it meets
     :func:`_path_cover_bound`, else the exact dynamic programme over vertex
     subsets (:func:`_path_cover_masks`).  Raises :class:`CapExceededError`
-    when ``n`` exceeds ``cap``.
+    when ``n`` exceeds :data:`DEFAULT_PATH_COVER_CAP`.
     """
-    if g.n > cap:
-        raise CapExceededError(
-            f"path cover limited to n <= {cap} vertices, got {g.n}"
-        )
-    return len(_min_path_cover(g.adj_masks))
+    return len(_min_path_cover(g))
 
 
 def _complement_masks(adj):
@@ -242,12 +236,20 @@ def _complement_masks(adj):
     return tuple(full & ~m & ~(1 << v) for v, m in enumerate(adj))
 
 
-def _min_path_cover(adj):
-    """A minimum path cover of bitmask adjacency ``adj``, as vertex lists.
+def _min_path_cover(g, complement=False):
+    """A minimum path cover of ``g``, or of its complement, as vertex lists.
 
-    The greedy cover is minimum when it meets :func:`_path_cover_bound`;
-    only otherwise does the ``2^n`` DP run.
+    Raises :class:`CapExceededError` above :data:`DEFAULT_PATH_COVER_CAP`
+    vertices, before any masks are built.  The greedy cover is minimum when
+    it meets :func:`_path_cover_bound`; only otherwise does the ``2^n`` DP
+    run.
     """
+    if g.n > DEFAULT_PATH_COVER_CAP:
+        raise CapExceededError(
+            f"path cover limited to n <= {DEFAULT_PATH_COVER_CAP} vertices, "
+            f"got {g.n}"
+        )
+    adj = _complement_masks(g.adj_masks) if complement else g.adj_masks
     paths = _greedy_path_cover(adj)
     if len(paths) > _path_cover_bound(adj):
         paths = _path_cover_masks(adj)

@@ -25,11 +25,13 @@ incumbent.
 Off the diameter-two route below, the iteration starts from the distance-two
 clique bound: vertices pairwise within distance two need pairwise distinct
 labels, so a clique of the square graph G^2 on ``q`` vertices forces span
-``>= q - 1``.  With ``q = omega(G^2)`` this holds ``max_degree + 1`` (a
-closed neighbourhood is such a clique, and its centre needs gap 2 to each
-neighbour) and ``n - 1`` at diameter two (G^2 is complete); the start is the
-larger of it and ``2*(omega - 1)`` for a clique of G of size omega (pairwise
-gaps of 2).  At span ``k = omega(G^2) - 1`` a maximum clique of G^2 is
+``>= q - 1``.  With ``q = omega(G^2)`` this is at least ``max_degree`` (a
+closed neighbourhood is such a clique) and ``n - 1`` at diameter two (G^2
+is complete), but it can fall short of ``max_degree + 1``, which also
+counts the centre's gap of 2 to each neighbour: the spider with edges 01,
+02, 03, 14 has ``omega(G^2) - 1 = 3`` and span 4.  So the start is
+``max(max_degree + 1, 2*(omega - 1), omega(G^2) - 1)``, with ``omega`` the
+clique number of G (pairwise gaps of 2).  At span ``k = omega(G^2) - 1`` a maximum clique of G^2 is
 *tight*: it has ``k + 1`` members and uses every label once.  Every search
 at that span, witness probes included, is cut on the tight cliques (at most
 ``n`` of them): a branch dies when the labels left to a tight clique's
@@ -86,7 +88,7 @@ from .graphs import (
     _max_cliques,
 )
 
-#: Hard ceiling for the exact solver; configurable per call.
+#: Largest order :func:`lambda_number` solves.
 DEFAULT_SOLVER_CAP = 24
 
 
@@ -561,16 +563,18 @@ def _path_layout(n, paths):
 # the solver proper
 # ---------------------------------------------------------------------------
 
-def lambda_number(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> SolveReport:
+def lambda_number(g: Graph) -> SolveReport:
     """Exact span of ``g`` with the lexicographically least optimal witness.
 
-    Raises :class:`CapExceededError` when ``g.n`` exceeds ``cap`` and
-    ``ValueError`` on the empty graph.
+    Raises :class:`CapExceededError` when ``g.n`` exceeds
+    :data:`DEFAULT_SOLVER_CAP` and ``ValueError`` on the empty graph.
     """
     if g.n == 0:
         raise ValueError("span of the empty graph is undefined")
-    if g.n > cap:
-        raise CapExceededError(f"exact solver limited to n <= {cap}, got {g.n}")
+    if g.n > DEFAULT_SOLVER_CAP:
+        raise CapExceededError(
+            f"exact solver limited to n <= {DEFAULT_SOLVER_CAP}, got {g.n}"
+        )
     if not g.edges:
         c = Colouring((0,) * g.n)
         return SolveReport(0, c, ())
@@ -613,22 +617,17 @@ def iter_optimal_colourings(g: Graph, span: int) -> list:
     return found
 
 
-def lambda_via_path_cover(
-    g: Graph, cap: int = DEFAULT_PATH_COVER_CAP
-) -> PathCoverBound:
+def lambda_via_path_cover(g: Graph) -> PathCoverBound:
     """Span via the path-cover number of the complement.
 
     The complement decomposes into ``t`` vertex-disjoint paths but not fewer
     exactly when the span is ``n + t - 2``, provided ``t >= 2``; when the
     complement has a Hamilton path (``t = 1``) the span is only bounded above
-    by ``n - 1``.
+    by ``n - 1``.  Raises :class:`CapExceededError` above
+    :data:`DEFAULT_PATH_COVER_CAP` vertices.
     """
     if g.n == 0:
         raise ValueError("span of the empty graph is undefined")
-    if g.n > cap:
-        raise CapExceededError(
-            f"path cover limited to n <= {cap} vertices, got {g.n}"
-        )
     t = len(g.complement_path_cover)
     if t >= 2:
         return PathCoverBound(t, True, g.n + t - 2)

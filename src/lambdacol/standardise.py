@@ -85,15 +85,20 @@ def partition_of(g: Graph, c: Colouring) -> ColouredPartition:
     """The coloured partition of ``g`` under a valid colouring ``c``.
 
     Its ``span + 1`` classes are checked against :data:`CONSTRUCTION_CAP`.
+    The holes share one empty class, so a span far above ``n`` costs one
+    list of that length and no more.
     """
     if not is_lambda_colouring(g, c):
         raise ValueError("colouring is not valid on the graph")
     t = c.span
     _check_construction_size("colour classes", t + 1)
-    classes = [set() for _ in range(t + 1)]
+    members = {}
     for v, x in enumerate(c.labels):
-        classes[x].add(v)
-    return ColouredPartition(t, tuple(frozenset(cl) for cl in classes))
+        members.setdefault(x, []).append(v)
+    classes = [frozenset()] * (t + 1)
+    for x, vs in members.items():
+        classes[x] = frozenset(vs)
+    return ColouredPartition(t, tuple(classes))
 
 
 def shape_of(cp: ColouredPartition) -> PartitionShape:

@@ -186,12 +186,24 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert code == 1 and "census" in err
     code, _, err = run(capsys, "maxedges", "5000", "20")
     assert code == 1 and "error:" in err and "cap" in err
+    # one past each fixed cap
+    code, out, err = run(capsys, "maxedges", "13", "12")  # 20,726,199 steps
+    assert code == 1 and out == "" and "cap 20000000" in err
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("p 21 0\n")
+    code, out, err = run(capsys, "pathcover", str(edgeless))
+    assert code == 1 and out == "" and "path cover limited to n <= 20" in err
+    edgeless.write_text("p 25 0\n")
+    for verb in ("lambda", "classify"):
+        code, out, err = run(capsys, verb, str(edgeless))
+        assert code == 1 and out == ""
+        assert "exact solver limited to n <= 24" in err
 
 
 def test_classification_errors_exit_one(capsys, g3_file, monkeypatch):
     # a graph above the shape maximum is reported, not asserted
     monkeypatch.setattr("lambdacol.extremal.max_edges",
-                        lambda n, t, max_shapes: (0, frozenset()))
+                        lambda n, t: (0, frozenset()))
     code, out, err = run(capsys, "classify", g3_file)
     assert code == 1 and out == ""
     assert "error:" in err and "exceed the maximum" in err
@@ -232,13 +244,15 @@ def test_missing_vertices_of_a_huge_header_exit_one(capsys, tmp_path):
 
 def test_huge_span_on_two_vertices_is_refused_before_building(capsys, tmp_path):
     # span 20,000: about 2 * 10^8 class pairs for standardise and as many
-    # host edges for embed; check needs neither
-    g, c = graph_and_colouring(tmp_path, "p 2 0\n", "c 0 0\nc 1 20000\n")
-    assert run(capsys, "check", g, c)[:2] == (0, "valid span=20000\n")
-    for verb in ("standardise", "embed"):
-        code, out, err, secs = run_timed(capsys, verb, g, c)
-        assert code == 1 and out == "" and secs < 1.0
-        assert "error:" in err and "constructions limited" in err
+    # host edges for embed; check needs neither.  Span 400,000 is under the
+    # cap on colour classes, so the partition is built, holes and all
+    for span in (20_000, 400_000):
+        g, c = graph_and_colouring(tmp_path, "p 2 0\n", f"c 0 0\nc 1 {span}\n")
+        assert run(capsys, "check", g, c)[:2] == (0, f"valid span={span}\n")
+        for verb in ("standardise", "embed"):
+            code, out, err, secs = run_timed(capsys, verb, g, c)
+            assert code == 1 and out == "" and secs < 1.0
+            assert "error:" in err and "constructions limited" in err
 
 
 def test_check_on_a_long_path_reads_only_pairs_within_distance_two(
@@ -296,6 +310,32 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "usage error" in err
     code, _, err = run(capsys, "construct", "gn", "x")
     assert code == 2
+    # the caps are fixed: no verb takes a flag to raise one
+    for argv in (["lambda", "g", "--max-n", "30"],
+                 ["classify", "g", "--max-n", "30"],
+                 ["census", "8", "--max-n", "8"],
+                 ["pathcover", "g", "--max-n", "28"],
+                 ["maxedges", "13", "12", "--max-shapes", "10"],
+                 ["classify", "g", "--max-shapes", "10"],
+                 ["verify", "8", "3", "--max-shapes", "10"],
+                 ["verify", "8", "3", "--census-limit", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", ["census_table.py", "classification_sweep.py"])
+def test_scripts_print_their_help(script):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert res.returncode == 0 and res.stdout.startswith("usage:")
 
 
 def test_lenient_header_via_cli(capsys, tmp_path):

@@ -88,14 +88,17 @@ def test_max_edges_range_and_cap():
     with pytest.raises(ValueError):
         max_edges(5, 2)
     with pytest.raises(CapExceededError):
-        max_edges(30, 7, max_shapes=1000)
+        max_edges(13, 12)  # 3^13 * 13 = 20,726,199 steps
 
 
-def test_max_edges_cap_is_checked_before_any_work():
+def test_max_edges_cap_is_checked_before_any_work(monkeypatch):
     # the cap is the work 3^(t+1) * n, exact at the boundary
-    assert max_edges(8, 3, max_shapes=3 ** 4 * 8)[0] == 6
+    monkeypatch.setattr("lambdacol.extremal.DEFAULT_MAX_SHAPES", 3 ** 4 * 8)
+    assert max_edges(8, 3)[0] == 6
+    monkeypatch.setattr("lambdacol.extremal.DEFAULT_MAX_SHAPES", 3 ** 4 * 8 - 1)
     with pytest.raises(CapExceededError):
-        max_edges(8, 3, max_shapes=3 ** 4 * 8 - 1)
+        max_edges(8, 3)
+    monkeypatch.undo()
     # a span far past the cap is refused without computing 3^(t+1)
     with pytest.raises(CapExceededError):
         max_edges(10 ** 12, 10 ** 12 - 1)
@@ -356,7 +359,7 @@ def test_classify_raises_when_a_graph_beats_the_maximum(monkeypatch):
     # more edges than the shape maximum means the solver or the shape search
     # is broken: a typed error, which python -O keeps
     monkeypatch.setattr("lambdacol.extremal.max_edges",
-                        lambda n, t, max_shapes: (2, frozenset()))
+                        lambda n, t: (2, frozenset()))
     with pytest.raises(ClassificationError, match="3 edges exceed"):
         classify(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
 

@@ -200,9 +200,7 @@ def test_path_cover_matches_brute_force_random(g):
 
 def test_path_cover_cap():
     with pytest.raises(CapExceededError):
-        path_cover_number(Graph(21, frozenset()), cap=20)
-    # override is honoured
-    assert path_cover_number(Graph(21, frozenset()), cap=21) == 21
+        path_cover_number(Graph(21, frozenset()))
 
 
 # ---------------------------------------------------------------------------

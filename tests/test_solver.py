@@ -412,9 +412,7 @@ def test_solver_cap_and_empty():
     with pytest.raises(ValueError):
         lambda_number(Graph(0, frozenset()))
     with pytest.raises(CapExceededError):
-        lambda_number(Graph(25, frozenset()), cap=24)
-    big = Graph(25, frozenset())
-    assert lambda_number(big, cap=25).lambda_value == 0
+        lambda_number(Graph(25, frozenset()))
 
 
 def test_span_search_past_the_trivial_bound_is_a_typed_error(monkeypatch):
@@ -466,6 +464,15 @@ def test_square_clique_bound_lies_between_the_elementary_bound_and_the_span(n):
                 assert start <= _min_span_masks(n, d1, d2), g
     # the first graphs the bound raises have six vertices (72 of them)
     assert raised or n < 6
+    if n == 5:
+        # nor does the clique bound hold Delta + 1: on this spider it is
+        # one below the span, which the elementary bound reaches
+        spider = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
+        d1 = spider.adj_masks
+        d2 = _second_neighbourhoods(d1)
+        assert _square_cliques(d1, d2)[0].bit_count() - 1 == 3
+        assert _square_clique_start(spider) == 4
+        assert lambda_number(spider).lambda_value == 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -567,7 +574,7 @@ def test_path_cover_route_checks_the_cap_before_the_complement(monkeypatch):
 
     monkeypatch.setattr(Graph, "complement", refuse)
     with pytest.raises(CapExceededError):
-        lambda_via_path_cover(Graph(30, frozenset()), cap=20)
+        lambda_via_path_cover(Graph(30, frozenset()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
