@@ -3,8 +3,8 @@
 
 Usage: census_table.py [--max-n N]
 
-For each n up to the limit (default 6; at most the census cap, 7, which
-takes minutes), enumerate every labelled graph, solve it exactly, and print
+For each n up to the limit (default 6; at most the census cap, 7), run the
+census, which solves a graph from every isomorphism class exactly, and print
 the largest edge count per span next to the valid-shape maximum where the
 theory applies (3 <= t < n).
 """
@@ -27,7 +27,8 @@ def main():
         started = time.perf_counter()
         census = brute_force_graph_census(n)
         elapsed = time.perf_counter() - started
-        print(f"# n={n} ({1 << (n * (n - 1) // 2)} graphs, {elapsed:.1f}s)")
+        print(f"# n={n} ({1 << (n * (n - 1) // 2)} labelled graphs, "
+              f"{elapsed:.1f}s)")
         for t in sorted(census):
             row = f"n={n} t={t} census={census[t]}"
             if 3 <= t < n:

@@ -4,7 +4,7 @@
 Usage: classification_sweep.py
 
 Covers the documented ranges (t=3 to n=20, t=4 to n=25, t=5..7 to n=30) and
-cross-checks against the labelled-graph census for n <= 6.
+cross-checks against the census for n <= 6.
 Then checks, more widely (every t <= 10 and n <= 100), that the attaining
 shapes equal the predicted ones, printing a line only for a point that
 fails.  A nonzero exit means some point failed.

@@ -340,7 +340,7 @@ def _build_parser():
     p.add_argument("t", type=int)
 
     p = add("census", _cmd_census,
-            "max edges per span over all labelled graphs on N vertices")
+            "max edges per span over all graphs on N vertices")
     p.add_argument("n", type=int)
 
     p = add("pathcover", _cmd_pathcover,

@@ -28,7 +28,7 @@ class pair joined by a matching saturating the smaller class, with the shape
 (or its reversal) equitable or one of the sporadic patterns.
 :func:`verify_classification` checks the whole story per ``(n, t)`` against
 the shape oracle, and — for tiny ``n`` — against a second, fully independent
-oracle that enumerates every labelled graph and solves each one exactly.
+oracle that solves a graph from every isomorphism class exactly.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby, permutations, product
 
-from .graphs import CapExceededError, Graph
+from .graphs import CapExceededError, Graph, _bits
 from .solver import (
     _min_span_masks,
     _second_neighbourhoods,
@@ -63,12 +63,13 @@ from .standardise import (
 #: :func:`max_edges`.
 DEFAULT_MAX_SHAPES = 20_000_000
 
-#: Largest n for the labelled-graph census (2^C(n,2) graphs), checked by
-#: :func:`brute_force_graph_census`.
+#: Largest n for the census, checked by :func:`brute_force_graph_census`;
+#: n = 8 would solve 1,044 classes times 128 neighbourhoods, 133,632 graphs.
 CENSUS_CAP = 7
 
 #: Largest n that :func:`verify_classification` cross-checks against the
-#: census; n = 7 takes minutes.
+#: census.  n = 7 takes about a second, but is left out so that ``verify``
+#: output and its goldens stay the same: each n = 7 line reads ``census=skip``.
 _CENSUS_CHECK_LIMIT = 6
 
 
@@ -424,19 +425,84 @@ def classify(g: Graph) -> ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: full labelled-graph census
+# independent oracle: census over isomorphism classes
 # ---------------------------------------------------------------------------
+
+def _canonical_code(adj):
+    """Least adjacency code of bitmask adjacency ``adj`` over refined orders.
+
+    Vertices are sorted by an isomorphism invariant, their degree and then
+    the sorted degrees of their neighbours, and only the orders that keep
+    that sort are tried: every permutation within each run of equal keys.
+    An order's code reads the pairs ``(i, j)``, ``i < j``, row by row as
+    bits.  An isomorphism maps the tried orders of one graph onto those of
+    the other with equal codes, so two graphs share the least code exactly
+    when they are isomorphic.
+    """
+    deg = [m.bit_count() for m in adj]
+    key = [(d, sorted(deg[u] for u in _bits(m))) for d, m in zip(deg, adj)]
+    ranked = sorted(range(len(adj)), key=key.__getitem__)
+    cells = [permutations(c) for _, c in groupby(ranked, key.__getitem__)]
+    best = None
+    for parts in product(*cells):
+        order = [v for part in parts for v in part]
+        code = 0
+        for i, v in enumerate(order):
+            row = adj[v]
+            for u in order[i + 1:]:
+                code = code << 1 | row >> u & 1
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def _extensions(n):
+    """Graphs on ``n >= 1`` vertices meeting every isomorphism class.
+
+    Each class representative on ``n - 1`` vertices, with vertex ``n - 1``
+    added under each of its ``2^(n-1)`` neighbourhoods.  Deleting the last
+    vertex of any graph on ``n`` vertices leaves a graph isomorphic to a
+    representative, so every graph on ``n`` vertices is isomorphic to one of
+    these.
+    """
+    top = n - 1
+    for rep in _graph_classes(top):
+        for nbhd in range(1 << top):
+            yield tuple(m | (nbhd >> v & 1) << top
+                        for v, m in enumerate(rep)) + (nbhd,)
+
+
+@lru_cache(maxsize=None)
+def _graph_classes(n):
+    """One bitmask adjacency per isomorphism class of graphs on ``n`` vertices.
+
+    Built up from ``n = 0``: of the graphs :func:`_extensions` gives, one is
+    kept per :func:`_canonical_code`.
+    """
+    if n == 0:
+        return ((),)
+    classes = {}
+    for adj in _extensions(n):
+        classes.setdefault(_canonical_code(adj), adj)
+    return tuple(classes.values())
+
 
 _CENSUS_CACHE = {}
 
 
 def brute_force_graph_census(n):
-    """Exact span of every labelled graph on ``n`` vertices, summarised.
+    """Exact span of every graph on ``n`` vertices, summarised.
 
-    Returns {span: max edge count over graphs attaining that span}.  The
-    enumeration is over all ``2^C(n,2)`` labelled graphs, so ``n`` is capped
-    at :data:`CENSUS_CAP` (7 means ~2M exact solves — minutes).  Results are
-    memoised per process.
+    Returns {span: max edge count over graphs attaining that span}.  Span
+    and edge count are isomorphism invariants, so it solves the graphs of
+    :func:`_extensions`, which meet every isomorphism class: each
+    representative on ``n - 1`` vertices (156 of them at ``n = 7``) with
+    every neighbourhood of one more vertex.  Each is solved from the
+    elementary bounds alone (:func:`~lambdacol.solver._min_span_masks`),
+    independent of the shape search and of the solver's path-cover and
+    distance-two clique theorems.  ``n`` is capped at :data:`CENSUS_CAP`
+    (9,984 exact solves at 7, about a second).  Results are memoised per
+    process.
     """
     if n > CENSUS_CAP:
         raise CapExceededError(f"census limited to n <= {CENSUS_CAP}, got {n}")
@@ -444,24 +510,13 @@ def brute_force_graph_census(n):
         raise ValueError("vertex count must be non-negative")
     if n in _CENSUS_CACHE:
         return dict(_CENSUS_CACHE[n])
-    pairs = list(combinations(range(n), 2))
-    best = {}
-    for mask in range(1 << len(pairs)):
-        d1 = [0] * n
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            u, v = pairs[b.bit_length() - 1]
-            d1[u] |= 1 << v
-            d1[v] |= 1 << u
-        edges = mask.bit_count()
-        if edges == 0:
-            lam = 0
-        else:
-            lam = _min_span_masks(n, tuple(d1), _second_neighbourhoods(d1))
-        if best.get(lam, -1) < edges:
-            best[lam] = edges
+    best = {0: 0}  # the edgeless graph, the only one of span 0
+    for d1 in _extensions(n) if n else ():
+        edges = sum(m.bit_count() for m in d1) // 2
+        if edges:
+            lam = _min_span_masks(n, d1, _second_neighbourhoods(d1))
+            if best.get(lam, -1) < edges:
+                best[lam] = edges
     _CENSUS_CACHE[n] = best
     return dict(best)
 
@@ -521,7 +576,7 @@ def verify_classification(n, t) -> VerificationReport:
     Compares the shape oracle's attaining set with :func:`predicted_shapes`;
     for spans >= 5 additionally checks all attaining shapes are near-equal;
     for ``n <= 6`` cross-checks the maximum against the
-    labelled-graph census; and evaluates the shipped class-size window (all
+    census; and evaluates the shipped class-size window (all
     non-empty class sizes within ``[floor(n/(t+1)), floor(n/(t+1)) + 3]``),
     reported separately from ``passed``.  The sporadic shapes break its lower
     half, so ``inner_ok`` is a diagnostic, not a theorem; acceptance

@@ -4,7 +4,8 @@ import pytest
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run tests marked slow (the n=7 census, ~minutes)",
+        help="run tests marked slow (exhaustive checks over every graph "
+             "on six vertices)",
     )
 
 

@@ -13,8 +13,6 @@ import time
 from itertools import combinations, product
 from math import ceil, comb
 
-import pytest
-
 from lambdacol import (
     Graph,
     brute_force_graph_census,
@@ -211,13 +209,12 @@ def test_criterion_5_census_agrees_with_shape_maximum():
             points.append((n, t))
     _finish(
         5, True,
-        f"the labelled-graph census maximum equals the shape-search maximum "
+        f"the census maximum equals the shape-search maximum "
         f"at every point {points}",
         started, 300.0,
     )
 
 
-@pytest.mark.slow
 def test_criterion_5_census_seven():
     started = time.perf_counter()
     census = brute_force_graph_census(7)

@@ -31,8 +31,8 @@ from lambdacol import (
     valid_shapes,
     verify_classification,
 )
-from lambdacol.extremal import _sporadic_shape
-from oracles import max_edges_by_rows, valid_shape_rows
+from lambdacol.extremal import _graph_classes, _sporadic_shape
+from oracles import labelled_census, max_edges_by_rows, valid_shape_rows
 from test_shapes import small_valid_shapes
 
 #: The classification sweep's grid: (t, largest n) per span.
@@ -406,6 +406,25 @@ def test_census_frozen_6():
         0: 0, 2: 3, 3: 4, 4: 6, 5: 10,
         6: 11, 7: 12, 8: 13, 9: 14, 10: 15,
     }
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_census_agrees_with_every_labelled_graph(n):
+    assert brute_force_graph_census(n) == labelled_census(n)
+
+
+#: Isomorphism classes of graphs on 1..6 vertices (OEIS A000088).
+CLASS_COUNTS = [1, 2, 4, 11, 34, 156]
+
+
+def test_graph_class_counts():
+    assert [len(_graph_classes(n)) for n in range(1, 7)] == CLASS_COUNTS
+
+
+def test_graph_class_counts_match_the_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = [g.number_of_nodes() for g in nx.graph_atlas_g()]
+    assert [atlas.count(n) for n in range(1, 7)] == CLASS_COUNTS
 
 
 def test_census_cap():

@@ -569,12 +569,16 @@ def test_census_runs_without_the_square_cliques(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_path_cover_route_checks_the_cap_before_the_complement(monkeypatch):
-    def refuse(self):
+    def refuse(adj):
         raise AssertionError("complement built before the cap check")
 
-    monkeypatch.setattr(Graph, "complement", refuse)
+    monkeypatch.setattr(graphs_module, "_complement_masks", refuse)
+    # the route does complement through the patched function: C5 has
+    # diameter two and is under the cap
+    with pytest.raises(AssertionError, match="complement built"):
+        lambda_via_path_cover(C(5))
     with pytest.raises(CapExceededError):
-        lambda_via_path_cover(Graph(30, frozenset()))
+        lambda_via_path_cover(Graph(21, frozenset()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
