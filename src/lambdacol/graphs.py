@@ -24,7 +24,6 @@ line.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -308,56 +307,69 @@ def _max_cliques(adj, limit=1):
 
 
 def _path_cover_masks(adj):
-    """A minimum path cover of bitmask adjacency ``adj``, in O(2^n * n) steps.
+    """A minimum path cover of bitmask adjacency ``adj``, as vertex lists.
 
-    Returns the paths as vertex lists.  ``f[S]`` is the fewest paths covering
-    the subset ``S`` and ``ends[S]`` the set of vertices that end a path in
-    some cover of ``S`` by ``f[S]`` paths.  Taking the end ``u`` of a path
-    off an optimal cover of ``S`` leaves a cover of ``S - u`` that either has
-    one path fewer or still has ``f[S]`` paths with one ending next to ``u``;
-    a cover of ``S - u`` with more than ``f[S - u]`` paths is never needed,
-    since ``u`` can always start a path of its own.  Hence
-    ``f[S] = min over u in S of f[S - u] + [ends[S - u] & adj[u] == 0]``
-    and ``ends[S]`` holds the ``u`` attaining the minimum.  The cover is
-    walked back from the full set through those ends: the path at ``u``
-    goes on to an end of ``S - u`` next to ``u`` when ``f[S - u] = f[S]``,
-    and stops at ``u`` otherwise.
+    A dynamic programme over all ``2^n`` vertex subsets, each family of
+    subsets held as one integer whose bit ``S`` stands for the subset ``S``,
+    so that one integer operation acts on every subset at once.  For
+    ``p = 1, 2, ...`` in turn, ``ends[v]`` is the family of subsets with a
+    cover by at most ``p`` paths, one of them ending at ``v``, and
+    ``covered`` the family with a cover by at most ``p`` paths.  Taking
+    ``v`` off the end of its path leaves ``S - v`` covered by at most
+    ``p - 1`` paths, or by at most ``p`` with one ending next to ``v``; so
+    ``ends[v]`` is the least family holding ``S + v`` for each ``S`` without
+    ``v`` in the ``covered`` of ``p - 1`` or in ``ends[u]`` of a neighbour
+    ``u``, reached by sweeping the vertices until no family grows.  The
+    first ``p`` whose ``covered`` holds the full set is the cover number;
+    the cover is walked back from the full set, each path going on to a
+    neighbour whose ``ends`` at the same ``p`` hold the rest, and otherwise
+    stopping there and leaving the rest to ``p - 1`` paths.
     """
-    size = 1 << len(adj)
-    f = bytearray(size)
-    ends = array("I", [0]) * size
-    vertices = [(1 << u, a) for u, a in enumerate(adj)]
-    for s in range(1, size):
-        best = 255
-        e = 0
-        for b, a in vertices:
-            if s & b:
-                r = s ^ b
-                c = f[r] if ends[r] & a else f[r] + 1
-                if c < best:
-                    best = c
-                    e = b
-                elif c == best:
-                    e |= b
-        f[s] = best
-        ends[s] = e
+    n = len(adj)
+    full = (1 << n) - 1
+    size = 1 << n
+    nbrs = [list(_bits(a)) for a in adj]
+    # the subsets without v: runs of 2^v set bits and 2^v clear ones
+    without = []
+    for v in range(n):
+        fam = (1 << (1 << v)) - 1
+        width = 2 << v
+        while width < size:
+            fam |= fam << width
+            width <<= 1
+        without.append(fam)
+    covered = 1  # just the empty set, with a cover by no paths
+    levels = []
+    while not covered >> full & 1:
+        ends = [(covered & without[v]) << (1 << v) for v in range(n)]
+        grew = True
+        while grew:
+            grew = False
+            for v in range(n):
+                reach = 0
+                for u in nbrs[v]:
+                    reach |= ends[u]
+                fam = ends[v] | (reach & without[v]) << (1 << v)
+                if fam != ends[v]:
+                    ends[v] = fam
+                    grew = True
+        levels.append(ends)
+        for fam in ends:
+            covered |= fam
     paths = []
-    path = None
-    s = size - 1
-    cand = ends[s]
+    s = full
     while s:
-        u = (cand & -cand).bit_length() - 1
-        if path is None:
-            path = []
-            paths.append(path)
-        path.append(u)
-        r = s ^ 1 << u
-        if f[r] == f[s]:
-            cand = ends[r] & adj[u]
-        else:
-            cand = ends[r]
-            path = None
-        s = r
+        ends = levels.pop()
+        v = next(v for v in _bits(s) if ends[v] >> s & 1)
+        path = [v]
+        paths.append(path)
+        s ^= 1 << v
+        while s:
+            v = next((u for u in nbrs[v] if ends[u] >> s & 1), -1)
+            if v < 0:
+                break
+            path.append(v)
+            s ^= 1 << v
     return paths
 
 

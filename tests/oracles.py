@@ -90,6 +90,42 @@ def brute_path_cover(g: Graph) -> int:
     return best
 
 
+def partition_path_cover(g: Graph) -> int:
+    """Fewest vertex-disjoint paths covering ``g``, over set partitions.
+
+    ``ends[S]`` holds the vertices at which a Hamilton path of the subgraph
+    on ``S`` ends.  The cover number of ``S`` is the least ``1 + cover(S -
+    T)`` over the subsets ``T`` of ``S`` that hold the least vertex of ``S``
+    and have a Hamilton path.  About ``3^n`` steps, so for orders the
+    permutations of :func:`brute_path_cover` cannot reach, up to about 11.
+    """
+    n = g.n
+    nbrs = [0] * n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    ends = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        for v in range(n):
+            r = s ^ 1 << v
+            if s >> v & 1 and (r == 0 or ends[r] & nbrs[v]):
+                ends[s] |= 1 << v
+    cover = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        best = n
+        t = rest
+        while True:  # every subset t of rest, rest itself first
+            if ends[t | low]:
+                best = min(best, 1 + cover[s ^ t ^ low])
+            if not t:
+                break
+            t = (t - 1) & rest
+        cover[s] = best
+    return cover[-1]
+
+
 def reference_valid_shapes(n, t):
     """Valid shapes by filtering the full product space."""
     out = []

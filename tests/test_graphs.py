@@ -1,6 +1,7 @@
 """Graph container, files, distances, path covers."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,12 @@ from lambdacol.graphs import (
     _path_cover_bound,
     _path_cover_masks,
 )
-from oracles import all_graphs, brute_path_cover, floyd_warshall
+from oracles import (
+    all_graphs,
+    brute_path_cover,
+    floyd_warshall,
+    partition_path_cover,
+)
 
 INF = math.inf
 
@@ -190,6 +196,19 @@ def test_complement_path_cover_is_a_minimum_cover(n):
         assert (_end_slots(comp.adj_masks, (1 << n) - 1) + 1) // 2 <= pc, g
         assert _path_cover_bound(comp.adj_masks) <= pc, g
         assert _path_cover_bound(g.adj_masks) <= brute_path_cover(g), g
+
+
+def test_path_cover_dp_matches_the_partition_oracle_on_larger_graphs():
+    # the subset-family DP beyond the orders the permutation oracle reaches
+    rng = random.Random(2019)
+    for _ in range(30):
+        n = rng.randint(7, 11)
+        p = rng.uniform(0.1, 0.5)
+        g = Graph.from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+        paths = _path_cover_masks(g.adj_masks)
+        assert _is_path_cover(g, paths), g
+        assert len(paths) == partition_path_cover(g), g
 
 
 @given(graphs(max_n=6))
