@@ -141,6 +141,18 @@ def max_edges(n, t):
 
 
 @lru_cache(maxsize=None)
+def _layer_table(t):
+    """Span ``t``'s layer rows ``(gain, size, best, below)``, shared by every
+    n and grown in place by :func:`_max_edges_cached`."""
+    full = 1 << (t + 1)
+    gain = [sum((s >> (i + 2)).bit_count() for i in range(t - 1) if s >> i & 1)
+            for s in range(full)]  # g(S): pairs of S at distance >= 2
+    size = [s.bit_count() for s in range(full)]
+    # below[k % (t + 2)][S]: max of best[k][T] over T ⊆ S; zero for k = 0
+    return gain, size, array("i", [-1] * full), [[0] * full] * (t + 2)
+
+
+@lru_cache(maxsize=None)
 def _max_edges_cached(n, t):
     # The layer cake.  With layers S_r = {i : c_i > r}, min(c_i, c_j) counts
     # the r with both i and j in S_r, so a shape's edge bound is the sum of
@@ -150,20 +162,19 @@ def _max_edges_cached(n, t):
     # best[m * full + S] is the largest bound of a chain of total size m with
     # top layer S (-1 when |S| > m):
     #     best[m][S] = g(S) + max over non-empty T ⊆ S of best[m - |S|][T],
-    # with nothing below S when |S| = m.
-    full = 1 << (t + 1)
-    gain = [sum((s >> (i + 2)).bit_count() for i in range(t - 1) if s >> i & 1)
-            for s in range(full)]  # g(S): pairs of S at distance >= 2
-    size = [s.bit_count() for s in range(full)]
-    best = array("i", [-1] * full)
-    # below[k % (t + 2)][S]: max of best[k][T] over T ⊆ S; zero for k = 0
-    below = [[0] * full] * (t + 2)
-    for m in range(1, n + 1):
+    # with nothing below S when |S| = m.  Row m does not depend on n, so each
+    # span keeps one table per process (_layer_table), built up to the
+    # largest n asked so far; a call builds only the rows past its end.  Each
+    # row is stored in below before best grows: an interrupt between the two
+    # leaves a slot no later row reads, and the next call rebuilds that row.
+    gain, size, best, below = _layer_table(t)
+    full = len(gain)
+    for m in range(len(best) // full, n + 1):
         under = [below[(m - c) % (t + 2)] for c in range(t + 2)]
         row = [gain[s] + under[size[s]][s] if 0 < size[s] <= m else -1
                for s in range(full)]
-        best.extend(row)
         below[m % (t + 2)] = _subset_max(row)
+        best.extend(row)
 
     ends, pairs = full >> 1 | 1, (full >> 1) - 1
     tops = [s for s in range(full)

@@ -1,8 +1,11 @@
 """Maximum edge counts, predictions, stationarity, classification, census."""
 
 import os
+import random
 import subprocess
 import sys
+from functools import lru_cache
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -31,12 +34,22 @@ from lambdacol import (
     valid_shapes,
     verify_classification,
 )
-from lambdacol.extremal import _graph_classes, _sporadic_shape
+from lambdacol.extremal import (
+    _graph_classes,
+    _layer_table,
+    _max_edges_cached,
+    _sporadic_shape,
+)
 from oracles import labelled_census, max_edges_by_rows, valid_shape_rows
 from test_shapes import small_valid_shapes
 
 #: The classification sweep's grid: (t, largest n) per span.
 SWEEP_GRID = [(3, 20), (4, 25), (5, 30), (6, 30), (7, 30)]
+SWEEP_POINTS = [(n, t) for t, hi in SWEEP_GRID for n in range(t + 1, hi + 1)]
+#: Largest n of scripts/classification_sweep.py's attaining = predicted check.
+WIDE_N = 100
+#: The row oracle, memoised so that tests in this file score each point once.
+rows_oracle = lru_cache(maxsize=None)(max_edges_by_rows)
 
 
 def S(*sizes):
@@ -123,7 +136,84 @@ def test_vectorised_rows_agree_with_generator(n, t):
 @pytest.mark.parametrize("t,hi", SWEEP_GRID)
 def test_layer_dp_agrees_with_the_row_oracle_on_the_sweep_grid(t, hi):
     for n in range(t + 1, hi + 1):
-        assert max_edges(n, t) == max_edges_by_rows(n, t), (n, t)
+        assert max_edges(n, t) == rows_oracle(n, t), (n, t)
+
+
+def _cold_shape_search():
+    _max_edges_cached.cache_clear()
+    _layer_table.cache_clear()
+
+
+def _rows_built(t):
+    gain, _, best, _ = _layer_table(t)
+    return len(best) // len(gain) - 1  # row 0 is the empty chain
+
+
+def test_call_order_cannot_change_an_answer():
+    # past the grid at t = 3, up to the row oracle's int8 limit
+    points = SWEEP_POINTS + [(40, 3), (80, 3), (127, 3)]
+    want = {p: rows_oracle(*p) for p in points}
+    by_t = [[p for p in points if p[1] == t] for t, _ in SWEEP_GRID]
+    shuffled = sorted(points)
+    random.Random(20261018).shuffle(shuffled)
+    orders = {
+        "descending n": sorted(points, key=lambda p: -p[0]),
+        "shuffled": shuffled,
+        "alternating t": [p for row in zip_longest(*by_t) for p in row if p],
+    }
+    for name, order in orders.items():
+        assert sorted(order) == sorted(points), name
+        _cold_shape_search()
+        for p in order:
+            assert max_edges(*p) == want[p], (name, p)
+
+
+def test_layer_rows_are_built_once_per_span():
+    _cold_shape_search()
+    answers = [max_edges(*p) for p in SWEEP_POINTS]
+    # one row per m <= the largest n of each span, not sum(n) = 1,850
+    assert sum(_rows_built(t) for t, _ in SWEEP_GRID) == 135
+    assert [max_edges(*p) for p in SWEEP_POINTS] == answers
+    # without the memo, largest n first: every call reads rows already built
+    _max_edges_cached.cache_clear()
+    assert [max_edges(*p) for p in SWEEP_POINTS[::-1]] == answers[::-1]
+    assert sum(_rows_built(t) for t, _ in SWEEP_GRID) == 135
+
+
+def test_a_refused_shape_search_builds_no_rows():
+    _cold_shape_search()
+    max_edges(37, 11)  # 3^12 * 37 = 19,663,317 steps, inside the cap
+    assert _rows_built(11) == 37
+    with pytest.raises(CapExceededError):
+        max_edges(38, 11)  # 3^12 * 38 = 20,194,758 steps
+    assert _rows_built(11) == 37
+
+
+@pytest.mark.parametrize("stored", [False, True])
+def test_an_interrupted_row_build_leaves_a_usable_table(monkeypatch, stored):
+    # a deadline alarm or ^C may land between row 3's store in below and
+    # its append to best, either before or after the store
+    gain, size, best, below = _layer_table.__wrapped__(4)
+
+    class Interrupted(list):
+        armed = True
+
+        def __setitem__(self, i, row):
+            if self.armed and i == 3:
+                self.armed = False
+                if stored:
+                    super().__setitem__(i, row)
+                raise KeyboardInterrupt
+            super().__setitem__(i, row)
+
+    table = gain, size, best, Interrupted(below)
+    monkeypatch.setattr("lambdacol.extremal._layer_table", lambda t: table)
+    _max_edges_cached.cache_clear()
+    with pytest.raises(KeyboardInterrupt):
+        max_edges(20, 4)
+    assert len(best) // len(gain) == 3  # row 0 and rows 1, 2
+    assert max_edges(20, 4) == rows_oracle(20, 4)
+    _max_edges_cached.cache_clear()
 
 
 def test_importing_the_package_loads_no_numpy():
@@ -188,18 +278,18 @@ def test_h_is_never_predicted():
             assert s.sizes != (k, k, k - 2, k, k)
 
 
+# With the next test, the whole of scripts/classification_sweep.py's wide
+# check: every t <= 10 and n <= 100, 748 points.
 @pytest.mark.parametrize("t", [3, 4, 5, 6])
 def test_predicted_equals_attaining(t):
-    for n in range(t + 1, 28):
+    for n in range(t + 1, WIDE_N + 1):
         value, am = max_edges(n, t)
         assert am == predicted_shapes(n, t), (n, t)
 
 
-@pytest.mark.parametrize("t", [8, 9, 10])
+@pytest.mark.parametrize("t", [7, 8, 9, 10])
 def test_predicted_equals_attaining_at_large_spans(t):
-    # a slice of scripts/classification_sweep.py's wide check (t <= 10,
-    # n <= 100)
-    for n in range(t + 1, 41):
+    for n in range(t + 1, WIDE_N + 1):
         assert max_edges(n, t)[1] == predicted_shapes(n, t), (n, t)
 
 
