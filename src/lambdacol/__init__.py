@@ -36,6 +36,7 @@ from .graphs import (
     path_cover_number,
 )
 from .solver import (
+    CHECK_CAP,
     Colouring,
     DEFAULT_SOLVER_CAP,
     DuplicateVertexError,

@@ -8,18 +8,21 @@ unconstrained.  The *span* of the graph is the least achievable maximum label
 (minimum label normalised to 0), written ``lambda_number`` below.
 
 The solver iterates candidate spans upward from a lower bound and decides
-feasibility of each span by depth-first search over vertices in descending
-degree order with forward checking on label domains (stored as bitmasks: a
-chosen label ``x`` removes ``{x-1, x, x+1}`` from unassigned neighbours and
-``{x}`` from unassigned vertices at distance two).  Reversal ``x -> k - x``
-maps colourings of span ``k`` to colourings, so the first vertex searched
-only takes labels up to ``k // 2``.
+feasibility of each span by depth-first search with forward checking on
+label domains (stored as bitmasks: a chosen label ``x`` removes
+``{x-1, x, x+1}`` from unassigned neighbours and ``{x}`` from unassigned
+vertices at distance two).  One search plan per graph serves every span
+and every witness probe: a connected vertex order, in which each vertex
+follows those within distance two of it, and the forward-checking lists of
+that order.  Reversal ``x -> k - x`` maps colourings of span ``k`` to
+colourings, so the first vertex searched only takes labels up to ``k // 2``.
 
 The lexicographically smallest optimal witness is then built vertex by vertex
 in id order from an incumbent, the smaller of the colouring found and its
 reversal.  Each label below the incumbent's that the fixed prefix leaves
 open is fixed with forward checking, the later vertices are probed by the
-same search in degree order, and the first probe that succeeds becomes the
+same search over the same plan (fixed vertices keep their places, with
+one-label domains), and the first probe that succeeds becomes the
 incumbent.
 
 Off the diameter-two route below, the iteration starts from the distance-two
@@ -36,8 +39,9 @@ clique number of G (pairwise gaps of 2).  At span ``k = omega(G^2) - 1`` a maxim
 at that span, witness probes included, is cut on the tight cliques (at most
 ``n`` of them): a branch dies when the labels left to a tight clique's
 unplaced members are fewer than those members, the pigeonhole filter of
-all-different propagation (Regin, 1994).  The cut drops only branches
-without completions, so the colourings found and their order are the same.
+all-different propagation (Regin, 1994).  Its rows are built once, over the
+plan, for the probes too.  The cut drops only branches without completions,
+so the colourings found and their order are the same.
 
 At diameter two with ``n <= DEFAULT_PATH_COVER_CAP``, :func:`lambda_number`
 takes the route path cover -> layout -> label-order probes, and runs no DFS.
@@ -67,9 +71,10 @@ At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
 two-label domain.
 
 One recursive forward-checking core, :func:`_search_masks`, runs every
-search off that route.  A leaf callback, when given, sees each completion in
-lexicographic order until it accepts one: :func:`iter_optimal_colourings`
-collects them all (id order, full domains, no pinning).
+search off that route; each branch narrows its own copy of the domains, so
+there is no undo trail.  A leaf callback, when given, sees each completion
+in lexicographic order until it accepts one: :func:`iter_optimal_colourings`
+collects them all (a plan in id order, full domains, no pinning).
 """
 
 from __future__ import annotations
@@ -90,6 +95,9 @@ from .graphs import (
 
 #: Largest order :func:`lambda_number` solves.
 DEFAULT_SOLVER_CAP = 24
+#: Largest order :func:`find_violation` checks: its masks take up to n bits
+#: per vertex (a path at the cap peaks near 110 MB).
+CHECK_CAP = 25_000
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +159,15 @@ def find_violation(g: Graph, c: Colouring):
 
     Returns ``(u, v, distance)`` with ``u < v`` for the lexicographically
     first offending pair: an edge whose labels differ by less than 2, or a
-    distance-two pair with equal labels.
+    distance-two pair with equal labels.  Raises :class:`CapExceededError`
+    above :data:`CHECK_CAP` vertices, before any mask is built.
     """
     if len(c.labels) != g.n:
         raise ValueError(f"colouring covers {len(c.labels)} vertices, graph has {g.n}")
+    if g.n > CHECK_CAP:
+        raise CapExceededError(
+            f"colouring check limited to n <= {CHECK_CAP}, got {g.n}"
+        )
     lab = c.labels
     d1 = g.adj_masks
     d2 = _second_neighbourhoods(d1)
@@ -280,91 +293,109 @@ def _tight(cliques, k):
 # search core (shared with the census and the enumeration)
 # ---------------------------------------------------------------------------
 
-def _search_masks(d1, d2, order, dom, tight=(), visit=None):
+def _connected_order(d1, d2):
+    """Search order: the highest-degree vertex (lowest id on ties), then
+    repeatedly the one with the most ordered vertices within distance two,
+    ties by degree, then id.  A maximum-cardinality search (Tarjan and
+    Yannakakis, 1984) of the square, whose edges are the constraints, so
+    forward checking meets a dead branch early (Haralick and Elliott, 1980).
+    """
+    n = len(d1)
+    score = [m.bit_count() * n + n - 1 - v for v, m in enumerate(d1)]
+    order = []
+    left = list(range(n))
+    while left:
+        v = max(left, key=score.__getitem__)
+        order.append(v)
+        left.remove(v)
+        for u in _bits(d1[v] | d2[v]):
+            score[u] += n * n
+    return order
+
+
+def _plan(d1, d2, order):
+    """``order`` with, per position, the later vertices at distance one and
+    at distance two, which forward checking narrows: one plan serves every
+    search of a graph, at every span and with any vertices fixed.
+    """
+    later1, later2 = [], []
+    after = (1 << len(order)) - 1
+    for v in order:
+        after ^= 1 << v
+        later1.append(list(_bits(d1[v] & after)))
+        later2.append(list(_bits(d2[v] & after)))
+    return order, later1, later2
+
+
+def _cut_rows(plan, tight):
+    """The cut over ``plan`` on cliques of the square ``tight`` at a span.
+
+    Such a clique has one member per label.  Row ``i + 1`` holds, as
+    ``(members, count)``, each tight clique's members after position ``i``
+    when the label placed at ``i`` can narrow their domains; row 0 holds
+    every clique.  A fixed member's label is already gone from the other
+    members' domains, so it adds one to both sides of its row.
+    """
+    order, later1, later2 = plan
+    left = (1 << len(order)) - 1
+    rows = [[(list(_bits(q)), q.bit_count()) for q in tight]]
+    for v, l1, l2 in zip(order, later1, later2):
+        left ^= 1 << v
+        near = sum(1 << u for u in l1 + l2)
+        rows.append([(list(_bits(q & left)), (q & left).bit_count())
+                     for q in tight if q & near])
+    return rows
+
+
+def _search_masks(plan, dom, cut=(), visit=None):
     """DFS with forward checking; returns a label list or None.
 
-    Labels the vertices of ``order`` in that order, each taking the smallest
-    label left in its domain first; ``dom[v]`` is the bitmask of labels open
-    to vertex v.  Returns the first completion, the lexicographically
-    smallest along ``order``; with ``visit``, the first that ``visit``
-    accepts (returns true for), each completion being passed to it in that
-    order as the search's own label list.  A vertex outside ``order`` counts
-    as fixed: it must have a single-label domain, already forward-checked
-    into the rest, and keeps that label.
+    Labels the vertices in the order of ``plan`` (:func:`_plan`), each
+    taking the smallest label left in its domain first; ``dom[v]`` is the
+    bitmask of labels open to vertex v, a one-label domain for a vertex
+    fixed beforehand (already forward-checked into the rest).  Returns the
+    first completion, the lexicographically smallest along the order; with
+    ``visit``, the first that ``visit`` accepts (returns true for), each
+    completion being passed to it in that order as the search's own label
+    list.  Each branch forward-checks its own copy of the domains, so
+    backtracking has nothing to undo.
 
-    ``tight`` holds cliques of the square graph (bitmasks) with one member
-    per label, so each uses every label once.  A branch, the root included,
-    dies when the domains of a tight clique's unplaced members hold fewer
-    labels between them than there are such members.  That only cuts
-    branches without completions, so the completions and their order stay
-    the same.  Without ``tight`` no table of the cut is built.
+    ``cut`` holds the rows of :func:`_cut_rows` at the search's span.  A
+    branch, the root included, dies when a row's domains hold fewer labels
+    between them than its count.  That only cuts branches without
+    completions, so the completions and their order stay the same.
     """
-    n = len(dom)
-    pos = [-1] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    later1 = [[u for u in _bits(d1[v]) if pos[u] > pos[v]] for v in order]
-    later2 = [[u for u in _bits(d2[v]) if pos[u] > pos[v]] for v in order]
-    dom = list(dom)
-    labels = [m.bit_length() - 1 for m in dom]
+    order, later1, later2 = plan
     depth = len(order)
-    cut = None
-    if tight:
-        # per depth, the root first, the unplaced members of each tight
-        # clique among which the placement there can narrow a domain (at
-        # the root, -1 has every bit: each clique is checked once)
-        cut = []
-        for i in range(-1, depth):
-            near = d1[order[i]] | d2[order[i]] if i >= 0 else -1
-            rows = []
-            for q in tight:
-                left = [u for u in _bits(q) if pos[u] > i]
-                if any(near >> u & 1 for u in left):
-                    rows.append((left, len(left)))
-            cut.append(rows)
-        if _short(cut.pop(0), dom):
-            return None
+    labels = [0] * depth
+    if cut and _short(cut[0], dom):
+        return None
 
-    def rec(i):
+    def rec(i, dom):
         if i == depth:
             return visit is None or visit(labels)
         v = order[i]
+        l1, l2 = later1[i], later2[i]
+        rows = cut and cut[i + 1]
         avail = dom[v]
         while avail:
             b = avail & -avail
             avail ^= b
             x = b.bit_length() - 1
-            m3 = (7 << x) >> 1
-            changed = []
-            dead = False
-            for u in later1[i]:
-                old = dom[u]
-                nd = old & ~m3
-                if nd != old:
-                    dom[u] = nd
-                    changed.append((u, old))
-                    if not nd:
-                        dead = True
-                        break
-            if not dead:
-                for u in later2[i]:
-                    old = dom[u]
-                    nd = old & ~b
-                    if nd != old:
-                        dom[u] = nd
-                        changed.append((u, old))
-                        if not nd:
-                            dead = True
-                            break
-            if not dead and (cut is None or not _short(cut[i], dom)):
-                labels[v] = x
-                if rec(i + 1):
-                    return True
-            for u, old in changed:
-                dom[u] = old
+            nd = dom[:]
+            m3 = ~((7 << x) >> 1)
+            for u in l1:
+                nd[u] &= m3
+            for u in l2:
+                nd[u] &= ~b
+            if 0 in nd or rows and _short(rows, nd):
+                continue
+            labels[v] = x
+            if rec(i + 1, nd):
+                return True
         return False
 
-    return labels if rec(0) else None
+    return labels if rec(0, list(dom)) else None
 
 
 def _short(rows, dom):
@@ -376,11 +407,6 @@ def _short(rows, dom):
         if held.bit_count() < count:
             return True
     return False
-
-
-def _degree_order(d1):
-    """Vertices by descending degree, ties by id: the feasibility order."""
-    return sorted(range(len(d1)), key=lambda v: (-d1[v].bit_count(), v))
 
 
 def _domains(d1, k):
@@ -395,26 +421,29 @@ def _domains(d1, k):
     return [ends if m.bit_count() == k - 1 else full for m in d1]
 
 
-def _optimal_colouring(n, d1, d2, k, cliques=()):
-    """Smallest feasible span from a lower bound ``k``, and a colouring at it.
+def _optimal_colouring(plan, d1, k, cliques=()):
+    """Smallest feasible span from a lower bound ``k``, a colouring at it,
+    and the cut rows of that span.
 
-    For a graph with >= 1 edge.  ``x -> k - x`` maps colourings of span
-    ``k`` to colourings (and the domains of :func:`_domains` to themselves),
-    so the first vertex in degree order only needs the labels ``0..k//2``.
-    Each search is cut on the square's ``cliques`` that are tight at its
-    span (:func:`_search_masks`).
+    For a graph with >= 1 edge; every span is searched over the one
+    ``plan``.  ``x -> k - x`` maps colourings of span ``k`` to colourings
+    (and the domains of :func:`_domains` to themselves), so the first vertex
+    of the plan only needs the labels ``0..k//2``.  Each search is cut on
+    the square's ``cliques`` that are tight at its span (:func:`_cut_rows`);
+    a span with none builds no rows.
     """
-    order = _degree_order(d1)
+    first = plan[0][0]
     while True:
         dom = _domains(d1, k)
-        dom[order[0]] &= (1 << (k // 2 + 1)) - 1
-        # the census passes no cliques and skips the filter
-        labels = _search_masks(d1, d2, order, dom,
-                               cliques and _tight(cliques, k))
+        dom[first] &= (1 << (k // 2 + 1)) - 1
+        # the census passes no cliques and skips the cut
+        tight = _tight(cliques, k)
+        cut = tight and _cut_rows(plan, tight)
+        labels = _search_masks(plan, dom, cut)
         if labels is not None:
-            return k, labels
+            return k, labels, cut
         k += 1
-        if k > 2 * (n - 1):  # greedy labelling 0,2,4,... always works
+        if k > 2 * (len(d1) - 1):  # greedy labelling 0,2,4,... always works
             raise SpanSearchError("span search exceeded the trivial upper bound")
 
 
@@ -425,7 +454,7 @@ def _min_span_masks(n, d1, d2):
     the path-cover theorem rely on it staying independent of path covers.
     """
     lb = _lower_bound(n, d1, _diameter_two(n, d1, d2))
-    return _optimal_colouring(n, d1, d2, lb)[0]
+    return _optimal_colouring(_plan(d1, d2, _connected_order(d1, d2)), d1, lb)[0]
 
 
 def _fix(d1, d2, dom, v, x):
@@ -507,30 +536,23 @@ def _probe_in_label_order(comp, dom, k):
     return labels if rec(0, -1, 0) else None
 
 
-def _lex_least_witness(d1, d2, k, incumbent, comp, cliques=()):
+def _lex_least_witness(d1, d2, k, incumbent, probe):
     """The lexicographically least colouring with labels in ``0..k``.
 
     ``incumbent`` is any such colouring.  Vertex by vertex in id order, each
     label below the incumbent's still open to the vertex is tried in
-    ascending order: it is fixed with forward checking and feasibility of the
-    later vertices is probed from the fixed domains, in label order on the
-    diameter-two route, where ``comp`` holds the complement's masks
-    (:func:`_probe_in_label_order`), by the DFS in degree order, cut on the
-    square's ``cliques`` that are tight at ``k``, when ``comp`` is
-    ``None``.  The first success becomes the incumbent, so after
-    vertex v its prefix through v is the least one that extends; v is then
-    fixed to the incumbent's label, which always extends.
+    ascending order: it is fixed with forward checking and ``probe`` is
+    asked for a colouring within the fixed domains, or None.  That is the
+    label-order probe on the diameter-two route
+    (:func:`_probe_in_label_order`), else the DFS over the graph's one plan
+    with the cut rows of span ``k``, so no probe builds a plan or a cut.
+    The first success becomes the incumbent, so after vertex v its prefix
+    through v is the least one that extends, whichever completion the probe
+    returned; v is then fixed to the incumbent's label, which always
+    extends.
     """
-    n = len(d1)
     dom = _domains(d1, k)
-    rest = _degree_order(d1)
-    if comp is not None:
-        probe = lambda trial: _probe_in_label_order(comp, trial, k)
-    else:
-        tight = _tight(cliques, k)
-        probe = lambda trial: _search_masks(d1, d2, rest, trial, tight)
-    for v in range(n):
-        rest.remove(v)
+    for v in range(len(d1)):
         for x in _bits(dom[v] & ((1 << incumbent[v]) - 1)):
             trial = _fix(d1, d2, dom, v, x)
             if trial is None:
@@ -585,17 +607,18 @@ def lambda_number(g: Graph) -> SolveReport:
     if diameter_two and n <= DEFAULT_PATH_COVER_CAP:
         # span = n + pc(complement) - 2, from the cached minimum cover
         comp = _complement_masks(d1)
-        cliques = ()
         paths = g.complement_path_cover
         k = n + len(paths) - 2
         labels = _path_layout(n, paths)
+        probe = lambda trial: _probe_in_label_order(comp, trial, k)
     else:
-        comp = None
+        plan = _plan(d1, d2, _connected_order(d1, d2))
         cliques = _square_cliques(d1, d2)
         lb = max(_lower_bound(n, d1, diameter_two), cliques[0].bit_count() - 1)
-        k, labels = _optimal_colouring(n, d1, d2, lb, cliques)
+        k, labels, cut = _optimal_colouring(plan, d1, lb, cliques)
+        probe = lambda trial: _search_masks(plan, trial, cut)
     labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]),
-                                comp, cliques)
+                                probe)
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
 
@@ -611,7 +634,7 @@ def iter_optimal_colourings(g: Graph, span: int) -> list:
     d1 = g.adj_masks
     found = []
     # list.append returns None, so the search visits every completion
-    _search_masks(d1, _second_neighbourhoods(d1), range(g.n),
+    _search_masks(_plan(d1, _second_neighbourhoods(d1), range(g.n)),
                   [(1 << (span + 1)) - 1] * g.n,
                   visit=lambda labels: found.append(tuple(labels)))
     return found

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from lambdacol import CHECK_CAP, Graph
 from lambdacol.cli import main
 
 
@@ -267,6 +268,25 @@ def test_check_on_a_long_path_reads_only_pairs_within_distance_two(
     code, out, _, secs = run_timed(capsys, "check", g, c)
     assert (code, out) == (0, "valid span=4\n")
     assert secs < 10.0
+
+
+def test_check_refuses_a_path_past_the_cap_before_any_mask(
+        capsys, tmp_path, monkeypatch):
+    # the masks take up to n bits per vertex, so none may be built first
+    def refuse(self):
+        raise AssertionError("masks built")
+
+    monkeypatch.setattr(Graph, "adj_masks", property(refuse))
+    n = CHECK_CAP + 1
+    g, c = graph_and_colouring(
+        tmp_path,
+        f"p {n} {n - 1}\n" + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)),
+        "".join(f"c {v} {2 * (v % 3)}\n" for v in range(n)),
+    )
+    code, out, err, secs = run_timed(capsys, "check", g, c)
+    assert (code, out) == (1, "")
+    assert err == f"error: colouring check limited to n <= {CHECK_CAP}, got {n}\n"
+    assert secs < 1.0
 
 
 def test_solver_fault_exits_one(capsys, g3_file, monkeypatch):

@@ -1,6 +1,7 @@
 """Exact solver: known spans, brute-force agreement, witnesses, files."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -38,12 +39,14 @@ from lambdacol.graphs import (
     _path_cover_bound,
 )
 from lambdacol.solver import (
-    _degree_order,
+    _connected_order,
+    _cut_rows,
     _diameter_two,
     _domains,
     _fix,
     _lower_bound,
     _min_span_masks,
+    _plan,
     _probe_in_label_order,
     _search_masks,
     _second_neighbourhoods,
@@ -316,12 +319,11 @@ def test_label_order_probe_agrees_with_the_dfs(n, above):
         if not g.edges or not _diameter_two(n, d1, d2):
             continue
         comp = _complement_masks(d1)
-        order = _degree_order(d1)
+        plan = _plan(d1, d2, _connected_order(d1, d2))
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
             for v, dom in _fixed_prefixes(d1, d2, _domains(d1, span), 0):
-                rest = [u for u in order if u >= v]
-                want = _search_masks(d1, d2, rest, dom)
+                want = _search_masks(plan, dom)
                 got = _probe_in_label_order(comp, dom, span)
                 assert (got is None) == (want is None), (g, span, dom)
                 if got is not None:
@@ -485,13 +487,12 @@ def test_tight_clique_cut_keeps_every_completion(n):
         d2 = _second_neighbourhoods(d1)
         cliques = _square_cliques(d1, d2)
         k = cliques[0].bit_count() - 1
-        order = _degree_order(d1)
+        plan = _plan(d1, d2, _connected_order(d1, d2))
         for v, dom in _fixed_prefixes(d1, d2, [(1 << k + 1) - 1] * n, 0):
-            rest = [u for u in order if u >= v]
             runs = []
-            for tight in (), cliques:
+            for cut in (), _cut_rows(plan, cliques):
                 found = []
-                _search_masks(d1, d2, rest, dom, tight,
+                _search_masks(plan, dom, cut,
                               visit=lambda labels: found.append(tuple(labels)))
                 runs.append(found)
             assert runs[0] == runs[1], (g, dom)
@@ -508,6 +509,65 @@ SPARSE_157_EDGES = [
     (9, 15), (9, 17), (10, 14), (10, 17), (10, 18), (11, 18), (12, 14),
     (12, 17), (13, 14), (13, 18),
 ]
+
+
+# Bench instances sparse-314 (G(19, d/(n-1)), sparse seed 1: elementary bound
+# 8, omega(G^2) - 1 = 11, span 12) and sparse-134 (G(20, d/(n-1)), seed 9:
+# elementary bound 12 = span, omega(G^2) - 1 = 11), the slowest of the sparse
+# tail, each with its span and lex-least witness as the solver found them when
+# it searched in descending degree order.
+SPARSE_314_EDGES = [
+    (0, 2), (0, 4), (0, 5), (0, 6), (0, 15), (0, 16), (0, 17), (1, 2), (1, 4),
+    (1, 9), (1, 14), (2, 4), (2, 5), (2, 6), (2, 13), (2, 14), (3, 7), (3, 8),
+    (3, 15), (3, 16), (3, 17), (4, 10), (4, 11), (4, 16), (5, 9), (5, 12),
+    (5, 13), (5, 16), (5, 17), (6, 11), (6, 14), (6, 17), (6, 18), (7, 13),
+    (7, 18), (8, 9), (8, 11), (8, 15), (8, 17), (9, 10), (9, 12), (9, 15),
+    (9, 18), (10, 13), (10, 16), (10, 18), (11, 13), (11, 14), (14, 17),
+    (15, 16),
+]
+SPARSE_134_EDGES = [
+    (0, 2), (0, 11), (0, 13), (1, 8), (1, 14), (1, 16), (1, 17), (1, 18),
+    (2, 4), (2, 9), (3, 5), (3, 6), (3, 12), (4, 5), (4, 8), (4, 9), (4, 10),
+    (4, 11), (4, 12), (4, 15), (4, 16), (4, 18), (4, 19), (5, 8), (5, 10),
+    (5, 13), (5, 15), (6, 7), (6, 16), (6, 17), (7, 9), (7, 14), (7, 18),
+    (8, 9), (8, 11), (8, 14), (8, 18), (9, 10), (9, 17), (10, 16), (11, 13),
+    (11, 18), (12, 13), (12, 15), (12, 18), (13, 15), (13, 16), (14, 15),
+    (16, 17), (16, 19),
+]
+
+
+@pytest.mark.parametrize("n,edges,want", [
+    (19, SPARSE_314_EDGES,
+     (12, (0, 1, 3, 1, 6, 5, 7, 6, 3, 11, 2, 10, 7, 8, 12, 8, 12, 9, 4))),
+    (20, SPARSE_134_EDGES,
+     (12, (0, 2, 2, 0, 12, 3, 4, 11, 10, 5, 1, 4, 6, 11, 0, 9, 7, 9, 8, 0))),
+], ids=["sparse-314", "sparse-134"])
+def test_witnesses_of_the_sparse_tail(n, edges, want):
+    rep = lambda_number(Graph.from_edges(n, edges))
+    assert (rep.lambda_value, rep.witness.labels) == want
+
+
+@pytest.mark.parametrize("edges,spans,probes", [
+    (SPARSE_157_EDGES, 1, 15),  # span omega(G^2) - 1: every search is cut
+    (SPARSE_314_EDGES, 2, 8),  # cut at span 11 only, span 12 uncut
+], ids=["sparse-157", "sparse-314"])
+def test_one_plan_per_solve_and_no_cut_rows_per_probe(
+        monkeypatch, edges, spans, probes):
+    # work counters: one order and one set of forward-checking lists per
+    # graph, cut rows only for the span with tight cliques, and every witness
+    # probe a search over both, counted as the searches past the span loop's
+    counts = Counter()
+    for name in ("_connected_order", "_plan", "_cut_rows", "_search_masks"):
+        def counted(*args, _real=getattr(solver_module, name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    assert lambda_number(Graph.from_edges(19, edges)).lambda_value == 12
+    assert counts["_connected_order"] == counts["_plan"] == 1
+    assert counts["_cut_rows"] == 1
+    assert counts["_search_masks"] - spans == probes > 0
 
 
 def _square_clique_graphs():
