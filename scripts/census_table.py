@@ -27,8 +27,7 @@ def main():
         started = time.perf_counter()
         census = brute_force_graph_census(n)
         elapsed = time.perf_counter() - started
-        print(f"# n={n} ({1 << (n * (n - 1) // 2)} labelled graphs, "
-              f"{elapsed:.1f}s)")
+        print(f"# n={n} ({elapsed:.1f}s)")
         for t in sorted(census):
             row = f"n={n} t={t} census={census[t]}"
             if 3 <= t < n:

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 One verb per library entry point, plain-text output by default (stable,
-line-oriented, diff-friendly) and ``--json`` everywhere for scripting.  Exit
+line-oriented, diff-friendly) and ``--json`` everywhere for scripting.  Each
+verb returns a pair, its JSON object and its text, and :func:`main` prints
+the one asked for; a verb that raises prints nothing to stdout.  Exit
 status: 0 success, 1 domain error (unreadable input, malformed file, validity
 or cap violation), 2 usage error.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .extremal import (
     ClassificationError,
@@ -53,59 +56,50 @@ def _read_text(path):
         return fh.read()
 
 
-def _read_graph(path):
-    return parse_graph(_read_text(path))
+def _read_graph(args):
+    return parse_graph(_read_text(args.file))
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, sort_keys=True))
+def _read_coloured(args):
+    g = _read_graph(args)
+    return g, parse_colouring(_read_text(args.colouring), g.n)
 
 
 def _graph_json(g):
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
+def _indexed(tag, values):
+    """One ``<tag> <i> <value>`` line per entry, e.g. ``v`` or ``map``."""
+    return "".join(f"{tag} {i} {x}\n" for i, x in enumerate(values))
+
+
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each returns (JSON object, text)
 # ---------------------------------------------------------------------------
 
 def _cmd_lambda(args):
-    g = _read_graph(args.file)
-    rep = lambda_number(g)
-    if args.json:
-        _emit_json({
-            "lambda": rep.lambda_value,
-            "witness": list(rep.witness.labels),
-            "holes": list(rep.holes),
-        })
-        return 0
-    print(f"lambda {rep.lambda_value}")
-    sys.stdout.write(format_colouring(rep.witness))
+    rep = lambda_number(_read_graph(args))
     holes = ",".join(map(str, rep.holes)) if rep.holes else "none"
-    print(f"holes {holes}")
-    return 0
+    return (
+        {"lambda": rep.lambda_value, "witness": list(rep.witness.labels),
+         "holes": list(rep.holes)},
+        f"lambda {rep.lambda_value}\n{format_colouring(rep.witness)}"
+        f"holes {holes}\n",
+    )
 
 
 def _cmd_check(args):
-    g = _read_graph(args.file)
-    c = parse_colouring(_read_text(args.colouring), g.n)
+    g, c = _read_coloured(args)
     bad = find_violation(g, c)
-    if args.json:
-        if bad is None:
-            _emit_json({"valid": True, "span": c.span})
-        else:
-            u, v, d = bad
-            _emit_json({"valid": False, "vertices": [u, v], "distance": d})
-        return 0
     if bad is None:
-        print(f"valid span={c.span}")
-    else:
-        u, v, d = bad
-        print(
-            f"invalid: vertices {u} and {v} at distance {d} "
-            f"have labels {c[u]} and {c[v]}"
-        )
-    return 0
+        return {"valid": True, "span": c.span}, f"valid span={c.span}\n"
+    u, v, d = bad
+    return (
+        {"valid": False, "vertices": [u, v], "distance": d},
+        f"invalid: vertices {u} and {v} at distance {d} "
+        f"have labels {c[u]} and {c[v]}\n",
+    )
 
 
 def _cmd_construct(args):
@@ -113,162 +107,84 @@ def _cmd_construct(args):
         if len(args.params) != 1:
             raise _Usage("construct gn takes one argument: N")
         g = path_complement(_int_arg(args.params[0], "N"))
-        if args.json:
-            _emit_json(_graph_json(g))
-        else:
-            sys.stdout.write(format_graph(g))
-        return 0
+        return _graph_json(g), format_graph(g)
     if len(args.params) != 2:
         raise _Usage("construct gtl takes two arguments: T L")
-    t = _int_arg(args.params[0], "T")
-    l = _int_arg(args.params[1], "L")
-    g, fa = family_member(t, l)
-    if args.json:
-        out = _graph_json(g)
-        out["classes"] = list(fa.class_of)
-        _emit_json(out)
-        return 0
-    sys.stdout.write(format_graph(g))
-    for v, m in enumerate(fa.class_of):
-        print(f"v {v} {m}")
-    return 0
+    g, fa = family_member(_int_arg(args.params[0], "T"),
+                          _int_arg(args.params[1], "L"))
+    return ({**_graph_json(g), "classes": list(fa.class_of)},
+            format_graph(g) + _indexed("v", fa.class_of))
 
 
 def _cmd_embed(args):
-    g = _read_graph(args.file)
-    c = parse_colouring(_read_text(args.colouring), g.n)
-    host, fa, injection = embed_universal(g, c)
-    if args.json:
-        out = {
-            "host": _graph_json(host),
-            "classes": list(fa.class_of),
-            "injection": list(injection),
-        }
-        _emit_json(out)
-        return 0
-    sys.stdout.write(format_graph(host))
-    for v, m in enumerate(fa.class_of):
-        print(f"v {v} {m}")
-    for old, new in enumerate(injection):
-        print(f"map {old} {new}")
-    return 0
+    host, fa, injection = embed_universal(*_read_coloured(args))
+    return (
+        {"host": _graph_json(host), "classes": list(fa.class_of),
+         "injection": list(injection)},
+        format_graph(host) + _indexed("v", fa.class_of)
+        + _indexed("map", injection),
+    )
 
 
 def _cmd_standardise(args):
-    g = _read_graph(args.file)
-    c = parse_colouring(_read_text(args.colouring), g.n)
-    sg, corr = edge_standardise(g, c)
-    if args.json:
-        _emit_json({
-            "shape": list(sg.shape.sizes),
-            "graph": _graph_json(sg.graph()),
-            "map": list(corr),
-        })
-        return 0
-    print(f"shape {format_shape(sg.shape)}")
-    sys.stdout.write(format_graph(sg.graph()))
-    for old, new in enumerate(corr):
-        print(f"map {old} {new}")
-    return 0
+    sg, corr = edge_standardise(*_read_coloured(args))
+    g = sg.graph()
+    return (
+        {"shape": list(sg.shape.sizes), "graph": _graph_json(g),
+         "map": list(corr)},
+        f"shape {format_shape(sg.shape)}\n" + format_graph(g)
+        + _indexed("map", corr),
+    )
 
 
-def _cmd_shape_m(args):
-    value = edge_bound(parse_shape(args.shape))
-    if args.json:
-        _emit_json({"value": value})
-    else:
-        print(value)
-    return 0
-
-
-def _cmd_shape_k(args):
-    value = adjacent_max_pairs(parse_shape(args.shape))
-    if args.json:
-        _emit_json({"value": value})
-    else:
-        print(value)
-    return 0
+def _shape_verb(functional):
+    def run(args):
+        value = functional(parse_shape(args.shape))
+        return {"value": value}, f"{value}\n"
+    return run
 
 
 def _cmd_maxedges(args):
     value, shapes = max_edges(args.n, args.t)
     ordered = sorted(s.sizes for s in shapes)
-    if args.json:
-        _emit_json({"max_edges": value, "shapes": [list(s) for s in ordered]})
-        return 0
-    print(value)
-    for sizes in ordered:
-        print(",".join(map(str, sizes)))
-    return 0
+    return (
+        {"max_edges": value, "shapes": [list(s) for s in ordered]},
+        f"{value}\n" + "".join(",".join(map(str, s)) + "\n" for s in ordered),
+    )
 
 
 def _cmd_classify(args):
-    g = _read_graph(args.file)
-    rep = classify(g)
+    rep = classify(_read_graph(args))
     st = rep.stationary
-    if args.json:
-        _emit_json({
-            "case": rep.case.value,
-            "max_edges": rep.max_edges,
-            "witness_shape": list(rep.witness_shape.sizes),
-            "stationary": None if st is None else {
-                "tag": st.tag, "dual": st.dual_flag,
-            },
-        })
-        return 0
     tag = "-" if st is None else st.tag
     dual = "-" if st is None else ("yes" if st.dual_flag else "no")
-    print(
+    return (
+        {"case": rep.case.value, "max_edges": rep.max_edges,
+         "witness_shape": list(rep.witness_shape.sizes),
+         "stationary": None if st is None else {
+             "tag": st.tag, "dual": st.dual_flag}},
         f"case={rep.case.value} max_edges={rep.max_edges} "
         f"witness_shape={format_shape(rep.witness_shape)} "
-        f"type={tag} dual={dual}"
+        f"type={tag} dual={dual}\n",
     )
-    return 0
 
 
 def _cmd_verify(args):
     rep = verify_classification(args.n, args.t)
-    if args.json:
-        _emit_json({
-            "n": rep.n,
-            "t": rep.t,
-            "passed": rep.passed,
-            "max_edges": rep.max_edges,
-            "attaining": rep.attaining,
-            "argmax_equals_predicted": rep.argmax_equals_predicted,
-            "equitable_only_ok": rep.equitable_only_ok,
-            "census_ok": rep.census_ok,
-            "inner_ok": rep.inner_ok,
-            "outer_ok": rep.outer_ok,
-        })
-        return 0
-    print(rep.line())
-    return 0
+    return {**asdict(rep), "passed": rep.passed}, rep.line() + "\n"
 
 
 def _cmd_census(args):
-    table = brute_force_graph_census(args.n)
-    if args.json:
-        _emit_json({"n": args.n, "table": sorted(table.items())})
-        return 0
-    for lam in sorted(table):
-        print(f"{lam} {table[lam]}")
-    return 0
+    table = sorted(brute_force_graph_census(args.n).items())
+    return ({"n": args.n, "table": table},
+            "".join(f"{lam} {m}\n" for lam, m in table))
 
 
 def _cmd_pathcover(args):
-    g = _read_graph(args.file)
-    bound = lambda_via_path_cover(g)
-    if args.json:
-        _emit_json({
-            "path_cover": bound.path_cover,
-            "exact": bound.exact,
-            "value": bound.value,
-        })
-        return 0
+    bound = lambda_via_path_cover(_read_graph(args))
     exact = "yes" if bound.exact else "no"
-    print(f"path_cover={bound.path_cover} exact={exact} value={bound.value}")
-    return 0
+    return asdict(bound), (f"path_cover={bound.path_cover} exact={exact} "
+                           f"value={bound.value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -286,75 +202,65 @@ def _int_arg(text, name):
         raise _Usage(f"{name} must be an integer, got {text!r}") from None
 
 
+#: argparse options of the positional arguments that are not plain strings.
+_POSITIONAL = {
+    "kind": {"choices": ["gn", "gtl"]},
+    "params": {"nargs": "*"},
+    "n": {"type": int},
+    "t": {"type": int},
+}
+
+#: (verb, handler, help, positional arguments), in help order.
+_VERBS = [
+    ("lambda", _cmd_lambda, "exact span of a graph file", ["file"]),
+    ("check", _cmd_check, "validate a colouring file against a graph",
+     ["file", "colouring"]),
+    ("construct", _cmd_construct, "build a canonical graph: gn N, or gtl T L",
+     ["kind", "params"]),
+    ("embed", _cmd_embed, "embed a coloured graph into its universal host",
+     ["file", "colouring"]),
+    ("standardise", _cmd_standardise,
+     "rank-aligned standardisation of a coloured graph",
+     ["file", "colouring"]),
+    ("shape-m", _shape_verb(edge_bound),
+     "edge bound of a shape (comma-separated)", ["shape"]),
+    ("shape-k", _shape_verb(adjacent_max_pairs),
+     "adjacent max pairs of a shape", ["shape"]),
+    ("maxedges", _cmd_maxedges,
+     "maximum edges and attaining shapes for order N, span T", ["n", "t"]),
+    ("classify", _cmd_classify, "classify one graph file", ["file"]),
+    ("verify", _cmd_verify, "verify the classification at (N, T)", ["n", "t"]),
+    ("census", _cmd_census, "max edges per span over all graphs on N vertices",
+     ["n"]),
+    ("pathcover", _cmd_pathcover,
+     "span via the complement's path-cover number", ["file"]),
+]
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="lambdacol",
         description="Distance-two colouring spans, constructions, and extremal counts.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, help_text):
+    for name, func, help_text, positional in _VERBS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit one JSON object")
         p.set_defaults(func=func)
-        return p
-
-    p = add("lambda", _cmd_lambda, "exact span of a graph file")
-    p.add_argument("file")
-
-    p = add("check", _cmd_check, "validate a colouring file against a graph")
-    p.add_argument("file")
-    p.add_argument("colouring")
-
-    p = add("construct", _cmd_construct,
-            "build a canonical graph: gn N, or gtl T L")
-    p.add_argument("kind", choices=["gn", "gtl"])
-    p.add_argument("params", nargs="*")
-
-    p = add("embed", _cmd_embed,
-            "embed a coloured graph into its universal host")
-    p.add_argument("file")
-    p.add_argument("colouring")
-
-    p = add("standardise", _cmd_standardise,
-            "rank-aligned standardisation of a coloured graph")
-    p.add_argument("file")
-    p.add_argument("colouring")
-
-    p = add("shape-m", _cmd_shape_m, "edge bound of a shape (comma-separated)")
-    p.add_argument("shape")
-
-    p = add("shape-k", _cmd_shape_k, "adjacent max pairs of a shape")
-    p.add_argument("shape")
-
-    p = add("maxedges", _cmd_maxedges,
-            "maximum edges and attaining shapes for order N, span T")
-    p.add_argument("n", type=int)
-    p.add_argument("t", type=int)
-
-    p = add("classify", _cmd_classify, "classify one graph file")
-    p.add_argument("file")
-
-    p = add("verify", _cmd_verify, "verify the classification at (N, T)")
-    p.add_argument("n", type=int)
-    p.add_argument("t", type=int)
-
-    p = add("census", _cmd_census,
-            "max edges per span over all graphs on N vertices")
-    p.add_argument("n", type=int)
-
-    p = add("pathcover", _cmd_pathcover,
-            "span via the complement's path-cover number")
-    p.add_argument("file")
-
+        for arg in positional:
+            p.add_argument(arg, **_POSITIONAL.get(arg, {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        obj, text = args.func(args)
+        if args.json:
+            print(json.dumps(obj, sort_keys=True))
+        else:
+            sys.stdout.write(text)
+        return 0
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -60,7 +60,7 @@ from .standardise import (
 )
 
 #: Cap on a shape search's work, ``3^(t+1) * n`` subset steps, checked by
-#: :func:`max_edges`.
+#: :func:`max_edges` and :func:`predicted_shapes`.
 DEFAULT_MAX_SHAPES = 20_000_000
 
 #: Largest n for the census, checked by :func:`brute_force_graph_census`;
@@ -83,6 +83,16 @@ def _check_range(n, t):
         raise ValueError(f"need span t >= 3, got {t}")
     if n < t + 1:
         raise ValueError(f"need n >= t + 1 = {t + 1}, got {n}")
+
+
+def _check_shape_cap(n, t):
+    cap = DEFAULT_MAX_SHAPES
+    # 3^(t+1) >= 2^(t+1), so the first test settles huge t without the power
+    if t + 1 > cap.bit_length() or 3 ** (t + 1) * n > cap:
+        raise CapExceededError(
+            f"shape search for (n={n}, t={t}) needs 3^{t + 1} * {n} subset "
+            f"steps, cap {cap}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +140,7 @@ def max_edges(n, t):
     subset steps, exceeds :data:`DEFAULT_MAX_SHAPES`.
     """
     _check_range(n, t)
-    cap = DEFAULT_MAX_SHAPES
-    # 3^(t+1) >= 2^(t+1), so the first test settles huge t without the power
-    if t + 1 > cap.bit_length() or 3 ** (t + 1) * n > cap:
-        raise CapExceededError(
-            f"shape search for (n={n}, t={t}) needs 3^{t + 1} * {n} subset "
-            f"steps, cap {cap}"
-        )
+    _check_shape_cap(n, t)
     return _max_edges_cached(n, t)
 
 
@@ -264,9 +268,12 @@ def predicted_shapes(n, t):
     Divisible ``n``: the single all-equal shape.  Otherwise: all minimum-K
     near-equal shapes, plus (for spans 3 and 4) the sporadic patterns that
     exist at this ``n`` and their reversals — excluding tag ``h``, which is
-    stationary but always one edge short of the maximum.
+    stationary but always one edge short of the maximum.  Raises
+    :class:`CapExceededError` where :func:`max_edges` does, which also bounds
+    the ``C(t+1, r) <= 2^(t+1)`` near-equal placements it enumerates.
     """
     _check_range(n, t)
+    _check_shape_cap(n, t)
     b, r = divmod(n, t + 1)
     if r == 0:
         return frozenset({PartitionShape((b,) * (t + 1))})

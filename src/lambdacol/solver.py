@@ -91,6 +91,7 @@ from .graphs import (
     _complement_masks,
     _end_slots,
     _max_cliques,
+    _significant_lines,
 )
 
 #: Largest order :func:`lambda_number` solves.
@@ -668,10 +669,7 @@ def parse_colouring(text: str, n: int) -> Colouring:
     with minimum 0.  Blank lines and ``#`` comments are ignored.
     """
     seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _significant_lines(text):
         fields = line.split()
         if len(fields) != 3 or fields[0] != "c":
             raise MalformedLineError(

@@ -168,6 +168,36 @@ def test_json_outputs_parse(capsys, g3_file):
     assert d["case"] == "DIVISIBLE" and d["stationary"]["tag"] == "EQUITABLE"
 
 
+def test_json_outputs_of_the_other_verbs(capsys, g3_file, p3_file, tmp_path):
+    good = write_colouring(tmp_path, "good.txt", "c 0 0\nc 1 1\nc 2 2\nc 3 3\n")
+    bad = write_colouring(tmp_path, "bad.txt", "c 0 0\nc 1 2\nc 2 0\nc 3 2\n")
+    col = write_colouring(tmp_path, "c.txt", "c 0 2\nc 1 0\nc 2 3\n")
+    cases = [
+        (["check", g3_file, good], {"valid": True, "span": 3}),
+        (["check", g3_file, bad],
+         {"valid": False, "vertices": [0, 2], "distance": 1}),
+        (["construct", "gn", "3"],
+         {"n": 4, "edges": [[0, 2], [0, 3], [1, 3]]}),
+        (["construct", "gtl", "3", "2"],
+         {"n": 8, "edges": [[0, 4], [0, 6], [1, 5], [1, 7], [2, 6], [3, 7]],
+          "classes": [0, 0, 1, 1, 2, 2, 3, 3]}),
+        (["embed", p3_file, col],
+         {"host": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+          "classes": [2, 0, 3, 1], "injection": [0, 1, 2]}),
+        (["standardise", p3_file, col],
+         {"shape": [1, 0, 1, 1], "graph": {"n": 3, "edges": [[0, 1], [0, 2]]},
+          "map": [1, 0, 2]}),
+        (["shape-m", "3,2,1,3"], {"value": 6}),
+        (["shape-k", "2,2,1,2"], {"value": 1}),
+        (["pathcover", g3_file],
+         {"path_cover": 1, "exact": False, "value": 3}),
+    ]
+    for argv, want in cases:
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(want, sort_keys=True) + "\n", argv
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -343,6 +373,63 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _fuzz_corpus(tmp_path):
+    """Hostile invocations of every verb: bad files, bad arguments, caps."""
+    def put(name, data):
+        (tmp_path / name).write_bytes(data.encode() if isinstance(data, str)
+                                      else data)
+        return str(tmp_path / name)
+
+    # the first five parse, so only they meet every colouring
+    graphs = [put(f"g{i}", text) for i, text in enumerate([
+        "p 4 3\ne 0 2\ne 0 3\ne 1 3\n", "p 2 0\n", "p 4\ne 0 2\n",
+        "p 1000000000 0\n", "p 25 0\n", "p 3 -1\n", "p x y\n",
+        "hello world\n", "", "p 2 1\ne 0 5\n", "p 3 1\ne 1 1\n",
+        b"\xff\xfe p 3",
+    ])] + [str(tmp_path / "missing"), str(tmp_path)]
+    colourings = [put(f"c{i}", text) for i, text in enumerate([
+        "c 0 0\nc 1 1\nc 2 2\nc 3 3\n", "c 0 0\nc 1 2\nc 2 0\nc 3 2\n",
+        "c 0 1\nc 1 3\nc 2 5\nc 3 7\n", "c 0 0\nc 1 400000\n", "c 0 0\n",
+        "c 0 0\nc 0 1\n", "c 0 -1\nc 1 0\n", "c a b\n", "c 9 0\n", "what\n",
+    ])] + [str(tmp_path / "missing")]
+    argvs = [["construct", *params] for params in (
+        ["gn", "3"], ["gn", "3000"], ["gn", "-1"], ["gn", "x"], ["gn"],
+        ["gtl", "3", "2"], ["gtl", "2000", "30"], ["gtl", "1", "1"],
+        ["gtl", "3", "y"], ["gtl", "3"], ["gtl", "1", "2", "3"], ["bogus"])]
+    for i, g in enumerate(graphs):
+        argvs += [[verb, g] for verb in ("lambda", "classify", "pathcover")]
+        paired = colourings if i < 5 else colourings[:1]
+        argvs += [[verb, g, c] for c in paired
+                  for verb in ("check", "embed", "standardise")]
+    for shape in ("", "1,,2", "-1,2,3,4", "3,2,1,3", "3,2", "a,b,c,d",
+                  "100,100,100,100"):
+        argvs += [["shape-m", shape], ["shape-k", shape]]
+    for n, t in [("8", "4"), ("13", "12"), ("5000", "20"), ("3", "3"),
+                 ("1000000000", "1000000000"), ("-1", "3"), ("x", "3")]:
+        argvs += [["maxedges", n, t], ["verify", n, t]]
+    argvs += [["census", n]
+              for n in ("4", "8", "13", "5000", "1000000000", "-1", "0", "x")]
+    argvs += [[verb] for verb in ("lambda", "check", "construct", "embed",
+                                  "standardise", "shape-m", "shape-k",
+                                  "maxedges", "classify", "verify", "census",
+                                  "pathcover", "bogus")]
+    return argvs + [argv + ["--json"] for argv in argvs]
+
+
+def test_hostile_invocations_fail_cleanly(capsys, tmp_path):
+    # Every verb, text and JSON: exit 0, 1 or 2 and never a traceback (an
+    # exception escaping main), and nothing on stdout unless it succeeded.
+    for argv in _fuzz_corpus(tmp_path):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert code == 0 or out == "", argv
 
 
 @pytest.mark.parametrize("script", ["census_table.py", "classification_sweep.py"])

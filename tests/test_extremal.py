@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from itertools import zip_longest
 from pathlib import Path
@@ -257,6 +258,18 @@ def test_predicted_5_3_full_set():
         S(1, 2, 0, 2), S(2, 0, 2, 1),  # type b and its reversal
     }
     assert predicted_shapes(5, 3) == want
+
+
+def test_predicted_shapes_shares_the_shape_search_cap():
+    # C(27, 15) near-equal placements: refused from the arguments alone
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="cap 20000000"):
+        predicted_shapes(150, 26)
+    assert time.perf_counter() - start < 1.0
+    # the same boundary as max_edges: 3^12 * 37 is inside, 3^13 * 13 is not
+    assert len(predicted_shapes(37, 11)) == 12
+    with pytest.raises(CapExceededError):
+        predicted_shapes(13, 12)
 
 
 def test_sporadic_patterns_respect_residues():
