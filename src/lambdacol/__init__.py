@@ -3,7 +3,7 @@
 The public surface, by theme:
 
 * graphs and files — :class:`Graph`, :func:`parse_graph`, :func:`format_graph`,
-  :func:`distances`, :func:`path_cover_number`, :func:`is_subgraph`;
+  :func:`path_cover_number`;
 * exact solving — :func:`lambda_number`, :func:`is_lambda_colouring`,
   :func:`find_violation`, :func:`holes_of`, :func:`lambda_via_path_cover`,
   :class:`Colouring`, colouring files;
@@ -20,7 +20,6 @@ The public surface, by theme:
 from .graphs import (
     CapExceededError,
     DEFAULT_PATH_COVER_CAP,
-    DistanceMatrix,
     DuplicateEdgeError,
     EndpointRangeError,
     Graph,
@@ -28,10 +27,7 @@ from .graphs import (
     MalformedLineError,
     MissingHeaderError,
     SelfLoopError,
-    distances,
     format_graph,
-    is_connected,
-    is_subgraph,
     parse_graph,
     path_cover_number,
 )
@@ -46,12 +42,10 @@ from .solver import (
     SolveReport,
     SpanSearchError,
     VertexRangeError,
-    delta_lower_bound,
     find_violation,
     format_colouring,
     holes_of,
     is_lambda_colouring,
-    iter_optimal_colourings,
     lambda_number,
     lambda_via_path_cover,
     parse_colouring,
@@ -59,7 +53,6 @@ from .solver import (
 from .families import (
     EmbeddingConsistencyError,
     FamilyAssignment,
-    class_colouring,
     embed_universal,
     family_member,
     is_family_member,
@@ -84,7 +77,6 @@ from .standardise import (
     CONSTRUCTION_CAP,
     ColouredPartition,
     StandardisedGraph,
-    dual,
     edge_standardise,
     partition_of,
     shape_of,
@@ -103,7 +95,6 @@ from .extremal import (
     is_stationary,
     max_edges,
     predicted_shapes,
-    valid_shapes,
     verify_classification,
 )
 

@@ -96,31 +96,8 @@ def _check_shape_cap(n, t):
 
 
 # ---------------------------------------------------------------------------
-# shape enumeration
+# the shape search
 # ---------------------------------------------------------------------------
-
-def valid_shapes(n, t):
-    """Yield every valid shape for ``(n, t)`` once, lexicographically.
-
-    Valid: length ``t + 1``, entries >= 0 summing to ``n``, both ends >= 1,
-    no two consecutive zeros.
-    """
-    _check_range(n, t)
-
-    def rec(prefix, remaining, idx):
-        if idx == t:
-            if remaining >= 1:
-                yield prefix + (remaining,)
-            return
-        lo = 1 if idx == 0 else 0
-        for v in range(lo, remaining + 1):
-            if v == 0 and idx > 0 and prefix[-1] == 0:
-                continue
-            yield from rec(prefix + (v,), remaining - v, idx + 1)
-
-    for sizes in rec((), n, 0):
-        yield PartitionShape(sizes)
-
 
 def _subset_max(f):
     """``h[S] = max(f[T] for T ⊆ S)``, folding in one index bit at a time."""

@@ -86,11 +86,6 @@ class FamilyAssignment:
             raise ValueError(f"class sizes {counts} are not all {self.l}")
 
 
-def class_colouring(fa: FamilyAssignment) -> Colouring:
-    """The class map read as a labelling (valid on every member graph)."""
-    return Colouring(tuple(fa.class_of))
-
-
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -107,17 +102,13 @@ def path_complement(n: int) -> Graph:
 
     Base: vertices 0..3 with edges 02, 03, 13.  Step: vertex ``k`` joined to
     ``0..k-2``.  Equivalently the complement of the path on ``n + 1``
-    vertices, whence the name.  Raises :class:`CapExceededError` above
+    vertices, whence the name, and the width-1 member of the layer family
+    for span ``n``.  Raises :class:`CapExceededError` above
     :data:`CONSTRUCTION_CAP`.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    _check_construction_size("vertices plus edges", n + 1, n * (n - 1) // 2)
-    edges = {(0, 2), (0, 3), (1, 3)}
-    for k in range(4, n + 1):
-        for i in range(k - 1):
-            edges.add((i, k))
-    return Graph(n + 1, frozenset(edges))
+    return family_member(n, 1)[0]
 
 
 def family_member(t: int, l: int, matchings="canonical"):

@@ -1,17 +1,12 @@
-"""Finite simple graphs, their text format, distances, and path covers.
+"""Finite simple graphs, their text format, and path covers.
 
 Everything downstream works with labelled undirected graphs on vertex set
-``{0, ..., n-1}`` with no loops or parallel edges.  Two graph-theoretic
-quantities matter throughout:
-
-* shortest-path distance ``d(u, v)``, with disconnected pairs reported as an
-  explicit infinity (``INF``), because the colouring condition constrains
-  pairs at distance one and two only;
-
-* the path cover number: the least number of vertex-disjoint paths needed to
-  cover every vertex, where a single vertex counts as a (length-zero) path.
-  Its value on the *complement* of a graph controls the top of the colouring
-  span, which is why it lives here next to ``complement``.
+``{0, ..., n-1}`` with no loops or parallel edges.  The graph-theoretic
+quantity that matters here is the path cover number: the least number of
+vertex-disjoint paths needed to cover every vertex, where a single vertex
+counts as a (length-zero) path.  Its value on the *complement* of a graph
+controls the top of the colouring span, which is why it lives here next to
+``complement``.
 
 The text format is line oriented.  A graph file contains a header line
 ``p <n> <m>`` followed by exactly ``m`` edge lines ``e <u> <v>`` with
@@ -23,11 +18,8 @@ line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-
-INF = math.inf
 
 #: Largest order for a minimum path cover, checked by :func:`_min_path_cover`:
 #: its dynamic programme visits all ``2^n`` vertex subsets.
@@ -123,9 +115,6 @@ class Graph:
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
-    def degree(self, v) -> int:
-        return self.adj_masks[v].bit_count()
-
     def max_degree(self) -> int:
         """Largest vertex degree; 0 for the empty or edgeless graph."""
         return max((m.bit_count() for m in self.adj_masks), default=0)
@@ -141,55 +130,9 @@ class Graph:
         return Graph(self.n, comp)
 
 
-def is_subgraph(h: Graph, g: Graph) -> bool:
-    """Return ``True`` when ``h`` sits inside ``g`` under the identity map.
-
-    This is containment of labelled graphs: every vertex of ``h`` must be a
-    vertex of ``g`` (``h.n <= g.n``) and every edge of ``h`` an edge of ``g``.
-    No isomorphism search is performed.
-    """
-    return h.n <= g.n and h.edges <= g.edges
-
-
 # ---------------------------------------------------------------------------
-# distances
+# components
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric matrix of shortest-path distances.
-
-    Disconnected pairs hold ``INF`` (``math.inf``); everything else is a
-    non-negative int.  Index with ``dm[u, v]``.
-    """
-
-    entries: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, pair):
-        u, v = pair
-        return self.entries[u][v]
-
-
-def distances(g: Graph) -> DistanceMatrix:
-    """All-pairs shortest-path distances by BFS from every vertex."""
-    rows = []
-    for s in range(g.n):
-        dist = [INF] * g.n
-        for d, layer in enumerate(_bfs_layers(g.adj_masks, 1 << s)):
-            for v in _bits(layer):
-                dist[v] = d
-        rows.append(tuple(dist))
-    return DistanceMatrix(tuple(rows))
-
-
-def is_connected(g: Graph) -> bool:
-    """A graph on 0 or 1 vertices counts as connected."""
-    return g.n <= 1 or next(_components(g.adj_masks)) == (1 << g.n) - 1
-
 
 def _components(adj):
     """Vertex sets of the connected components of ``adj``, as bitmasks."""

@@ -60,9 +60,9 @@ vertex placed, or a hole
 (:func:`_probe_in_label_order`; the label-order subset search of Havet,
 Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
 most one vertex).  The DFS still decides graphs that are not diameter two
-or have more vertices than the cap, the census and the enumeration.  The
-census keeps to three elementary bounds, ``max_degree + 1``,
-``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches with no cut,
+or have more vertices than the cap, and the census.  The census keeps to
+three elementary bounds, ``max_degree + 1``, ``2*(omega - 1)`` and
+``n - 1`` at diameter two, and searches with no cut,
 so the checks of the theorem stay independent of it and it pays nothing
 for the cliques of G^2.
 
@@ -71,10 +71,8 @@ At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
 two-label domain.
 
 One recursive forward-checking core, :func:`_search_masks`, runs every
-search off that route; each branch narrows its own copy of the domains, so
-there is no undo trail.  A leaf callback, when given, sees each completion
-in lexicographic order until it accepts one: :func:`iter_optimal_colourings`
-collects them all (a plan in id order, full domains, no pinning).
+search off that route and returns its first completion; each branch narrows
+its own copy of the domains, so there is no undo trail.
 """
 
 from __future__ import annotations
@@ -234,13 +232,6 @@ class PathCoverBound:
 # bounds
 # ---------------------------------------------------------------------------
 
-def delta_lower_bound(g: Graph) -> int:
-    """The bound span >= max_degree + 1; meaningless (error) without edges."""
-    if not g.edges:
-        raise ValueError("degree lower bound requires at least one edge")
-    return g.max_degree() + 1
-
-
 def _second_neighbourhoods(adj):
     """Distance-two masks derived from distance-one masks."""
     n = len(adj)
@@ -291,7 +282,7 @@ def _tight(cliques, k):
 
 
 # ---------------------------------------------------------------------------
-# search core (shared with the census and the enumeration)
+# search core (shared with the census)
 # ---------------------------------------------------------------------------
 
 def _connected_order(d1, d2):
@@ -348,18 +339,16 @@ def _cut_rows(plan, tight):
     return rows
 
 
-def _search_masks(plan, dom, cut=(), visit=None):
+def _search_masks(plan, dom, cut=()):
     """DFS with forward checking; returns a label list or None.
 
     Labels the vertices in the order of ``plan`` (:func:`_plan`), each
     taking the smallest label left in its domain first; ``dom[v]`` is the
     bitmask of labels open to vertex v, a one-label domain for a vertex
     fixed beforehand (already forward-checked into the rest).  Returns the
-    first completion, the lexicographically smallest along the order; with
-    ``visit``, the first that ``visit`` accepts (returns true for), each
-    completion being passed to it in that order as the search's own label
-    list.  Each branch forward-checks its own copy of the domains, so
-    backtracking has nothing to undo.
+    first completion, the lexicographically smallest along the order.  Each
+    branch forward-checks its own copy of the domains, so backtracking has
+    nothing to undo.
 
     ``cut`` holds the rows of :func:`_cut_rows` at the search's span.  A
     branch, the root included, dies when a row's domains hold fewer labels
@@ -374,7 +363,7 @@ def _search_masks(plan, dom, cut=(), visit=None):
 
     def rec(i, dom):
         if i == depth:
-            return visit is None or visit(labels)
+            return True
         v = order[i]
         l1, l2 = later1[i], later2[i]
         rows = cut and cut[i + 1]
@@ -622,23 +611,6 @@ def lambda_number(g: Graph) -> SolveReport:
                                 probe)
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
-
-
-def iter_optimal_colourings(g: Graph, span: int) -> list:
-    """Every valid colouring of ``g`` with labels in ``0..span``, as a list.
-
-    Lexicographic order by label vector.  Includes colourings whose maximum is
-    below ``span`` or minimum above 0; callers filter.  The whole list is
-    built before it is returned, so time and memory grow with the number of
-    colourings (``(span + 1) ** n`` on an edgeless graph): small graphs only.
-    """
-    d1 = g.adj_masks
-    found = []
-    # list.append returns None, so the search visits every completion
-    _search_masks(_plan(d1, _second_neighbourhoods(d1), range(g.n)),
-                  [(1 << (span + 1)) - 1] * g.n,
-                  visit=lambda labels: found.append(tuple(labels)))
-    return found
 
 
 def lambda_via_path_cover(g: Graph) -> PathCoverBound:

@@ -1,4 +1,4 @@
-"""Coloured partitions, duality, and the rank-aligned standardised graph.
+"""Coloured partitions and the rank-aligned standardised graph.
 
 A colouring of span ``t`` partitions the vertices into classes ``C_0..C_t``
 (some possibly empty — holes).  The *standardised graph* of a pair ``(g, c)``
@@ -24,10 +24,6 @@ are all *layered matchings*: every noncontiguous class pair joined by a
 matching that saturates the smaller class.  :meth:`StandardisedGraph.graph`
 builds all three, for any choice of matchings, and :func:`_is_layered_matching`
 checks membership and stationarity alike by counting partners and edges.
-
-Label reversal ``m -> t - m`` (the *dual*) preserves validity and span; it is
-provided for colourings, partitions, and shapes alike because the sporadic
-extremal families are closed under it.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import CapExceededError, Graph
-from .shapes import PartitionShape, dual_shape, edge_bound
+from .shapes import PartitionShape, edge_bound
 from .solver import Colouring, is_lambda_colouring
 
 
@@ -104,23 +100,6 @@ def partition_of(g: Graph, c: Colouring) -> ColouredPartition:
 def shape_of(cp: ColouredPartition) -> PartitionShape:
     """Class sizes of a partition."""
     return PartitionShape(tuple(len(cl) for cl in cp.classes))
-
-
-def dual(obj):
-    """Index-reversed counterpart of a shape, partition, or colouring.
-
-    For colourings this is the relabelling ``u -> t - c(u)`` (``t`` the
-    span), which is valid exactly when the original is, with equal span.
-    An involution in all three cases.
-    """
-    if isinstance(obj, PartitionShape):
-        return dual_shape(obj)
-    if isinstance(obj, ColouredPartition):
-        return ColouredPartition(obj.t, obj.classes[::-1])
-    if isinstance(obj, Colouring):
-        t = obj.span
-        return Colouring(tuple(t - x for x in obj.labels))
-    raise TypeError(f"no dual defined for {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -276,14 +276,14 @@ def is_stationary_shape(sizes) -> bool:
     return tuple(sizes) in patterns or tuple(sizes[::-1]) in patterns
 
 
-def reference_lex_witness(g: Graph, k: int):
-    """Lexicographically least valid labelling with labels in ``0..k``.
+def reference_colourings(g: Graph, k: int):
+    """Every valid labelling with labels in ``0..k``, lexicographically.
 
     Backtracking over vertex ids with ascending labels.  Each vertex keeps
     the set of labels still allowed to it; a new label is checked against
     every later vertex within distance two, by the distances of
     :func:`floyd_warshall`, and removes the labels it rules out there.
-    Returns a tuple, or ``None`` when no labelling fits in ``0..k``.
+    Yields tuples.
     """
     dist = floyd_warshall(g)
     allowed = [set(range(k + 1)) for _ in range(g.n)]
@@ -291,7 +291,8 @@ def reference_lex_witness(g: Graph, k: int):
 
     def extend(v):
         if v == g.n:
-            return True
+            yield tuple(labels)
+            return
         for x in sorted(allowed[v]):
             removed = []
             for u in range(v + 1, g.n):
@@ -302,14 +303,21 @@ def reference_lex_witness(g: Graph, k: int):
                     removed.append((u, ruled_out))
             if all(allowed[u] for u, _ in removed):
                 labels.append(x)
-                if extend(v + 1):
-                    return True
+                yield from extend(v + 1)
                 labels.pop()
             for u, ruled_out in removed:
                 allowed[u] |= ruled_out
-        return False
 
-    return tuple(labels) if extend(0) else None
+    return extend(0)
+
+
+def reference_lex_witness(g: Graph, k: int):
+    """Lexicographically least valid labelling with labels in ``0..k``.
+
+    The first of :func:`reference_colourings`, or ``None`` when no
+    labelling fits in ``0..k``.
+    """
+    return next(reference_colourings(g, k), None)
 
 
 def optimal_witness_by_brute_force(g: Graph):

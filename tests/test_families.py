@@ -8,19 +8,15 @@ from lambdacol import (
     EmbeddingConsistencyError,
     FamilyAssignment,
     Graph,
-    class_colouring,
-    delta_lower_bound,
     embed_universal,
     family_member,
     is_family_member,
     is_lambda_colouring,
-    is_subgraph,
     lambda_number,
     path_complement,
-    distances,
 )
 from lambdacol import families
-from oracles import all_graphs
+from oracles import all_graphs, floyd_warshall
 from test_graphs import graphs
 
 
@@ -49,19 +45,19 @@ def test_path_complement_rejects_small_n():
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_path_complement_has_diameter_two(n):
-    d = distances(path_complement(n))
+    d = floyd_warshall(path_complement(n))
     assert all(
-        d[u, v] in (1, 2)
+        d[u][v] in (1, 2)
         for u in range(n + 1) for v in range(u + 1, n + 1)
     )
 
 
 def test_path_complement_three_has_one_far_pair():
-    d = distances(path_complement(3))
+    d = floyd_warshall(path_complement(3))
     far = [
         (u, v)
         for u in range(4) for v in range(u + 1, 4)
-        if d[u, v] not in (1, 2)
+        if d[u][v] not in (1, 2)
     ]
     assert far == [(1, 2)]
 
@@ -77,7 +73,7 @@ def test_family_member_counts_and_membership(t, l):
     assert g.n == (t + 1) * l
     assert g.m == t * (t - 1) // 2 * l
     assert is_family_member(g, fa)
-    c = class_colouring(fa)
+    c = Colouring(fa.class_of)
     assert is_lambda_colouring(g, c)
     assert c.span == t
 
@@ -153,13 +149,13 @@ def test_embed_worked_example():
     assert fa.class_of == (2, 0, 3, 1)
     assert host.edges == g.edges | {(2, 3)}
     assert is_family_member(host, fa)
-    assert is_subgraph(g, host)
+    assert g.n <= host.n and g.edges <= host.edges
 
 
 def _assert_good_embedding(g, c):
     host, fa, injection = embed_universal(g, c)
     assert is_family_member(host, fa)
-    assert is_subgraph(g, host)
+    assert g.n <= host.n and g.edges <= host.edges
     # originals keep their ids, classes agree with labels
     assert injection == tuple(range(g.n))
     for v in range(g.n):
@@ -197,7 +193,7 @@ def test_embed_accepts_suboptimal_colourings():
     host, fa, _ = embed_universal(g, c)
     assert is_family_member(host, fa)
     assert host.n == 5
-    assert is_subgraph(g, host)
+    assert g.n <= host.n and g.edges <= host.edges
 
 
 @pytest.mark.parametrize("check", ["is_family_member"])
@@ -222,4 +218,4 @@ def test_embed_rejects_invalid_or_narrow_colourings():
 @settings(max_examples=40, deadline=None)
 def test_delta_bound_on_all_enumerated(g):
     if g.edges:
-        assert delta_lower_bound(g) <= lambda_number(g).lambda_value
+        assert g.max_degree() + 1 <= lambda_number(g).lambda_value

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from lambdacol import (
     CapExceededError,
-    DistanceMatrix,
     DuplicateEdgeError,
     EndpointRangeError,
     Graph,
@@ -16,14 +15,14 @@ from lambdacol import (
     MalformedLineError,
     MissingHeaderError,
     SelfLoopError,
-    distances,
     format_graph,
-    is_connected,
-    is_subgraph,
     parse_graph,
     path_cover_number,
 )
 from lambdacol.graphs import (
+    _bfs_layers,
+    _bits,
+    _components,
     _end_slots,
     _greedy_path_cover,
     _path_cover_bound,
@@ -35,8 +34,6 @@ from oracles import (
     floyd_warshall,
     partition_path_cover,
 )
-
-INF = math.inf
 
 
 def graphs(max_n=6):
@@ -82,18 +79,9 @@ def test_from_edges_normalises_orientation():
 
 def test_adjacency_and_degrees():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    assert g.degree(1) == 3 and g.degree(0) == 1
+    assert g.adj_masks[1].bit_count() == 3 and g.adj_masks[0].bit_count() == 1
     assert g.max_degree() == 3
     assert g.adj_masks[1] == 0b1101
-
-
-def test_is_subgraph():
-    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    assert is_subgraph(p3, k3)
-    assert not is_subgraph(k3, p3)
-    assert is_subgraph(p3, Graph(4, p3.edges))
-    assert not is_subgraph(Graph(4, p3.edges), p3)  # more vertices
 
 
 @given(graphs())
@@ -112,29 +100,26 @@ def test_complement_edge_count(g):
 
 @given(graphs())
 def test_distances_match_floyd_warshall(g):
-    d = distances(g)
+    # layer d of the BFS from u holds the vertices at distance d from u
     ref = floyd_warshall(g)
     for u in range(g.n):
-        for v in range(g.n):
-            assert d[u, v] == ref[u][v]
-
-
-def test_distance_matrix_basics():
-    g = Graph.from_edges(4, [(0, 1), (1, 2)])
-    d = distances(g)
-    assert isinstance(d, DistanceMatrix)
-    assert d[0, 2] == 2
-    assert d[0, 3] == INF
-    assert is_connected(g) is False
-    assert is_connected(Graph.from_edges(2, [(0, 1)])) is True
+        dist = [math.inf] * g.n
+        for d, layer in enumerate(_bfs_layers(g.adj_masks, 1 << u)):
+            for v in _bits(layer):
+                dist[v] = d
+        assert dist == ref[u]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_is_connected_agrees_with_distances(n):
+    # the components partition the vertices into classes of finite distance
     for g in all_graphs(n):
-        d = distances(g)
-        want = all(d[0, v] != INF for v in range(n))
-        assert is_connected(g) is want, g
+        ref = floyd_warshall(g)
+        comps = list(_components(g.adj_masks))
+        assert sum(comps) == (1 << n) - 1, g
+        for c in comps:
+            u = (c & -c).bit_length() - 1
+            assert c == sum(1 << v for v in range(n) if ref[u][v] < math.inf), g
 
 
 # ---------------------------------------------------------------------------

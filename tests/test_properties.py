@@ -18,7 +18,6 @@ from lambdacol import (
     predicted_shapes,
     prohibited_zone,
     spread,
-    valid_shapes,
 )
 from test_shapes import small_valid_shapes
 

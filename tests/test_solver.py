@@ -17,12 +17,10 @@ from lambdacol import (
     NotNormalisedError,
     SpanSearchError,
     VertexRangeError,
-    delta_lower_bound,
     find_violation,
     format_colouring,
     holes_of,
     is_lambda_colouring,
-    iter_optimal_colourings,
     lambda_number,
     lambda_via_path_cover,
     parse_colouring,
@@ -58,6 +56,7 @@ from oracles import (
     first_violation_by_distances,
     is_valid_by_distances,
     optimal_witness_by_brute_force,
+    reference_colourings,
     reference_lex_witness,
 )
 from test_graphs import graphs
@@ -333,23 +332,23 @@ def test_label_order_probe_agrees_with_the_dfs(n, above):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_vertices_of_degree_span_minus_one_sit_at_the_ends(n):
-    # checked on the enumerator, which knows nothing of degrees
+    # checked on the reference enumerator, which knows nothing of degrees
     for g in all_graphs(n):
         if not g.edges:
             continue
         k = lambda_number(g).lambda_value
-        pinned = [v for v in range(n) if g.degree(v) == k - 1]
-        for labels in iter_optimal_colourings(g, k):
+        pinned = [v for v in range(n) if g.adj_masks[v].bit_count() == k - 1]
+        for labels in reference_colourings(g, k):
             assert all(labels[v] in (0, k) for v in pinned), (g, labels)
 
 
-def test_iter_optimal_colourings_is_exhaustive_and_lex_ordered():
+def test_reference_colourings_is_exhaustive_and_lex_ordered():
     # every graph with n <= 4, at its span and one above
     for n in range(1, 5):
         for g in all_graphs(n):
             k = brute_lambda(g)
             for span in (k, k + 1):
-                got = list(iter_optimal_colourings(g, span))
+                got = list(reference_colourings(g, span))
                 want = [
                     labels for labels in product(range(span + 1), repeat=n)
                     if is_valid_by_distances(g, labels)
@@ -424,17 +423,17 @@ def test_span_search_past_the_trivial_bound_is_a_typed_error(monkeypatch):
 
 
 def test_delta_lower_bound():
-    assert delta_lower_bound(P(4)) == 3
-    assert delta_lower_bound(K(4)) == 4
-    with pytest.raises(ValueError):
-        delta_lower_bound(Graph(3, frozenset()))
+    # span >= max_degree + 1: tight on the path, loose on the clique
+    assert P(4).max_degree() + 1 == lambda_number(P(4)).lambda_value == 3
+    assert K(4).max_degree() + 1 == 4 < lambda_number(K(4)).lambda_value
+    assert Graph(3, frozenset()).max_degree() == 0
 
 
 @given(graphs(max_n=6))
 @settings(max_examples=60, deadline=None)
 def test_delta_bound_holds(g):
     if g.edges:
-        assert lambda_number(g).lambda_value >= delta_lower_bound(g)
+        assert lambda_number(g).lambda_value >= g.max_degree() + 1
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +480,18 @@ def test_square_clique_bound_lies_between_the_elementary_bound_and_the_span(n):
 def test_tight_clique_cut_keeps_every_completion(n):
     # at span omega(G^2) - 1 every maximum clique of the square is tight;
     # from every prefix the witness driver can fix, the cut search must
-    # visit the same completions in the same order as the plain one
+    # return what the plain one does.  The prefixes run down to every
+    # completion with all vertices fixed, so none of them is cut either.
     for g in all_graphs(n):
         d1 = g.adj_masks
         d2 = _second_neighbourhoods(d1)
         cliques = _square_cliques(d1, d2)
         k = cliques[0].bit_count() - 1
         plan = _plan(d1, d2, _connected_order(d1, d2))
+        cut = _cut_rows(plan, cliques)
         for v, dom in _fixed_prefixes(d1, d2, [(1 << k + 1) - 1] * n, 0):
-            runs = []
-            for cut in (), _cut_rows(plan, cliques):
-                found = []
-                _search_masks(plan, dom, cut,
-                              visit=lambda labels: found.append(tuple(labels)))
-                runs.append(found)
-            assert runs[0] == runs[1], (g, dom)
+            assert _search_masks(plan, dom, cut) == _search_masks(plan, dom), \
+                (g, dom)
 
 
 # Bench instance sparse-157 (G(19, d/(n-1)) of the sparse workload, seed 1):

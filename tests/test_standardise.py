@@ -16,7 +16,6 @@ from lambdacol import (
     PartitionShape,
     StandardisedGraph,
     build_stationary,
-    dual,
     dual_shape,
     edge_bound,
     edge_standardise,
@@ -75,15 +74,15 @@ def test_coloured_partition_validation():
 # duality
 # ---------------------------------------------------------------------------
 
-def test_dual_dispatches_by_type():
-    s = PartitionShape((3, 2, 1, 3))
-    assert dual(s) == dual_shape(s) == PartitionShape((3, 1, 2, 3))
-    c = Colouring((0, 2, 3))
-    assert dual(c) == Colouring((3, 1, 0))
-    p = ColouredPartition(1, (frozenset({0}), frozenset({1})))
-    assert dual(p).classes == (frozenset({1}), frozenset({0}))
-    with pytest.raises(TypeError):
-        dual("3,2,1,3")
+def test_reversal_reverses_the_classes_and_the_shape():
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    c = Colouring((0, 2, 4, 0))
+    rev = Colouring(tuple(c.span - x for x in c.labels))
+    assert rev == Colouring((4, 2, 0, 4))
+    cp, rp = partition_of(g, c), partition_of(g, rev)
+    assert rp.classes == cp.classes[::-1]
+    assert shape_of(rp) == dual_shape(shape_of(cp))
+    assert shape_of(rp) == PartitionShape((1, 0, 1, 0, 2))
 
 
 @given(graphs(max_n=6))
@@ -91,8 +90,10 @@ def test_dual_dispatches_by_type():
 def test_dual_colouring_stays_valid(g):
     if not g.edges:
         return
+    # lambda_number's incumbent takes the smaller of a colouring and this
     c = lambda_number(g).witness
-    assert is_lambda_colouring(g, dual(c))
+    rev = Colouring(tuple(c.span - x for x in c.labels))
+    assert is_lambda_colouring(g, rev)
 
 
 # ---------------------------------------------------------------------------
