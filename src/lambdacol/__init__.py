@@ -17,9 +17,11 @@ The public surface, by theme:
   :func:`verify_classification`, :func:`brute_force_graph_census`.
 """
 
+from types import ModuleType as _ModuleType
+
 from .graphs import (
     CapExceededError,
-    DEFAULT_PATH_COVER_CAP,
+    DEFAULT_SOLVER_CAP,
     DuplicateEdgeError,
     EndpointRangeError,
     Graph,
@@ -34,7 +36,6 @@ from .graphs import (
 from .solver import (
     CHECK_CAP,
     Colouring,
-    DEFAULT_SOLVER_CAP,
     DuplicateVertexError,
     MissingVertexError,
     NotNormalisedError,
@@ -98,6 +99,7 @@ from .extremal import (
     verify_classification,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

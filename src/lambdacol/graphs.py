@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-#: Largest order for a minimum path cover, checked by :func:`_min_path_cover`:
-#: its dynamic programme visits all ``2^n`` vertex subsets.
-DEFAULT_PATH_COVER_CAP = 20
+#: Largest order :func:`lambda_number` solves and :func:`_min_path_cover`
+#: covers: the cover's dynamic programme visits all ``2^n`` vertex subsets.
+DEFAULT_SOLVER_CAP = 24
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ class Graph:
         """A minimum path cover of the complement, as vertex tuples.
 
         From :func:`_min_path_cover`, which refuses graphs above
-        :data:`DEFAULT_PATH_COVER_CAP`.
+        :data:`DEFAULT_SOLVER_CAP`.
         """
         return tuple(tuple(p) for p in _min_path_cover(self, complement=True))
 
@@ -167,7 +167,7 @@ def path_cover_number(g: Graph) -> int:
     :func:`_min_path_cover`'s cover: the greedy one when it meets
     :func:`_path_cover_bound`, else the exact dynamic programme over vertex
     subsets (:func:`_path_cover_masks`).  Raises :class:`CapExceededError`
-    when ``n`` exceeds :data:`DEFAULT_PATH_COVER_CAP`.
+    when ``n`` exceeds :data:`DEFAULT_SOLVER_CAP`.
     """
     return len(_min_path_cover(g))
 
@@ -181,14 +181,15 @@ def _complement_masks(adj):
 def _min_path_cover(g, complement=False):
     """A minimum path cover of ``g``, or of its complement, as vertex lists.
 
-    Raises :class:`CapExceededError` above :data:`DEFAULT_PATH_COVER_CAP`
+    Raises :class:`CapExceededError` above :data:`DEFAULT_SOLVER_CAP`
     vertices, before any masks are built.  The greedy cover is minimum when
     it meets :func:`_path_cover_bound`; only otherwise does the ``2^n`` DP
-    run.
+    run, keeping ``n`` families of ``2^n`` bits per path count (48 MB each
+    at the cap).
     """
-    if g.n > DEFAULT_PATH_COVER_CAP:
+    if g.n > DEFAULT_SOLVER_CAP:
         raise CapExceededError(
-            f"path cover limited to n <= {DEFAULT_PATH_COVER_CAP} vertices, "
+            f"path cover limited to n <= {DEFAULT_SOLVER_CAP} vertices, "
             f"got {g.n}"
         )
     adj = _complement_masks(g.adj_masks) if complement else g.adj_masks

@@ -29,13 +29,13 @@ Off the diameter-two route below, the iteration starts from the distance-two
 clique bound: vertices pairwise within distance two need pairwise distinct
 labels, so a clique of the square graph G^2 on ``q`` vertices forces span
 ``>= q - 1``.  With ``q = omega(G^2)`` this is at least ``max_degree`` (a
-closed neighbourhood is such a clique) and ``n - 1`` at diameter two (G^2
-is complete), but it can fall short of ``max_degree + 1``, which also
-counts the centre's gap of 2 to each neighbour: the spider with edges 01,
-02, 03, 14 has ``omega(G^2) - 1 = 3`` and span 4.  So the start is
-``max(max_degree + 1, 2*(omega - 1), omega(G^2) - 1)``, with ``omega`` the
-clique number of G (pairwise gaps of 2).  At span ``k = omega(G^2) - 1`` a maximum clique of G^2 is
-*tight*: it has ``k + 1`` members and uses every label once.  Every search
+closed neighbourhood is such a clique), but it can fall short of
+``max_degree + 1``, which also counts the centre's gap of 2 to each
+neighbour: the spider with edges 01, 02, 03, 14 has ``omega(G^2) - 1 = 3``
+and span 4.  So the start is ``max(max_degree + 1, 2*(omega - 1),
+omega(G^2) - 1)``, with ``omega`` the clique number of G (pairwise gaps of
+2).  At span ``k = omega(G^2) - 1`` a maximum clique of G^2 is *tight*: it
+has ``k + 1`` members and uses every label once.  Every search
 at that span, witness probes included, is cut on the tight cliques (at most
 ``n`` of them): a branch dies when the labels left to a tight clique's
 unplaced members are fewer than those members, the pigeonhole filter of
@@ -43,28 +43,26 @@ all-different propagation (Regin, 1994).  Its rows are built once, over the
 plan, for the probes too.  The cut drops only branches without completions,
 so the colourings found and their order are the same.
 
-At diameter two with ``n <= DEFAULT_PATH_COVER_CAP``, :func:`lambda_number`
-takes the route path cover -> layout -> label-order probes, and runs no DFS.
-Every label is distinct there, and two vertices take consecutive labels
-only when they are adjacent in the complement, so a colouring is an ordered
-list of paths of the complement with a one-label hole between consecutive
-paths, and the span is ``n + pc - 2`` for the path cover number ``pc`` of
-the complement (Georges, Mauro and Whittlesey, 1994).  The minimum cover is
-the one cached on the graph, :attr:`Graph.complement_path_cover`: a greedy
-cover when it meets one lower bound on the cover number (components, path
-ends and independent sets of the complement), else the subset DP's.  Laying
-the paths out in order gives the first colouring.  The witness is then built
-by the same vertex-by-vertex driver, but each probe walks the labels
-``0..k`` in order, placing at each label a complement neighbour of the last
-vertex placed, or a hole
-(:func:`_probe_in_label_order`; the label-order subset search of Havet,
-Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
-most one vertex).  The DFS still decides graphs that are not diameter two
-or have more vertices than the cap, and the census.  The census keeps to
-three elementary bounds, ``max_degree + 1``, ``2*(omega - 1)`` and
-``n - 1`` at diameter two, and searches with no cut,
-so the checks of the theorem stay independent of it and it pays nothing
-for the cliques of G^2.
+At diameter two, :func:`lambda_number` takes the route path cover ->
+layout -> label-order probes, and runs no DFS.  Every label is distinct
+there, and two vertices take consecutive labels only when they are adjacent
+in the complement, so a colouring is an ordered list of paths of the
+complement with a one-label hole between consecutive paths, and the span is
+``n + pc - 2`` for the path cover number ``pc`` of the complement (Georges,
+Mauro and Whittlesey, 1994).  The minimum cover is the one cached on the
+graph, :attr:`Graph.complement_path_cover`: a greedy cover when it meets one
+lower bound on the cover number (components, path ends and independent sets
+of the complement), else the subset DP's.  Laying the paths out in order
+gives the first colouring.  The witness is then built by the same
+vertex-by-vertex driver, but each probe walks the labels ``0..k`` in order,
+placing at each label a complement neighbour of the last vertex placed, or
+a hole (:func:`_probe_in_label_order`; the label-order subset search of
+Havet, Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes
+of at most one vertex).  The DFS decides every other graph, and the census.
+The census keeps to three elementary bounds, ``max_degree + 1``,
+``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches with no cut,
+so the checks of the theorem stay independent of it and it pays nothing for
+the cliques of G^2.
 
 At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
 (see :func:`_domains`), so every search starts such vertices from that
@@ -81,7 +79,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     CapExceededError,
-    DEFAULT_PATH_COVER_CAP,
+    DEFAULT_SOLVER_CAP,
     Graph,
     GraphParseError,
     MalformedLineError,
@@ -92,8 +90,6 @@ from .graphs import (
     _significant_lines,
 )
 
-#: Largest order :func:`lambda_number` solves.
-DEFAULT_SOLVER_CAP = 24
 #: Largest order :func:`find_violation` checks: its masks take up to n bits
 #: per vertex (a path at the cap peaks near 110 MB).
 CHECK_CAP = 25_000
@@ -593,8 +589,7 @@ def lambda_number(g: Graph) -> SolveReport:
     n = g.n
     d1 = g.adj_masks
     d2 = _second_neighbourhoods(d1)
-    diameter_two = _diameter_two(n, d1, d2)
-    if diameter_two and n <= DEFAULT_PATH_COVER_CAP:
+    if _diameter_two(n, d1, d2):
         # span = n + pc(complement) - 2, from the cached minimum cover
         comp = _complement_masks(d1)
         paths = g.complement_path_cover
@@ -604,7 +599,7 @@ def lambda_number(g: Graph) -> SolveReport:
     else:
         plan = _plan(d1, d2, _connected_order(d1, d2))
         cliques = _square_cliques(d1, d2)
-        lb = max(_lower_bound(n, d1, diameter_two), cliques[0].bit_count() - 1)
+        lb = max(_lower_bound(n, d1, False), cliques[0].bit_count() - 1)
         k, labels, cut = _optimal_colouring(plan, d1, lb, cliques)
         probe = lambda trial: _search_masks(plan, trial, cut)
     labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]),
@@ -620,7 +615,7 @@ def lambda_via_path_cover(g: Graph) -> PathCoverBound:
     exactly when the span is ``n + t - 2``, provided ``t >= 2``; when the
     complement has a Hamilton path (``t = 1``) the span is only bounded above
     by ``n - 1``.  Raises :class:`CapExceededError` above
-    :data:`DEFAULT_PATH_COVER_CAP` vertices.
+    :data:`DEFAULT_SOLVER_CAP` vertices.
     """
     if g.n == 0:
         raise ValueError("span of the empty graph is undefined")

@@ -221,9 +221,9 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     code, out, err = run(capsys, "maxedges", "13", "12")  # 20,726,199 steps
     assert code == 1 and out == "" and "cap 20000000" in err
     edgeless = tmp_path / "edgeless.txt"
-    edgeless.write_text("p 21 0\n")
+    edgeless.write_text("p 25 0\n")
     code, out, err = run(capsys, "pathcover", str(edgeless))
-    assert code == 1 and out == "" and "path cover limited to n <= 20" in err
+    assert code == 1 and out == "" and "path cover limited to n <= 24" in err
     edgeless.write_text("p 25 0\n")
     for verb in ("lambda", "classify"):
         code, out, err = run(capsys, verb, str(edgeless))

@@ -204,7 +204,7 @@ def test_path_cover_matches_brute_force_random(g):
 
 def test_path_cover_cap():
     with pytest.raises(CapExceededError):
-        path_cover_number(Graph(21, frozenset()))
+        path_cover_number(Graph(25, frozenset()))
 
 
 # ---------------------------------------------------------------------------

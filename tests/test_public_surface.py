@@ -11,24 +11,22 @@ TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 PUBLIC = [
     "CENSUS_CAP", "CHECK_CAP", "CONSTRUCTION_CAP", "CapExceededError", "Case",
     "ClassificationError", "ClassificationReport", "ColouredPartition",
-    "Colouring", "DEFAULT_MAX_SHAPES", "DEFAULT_PATH_COVER_CAP",
-    "DEFAULT_SOLVER_CAP", "DuplicateEdgeError", "DuplicateVertexError",
-    "EmbeddingConsistencyError", "EndpointRangeError", "FamilyAssignment",
-    "Graph", "GraphParseError", "MalformedLineError", "MissingHeaderError",
-    "MissingVertexError", "NotNormalisedError", "PartitionShape",
-    "PathCoverBound", "SelfLoopError", "SolveReport", "SpanSearchError",
-    "StandardisedGraph", "StationaryType", "VerificationReport",
-    "VertexRangeError", "adjacent_max_pairs", "brute_force_graph_census",
-    "build_stationary", "classify", "delete_max", "dual_shape", "edge_bound",
-    "edge_standardise", "embed_universal", "extremal", "families",
+    "Colouring", "DEFAULT_MAX_SHAPES", "DEFAULT_SOLVER_CAP",
+    "DuplicateEdgeError", "DuplicateVertexError", "EmbeddingConsistencyError",
+    "EndpointRangeError", "FamilyAssignment", "Graph", "GraphParseError",
+    "MalformedLineError", "MissingHeaderError", "MissingVertexError",
+    "NotNormalisedError", "PartitionShape", "PathCoverBound", "SelfLoopError",
+    "SolveReport", "SpanSearchError", "StandardisedGraph", "StationaryType",
+    "VerificationReport", "VertexRangeError", "adjacent_max_pairs",
+    "brute_force_graph_census", "build_stationary", "classify", "delete_max",
+    "dual_shape", "edge_bound", "edge_standardise", "embed_universal",
     "family_member", "find_violation", "format_colouring", "format_graph",
-    "format_shape", "graphs", "holes_of", "insert_min", "is_family_member",
+    "format_shape", "holes_of", "insert_min", "is_family_member",
     "is_lambda_colouring", "is_stationary", "is_valid_shape", "lambda_number",
     "lambda_via_path_cover", "max_classes", "max_edges", "min_classes",
     "parse_colouring", "parse_graph", "parse_shape", "partition_of",
     "path_complement", "path_cover_number", "predicted_shapes",
-    "prohibited_zone", "shape_of", "shapes", "solver", "spread", "standardise",
-    "verify_classification",
+    "prohibited_zone", "shape_of", "spread", "verify_classification",
 ]
 
 

@@ -1,6 +1,7 @@
 """Exact solver: known spans, brute-force agreement, witnesses, files."""
 
 import random
+import time
 from collections import Counter
 from itertools import combinations, product
 
@@ -634,7 +635,60 @@ def test_path_cover_route_checks_the_cap_before_the_complement(monkeypatch):
     with pytest.raises(AssertionError, match="complement built"):
         lambda_via_path_cover(C(5))
     with pytest.raises(CapExceededError):
-        lambda_via_path_cover(Graph(21, frozenset()))
+        lambda_via_path_cover(Graph(25, frozenset()))
+
+
+def _diameter_two_graphs_to_the_cap():
+    """The first five diameter-two draws for each n in 21..24, in order.
+
+    One ``random.Random(11)`` serves every draw: ``p`` from 0.6..0.9, then
+    each pair ``u < v`` in row order kept when ``rng.random() < p``.
+    """
+    rng = random.Random(11)
+    for n in range(21, 25):
+        kept = 0
+        while kept < 5:
+            p = rng.choice([0.6, 0.7, 0.8, 0.9])
+            g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                     if rng.random() < p])
+            if _diameter_two(n, g.adj_masks,
+                             _second_neighbourhoods(g.adj_masks)):
+                kept += 1
+                yield g
+
+
+def _assert_solved_by_the_path_cover(g):
+    rep = lambda_number(g)
+    assert is_valid_by_distances(g, rep.witness.labels), g
+    pc = len(g.complement_path_cover)
+    assert rep.lambda_value == g.n + pc - 2 == lambda_via_path_cover(g).value
+    return rep.lambda_value
+
+
+def test_diameter_two_above_twenty_vertices_runs_no_dfs(monkeypatch):
+    # the first draw (n 21, p 0.9): the DFS thrashes near span n on it
+    def refuse(*args):
+        raise AssertionError("DFS run")
+
+    monkeypatch.setattr(solver_module, "_search_masks", refuse)
+    g = next(_diameter_two_graphs_to_the_cap())
+    assert g.n == 21
+    assert _assert_solved_by_the_path_cover(g) == 26
+
+
+def test_path_cover_route_at_the_cap():
+    # 24 vertices; the complement is a Hamilton path
+    bound = lambda_via_path_cover(path_complement(23))
+    assert (bound.path_cover, bound.exact, bound.value) == (1, False, 23)
+
+
+@pytest.mark.slow
+def test_every_diameter_two_graph_to_the_cap_solves_in_seconds():
+    # at most 6.4 s each on 2 cores, most of it the 2^n path-cover DP
+    for g in _diameter_two_graphs_to_the_cap():
+        start = time.perf_counter()
+        _assert_solved_by_the_path_cover(g)
+        assert time.perf_counter() - start < 15, g
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
