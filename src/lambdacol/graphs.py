@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 #: Largest order :func:`lambda_number` solves and :func:`_min_path_cover`
 #: covers: the cover's dynamic programme visits all ``2^n`` vertex subsets.
@@ -184,8 +185,7 @@ def _min_path_cover(g, complement=False):
     Raises :class:`CapExceededError` above :data:`DEFAULT_SOLVER_CAP`
     vertices, before any masks are built.  The greedy cover is minimum when
     it meets :func:`_path_cover_bound`; only otherwise does the ``2^n`` DP
-    run, keeping ``n`` families of ``2^n`` bits per path count (48 MB each
-    at the cap).
+    run, and only for covers of fewer paths than the greedy one.
     """
     if g.n > DEFAULT_SOLVER_CAP:
         raise CapExceededError(
@@ -195,7 +195,7 @@ def _min_path_cover(g, complement=False):
     adj = _complement_masks(g.adj_masks) if complement else g.adj_masks
     paths = _greedy_path_cover(adj)
     if len(paths) > _path_cover_bound(adj):
-        paths = _path_cover_masks(adj)
+        paths = _path_cover_masks(adj, len(paths)) or paths
     return paths
 
 
@@ -250,27 +250,63 @@ def _max_cliques(adj, limit=1):
     return found
 
 
-def _path_cover_masks(adj):
-    """A minimum path cover of bitmask adjacency ``adj``, as vertex lists.
+def _path_cover_masks(adj, below):
+    """A minimum path cover of bitmask adjacency ``adj``, as vertex lists,
+    when it has fewer than ``below`` paths; else None.
 
     A dynamic programme over all ``2^n`` vertex subsets, each family of
     subsets held as one integer whose bit ``S`` stands for the subset ``S``,
     so that one integer operation acts on every subset at once.  For
     ``p = 1, 2, ...`` in turn, ``ends[v]`` is the family of subsets with a
-    cover by at most ``p`` paths, one of them ending at ``v``, and
-    ``covered`` the family with a cover by at most ``p`` paths.  Taking
-    ``v`` off the end of its path leaves ``S - v`` covered by at most
-    ``p - 1`` paths, or by at most ``p`` with one ending next to ``v``; so
-    ``ends[v]`` is the least family holding ``S + v`` for each ``S`` without
-    ``v`` in the ``covered`` of ``p - 1`` or in ``ends[u]`` of a neighbour
-    ``u``, reached by sweeping the vertices until no family grows.  The
-    first ``p`` whose ``covered`` holds the full set is the cover number;
+    cover by at most ``p`` paths, one of them ending at ``v`` (the levels of
+    :func:`_cover_levels`).  The first ``p`` at which some ``ends[v]`` holds
+    the full set is the cover number.  The levels up to ``below - 1`` are
+    built one at a time and dropped, so a run that finds no cover holds
+    about ``2n`` families of ``2^n`` bits (2 MB each at 24 vertices).  Only
+    when a cover is found are its ``p`` levels built again and kept, and
     the cover is walked back from the full set, each path going on to a
     neighbour whose ``ends`` at the same ``p`` hold the rest, and otherwise
     stopping there and leaving the rest to ``p - 1`` paths.
     """
+    full = (1 << len(adj)) - 1
+    p = 0  # the empty set needs no paths
+    if full:
+        levels = _cover_levels(adj)
+        for p in range(1, below):
+            if any(fam >> full & 1 for fam in next(levels)):
+                break
+        else:
+            return None
+    levels = list(islice(_cover_levels(adj), p))
+    paths = []
+    s = full
+    while s:
+        ends = levels.pop()
+        v = next(v for v in _bits(s) if ends[v] >> s & 1)
+        path = [v]
+        paths.append(path)
+        s ^= 1 << v
+        while s:
+            v = next((u for u in _bits(adj[v]) if ends[u] >> s & 1), -1)
+            if v < 0:
+                break
+            path.append(v)
+            s ^= 1 << v
+    return paths
+
+
+def _cover_levels(adj):
+    """The levels ``ends`` of :func:`_path_cover_masks`, ``p = 1, 2, ...``.
+
+    ``covered`` is the family of subsets with a cover by at most ``p - 1``
+    paths.  Taking ``v`` off the end of its path leaves ``S - v`` covered by
+    at most ``p - 1`` paths, or by at most ``p`` with one ending next to
+    ``v``; so ``ends[v]`` is the least family holding ``S + v`` for each
+    ``S`` without ``v`` in ``covered`` or in ``ends[u]`` of a neighbour
+    ``u``, reached by sweeping the vertices until no family grows.  Runs on
+    past the cover number, so the caller stops it.
+    """
     n = len(adj)
-    full = (1 << n) - 1
     size = 1 << n
     nbrs = [list(_bits(a)) for a in adj]
     # the subsets without v: runs of 2^v set bits and 2^v clear ones
@@ -283,8 +319,7 @@ def _path_cover_masks(adj):
             width <<= 1
         without.append(fam)
     covered = 1  # just the empty set, with a cover by no paths
-    levels = []
-    while not covered >> full & 1:
+    while True:
         ends = [(covered & without[v]) << (1 << v) for v in range(n)]
         grew = True
         while grew:
@@ -297,24 +332,10 @@ def _path_cover_masks(adj):
                 if fam != ends[v]:
                     ends[v] = fam
                     grew = True
-        levels.append(ends)
+        yield ends
         for fam in ends:
             covered |= fam
-    paths = []
-    s = full
-    while s:
-        ends = levels.pop()
-        v = next(v for v in _bits(s) if ends[v] >> s & 1)
-        path = [v]
-        paths.append(path)
-        s ^= 1 << v
-        while s:
-            v = next((u for u in nbrs[v] if ends[u] >> s & 1), -1)
-            if v < 0:
-                break
-            path.append(v)
-            s ^= 1 << v
-    return paths
+        ends = None  # the next level is built without this one
 
 
 def _greedy_path_cover(adj):

@@ -25,7 +25,7 @@ same search over the same plan (fixed vertices keep their places, with
 one-label domains), and the first probe that succeeds becomes the
 incumbent.
 
-Off the diameter-two route below, the iteration starts from the distance-two
+Off the far-pair route below, the iteration starts from the distance-two
 clique bound: vertices pairwise within distance two need pairwise distinct
 labels, so a clique of the square graph G^2 on ``q`` vertices forces span
 ``>= q - 1``.  With ``q = omega(G^2)`` this is at least ``max_degree`` (a
@@ -43,22 +43,26 @@ all-different propagation (Regin, 1994).  Its rows are built once, over the
 plan, for the probes too.  The cut drops only branches without completions,
 so the colourings found and their order are the same.
 
-At diameter two, :func:`lambda_number` takes the route path cover ->
-layout -> label-order probes, and runs no DFS.  Every label is distinct
-there, and two vertices take consecutive labels only when they are adjacent
-in the complement, so a colouring is an ordered list of paths of the
-complement with a one-label hole between consecutive paths, and the span is
-``n + pc - 2`` for the path cover number ``pc`` of the complement (Georges,
-Mauro and Whittlesey, 1994).  The minimum cover is the one cached on the
-graph, :attr:`Graph.complement_path_cover`: a greedy cover when it meets one
-lower bound on the cover number (components, path ends and independent sets
-of the complement), else the subset DP's.  Laying the paths out in order
-gives the first colouring.  The witness is then built by the same
-vertex-by-vertex driver, but each probe walks the labels ``0..k`` in order,
-placing at each label a complement neighbour of the last vertex placed, or
-a hole (:func:`_probe_in_label_order`; the label-order subset search of
+A graph with at most :data:`FAR_PAIR_LIMIT` *far* pairs, at distance three
+or more, takes the route far-clique partitions -> path covers -> layout ->
+label-order probes, and runs no DFS.  The vertices sharing a label are
+pairwise far, and two labels in a row hold vertex sets with no edge between
+them.  So a colouring is a partition ``P`` of the vertices into blocks of
+pairwise far vertices, one label per block, and an ordered list of paths
+of the *quotient*, in which two blocks are joined when no edge runs between
+them, with a one-label hole between consecutive paths.  The span is the
+least ``|P| + pc - 2`` over the partitions, ``pc`` the path cover number of
+the quotient (Georges, Mauro and Whittlesey, 1994, on each quotient).  At
+diameter two the only partition is into singletons, its quotient is the
+complement, and the span is ``n + pc(complement) - 2``, from the minimum
+cover cached on the graph, :attr:`Graph.complement_path_cover`.  Laying the
+paths of a best partition out in order gives the first colouring.  The
+witness is then built vertex by vertex in the same way, but each probe
+walks the labels ``0..k`` in order on each quotient of span ``k``, placing
+at each label a quotient neighbour of the block at the label before, or a
+hole (:func:`_probe_in_label_order`; the label-order subset search of
 Havet, Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes
-of at most one vertex).  The DFS decides every other graph, and the census.
+of at most one block).  The DFS decides every other graph, and the census.
 The census keeps to three elementary bounds, ``max_degree + 1``,
 ``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches with no cut,
 so the checks of the theorem stay independent of it and it pays nothing for
@@ -84,15 +88,23 @@ from .graphs import (
     GraphParseError,
     MalformedLineError,
     _bits,
-    _complement_masks,
     _end_slots,
+    _greedy_path_cover,
     _max_cliques,
+    _path_cover_bound,
+    _path_cover_masks,
     _significant_lines,
 )
 
 #: Largest order :func:`find_violation` checks: its masks take up to n bits
 #: per vertex (a path at the cap peaks near 110 MB).
 CHECK_CAP = 25_000
+
+#: Most far pairs, at distance three or more, of a graph that
+#: :func:`lambda_number` decides by its far-clique partitions rather than by
+#: the DFS.  The partitions it enumerates number at most ``2^f`` for ``f``
+#: far pairs, and past 9 far pairs the DFS was faster on the graphs measured.
+FAR_PAIR_LIMIT = 9
 
 
 # ---------------------------------------------------------------------------
@@ -454,35 +466,37 @@ def _fix(d1, d2, dom, v, x):
     return None if 0 in dom else dom
 
 
-def _probe_in_label_order(comp, dom, k):
-    """A colouring of a diameter-two graph within domains ``dom``, or None.
+def _probe_in_label_order(comp, dom, k, gaps):
+    """A colouring with one label per vertex of ``comp``, or None.
 
-    All labels are distinct at diameter two, and two vertices may take
-    consecutive labels exactly when they are adjacent in the complement
-    ``comp``.  So the labels ``0..k`` are walked in order, each taking an
-    unplaced vertex whose domain holds it and that is a complement
-    neighbour of the vertex at the label before, or a hole.  A vertex whose
-    domain is a single label goes at exactly that label.  A branch is cut
-    when a vertex left has a domain ending before the current label, or when
-    the labels left cannot hold the vertices left: these form paths of the
-    complement with a hole between consecutive paths, and there are at least
-    half as many paths as :func:`_end_slots` counts.  A state (vertices
-    placed, vertex or hole at the last label, label) that failed is not
-    entered again.
+    Two vertices may take consecutive labels exactly when they are adjacent
+    in ``comp``, and no two take the same label: the setting of a
+    diameter-two graph and the complement, or of a far-clique partition
+    and its quotient (:func:`_quotient`).  So the labels ``0..k`` are walked
+    in order, each taking an unplaced vertex whose domain ``dom`` (none
+    empty) holds it and that is a ``comp`` neighbour of the vertex at the
+    label before, or a hole.  A vertex whose domain is a single label goes
+    at exactly that label.  A branch is cut when a vertex left has a domain
+    ending before the current label, or when the labels left cannot hold
+    the vertices left: these form paths of ``comp`` with a hole between
+    consecutive paths, and there are at least half as many paths as
+    :func:`_end_slots` counts.  ``gaps`` maps each set of vertices left to
+    those holes, and is shared by every probe on ``comp``.  A state
+    (vertices placed, vertex or hole at the last label, label) that failed
+    is not entered again.
     """
     n = len(dom)
     full = (1 << n) - 1
-    holds = [0] * (k + 1)  # vertices whose domain holds the label
     pinned = [-1] * (k + 1)  # the vertex whose domain is just the label
-    expired = [0] * (k + 2)  # vertices whose domain ends below the label
+    # vertices whose domain ends at the label before; every branch walks
+    # every label, so it meets a vertex left there at the first label past
+    # the vertex's domain
+    expired = [0] * (k + 2)
     for v, m in enumerate(dom):
-        for x in _bits(m):
-            holds[x] |= 1 << v
-        top = m.bit_length() - 1
-        if m == 1 << top:
-            pinned[top] = v
-        for x in range(top + 1, k + 2):
-            expired[x] |= 1 << v
+        top = m.bit_length()
+        expired[top] |= 1 << v
+        if m == 1 << top - 1:
+            pinned[top - 1] = v
     labels = [0] * n
     dead = set()
 
@@ -498,19 +512,21 @@ def _probe_in_label_order(comp, dom, k):
         if key in dead:
             return False
         # the paths the vertices left form need holes between them
-        if count + (_end_slots(comp, left) + 1) // 2 - 1 > room:
+        holes = gaps.get(left)
+        if holes is None:
+            holes = gaps[left] = (_end_slots(comp, left) + 1) // 2 - 1
+        if count + holes > room:
             return False
         v = pinned[x]
-        if v >= 0:
-            cand = 1 << v
-        else:
-            cand = holds[x] & left
+        cand = left if v < 0 else 1 << v
         if last >= 0:
             cand &= comp[last]
         while cand:
             b = cand & -cand
             cand ^= b
             u = b.bit_length() - 1
+            if not dom[u] >> x & 1:
+                continue
             labels[u] = x
             if rec(placed | b, u, x + 1):
                 return True
@@ -528,10 +544,12 @@ def _lex_least_witness(d1, d2, k, incumbent, probe):
     ``incumbent`` is any such colouring.  Vertex by vertex in id order, each
     label below the incumbent's still open to the vertex is tried in
     ascending order: it is fixed with forward checking and ``probe`` is
-    asked for a colouring within the fixed domains, or None.  That is the
-    label-order probe on the diameter-two route
-    (:func:`_probe_in_label_order`), else the DFS over the graph's one plan
-    with the cut rows of span ``k``, so no probe builds a plan or a cut.
+    asked for a colouring within the fixed domains, or None.  On the
+    far-pair route that is the label-order probe
+    (:func:`_probe_in_label_order`) on each quotient of span ``k`` in turn,
+    sharing one end-slot table per quotient; else the DFS over the graph's
+    one plan with the cut rows of span ``k``, so no probe builds a plan or
+    a cut.
     The first success becomes the incumbent, so after vertex v its prefix
     through v is the least one that extends, whichever completion the probe
     returned; v is then fixed to the incumbent's label, which always
@@ -567,6 +585,131 @@ def _path_layout(n, paths):
     return labels
 
 
+def _far_masks(n, d1, d2):
+    """Per vertex, the vertices at distance three or more, or unreachable."""
+    full = (1 << n) - 1
+    return [full & ~(a | b | 1 << v) for v, (a, b) in enumerate(zip(d1, d2))]
+
+
+def _far_partitions(far):
+    """Every partition of the vertices into blocks of pairwise far vertices.
+
+    A partition is a list of block masks in the order of their lowest
+    vertices: the lowest vertex left goes with each far clique of the
+    vertices left that contains it, and the rest is partitioned in turn, so
+    each partition comes once.  Without far pairs the only one is into
+    singletons.
+    """
+    def cliques(clique, cand):
+        yield clique
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            yield from cliques(clique | b, cand & far[b.bit_length() - 1])
+
+    def split(left):
+        if not left:
+            yield []
+            return
+        low = left & -left
+        for block in cliques(low, far[low.bit_length() - 1] & left):
+            for rest in split(left ^ block):
+                yield [block, *rest]
+
+    return split((1 << len(far)) - 1)
+
+
+def _quotient(d1, blocks):
+    """Adjacency of ``blocks``, two joined when no edge of G runs between.
+
+    In a colouring whose label classes are the blocks, two blocks may take
+    consecutive labels exactly when they are joined.  Into singletons, the
+    quotient is the complement.
+    """
+    touch = []
+    for block in blocks:
+        t = 0
+        for v in _bits(block):
+            t |= d1[v]
+        touch.append(t)
+    return tuple(sum(1 << j for j, other in enumerate(blocks)
+                     if j != i and not t & other)
+                 for i, t in enumerate(touch))
+
+
+def _partition_route(g, d1, far):
+    """Span, a colouring at it and a witness probe, by far-clique partitions.
+
+    A colouring's label classes are pairwise far, so they partition the
+    vertices into blocks of :func:`_far_partitions`, each block at its own
+    label, and consecutive labels hold blocks joined in the
+    :func:`_quotient`.  So the span is the least ``|P| + pc(quotient) - 2``
+    over the partitions ``P`` (Georges, Mauro and Whittlesey, 1994, apply to
+    each quotient), and a colouring within some domains exists exactly when
+    :func:`_probe_in_label_order` finds one on a quotient of span at most
+    ``k``, a block's domain the AND of its members'.  Without far pairs the
+    one quotient is the complement, whose minimum cover is the one cached
+    on the graph.  Otherwise each quotient starts from the greedy cover and
+    :func:`_path_cover_bound`; the DP runs only for a quotient whose bound
+    could reach the best span so far, and only up to that span, so every
+    quotient at the least span is known exactly.
+    """
+    found = []
+    diameter_two = not any(far)
+    for blocks in _far_partitions(far):
+        comp = _quotient(d1, blocks)
+        if diameter_two:
+            paths = g.complement_path_cover
+            bound = len(paths)
+        else:
+            paths = _greedy_path_cover(comp)
+            bound = _path_cover_bound(comp)
+        found.append((len(blocks) + bound - 2, blocks, comp, paths))
+    found.sort(key=lambda entry: entry[0])
+    best = min(len(blocks) + len(paths) - 2 for _, blocks, _, paths in found)
+    spans = []
+    for lowest, blocks, comp, paths in found:
+        if lowest > best:
+            break
+        base = len(blocks) - 2
+        if lowest < base + len(paths):
+            # a cover of fewer paths than greedy's, and reaching ``best``
+            fewer = _path_cover_masks(comp, min(len(paths), best - base + 1))
+            paths = fewer or paths
+        best = min(best, base + len(paths))
+        spans.append((base + len(paths), blocks, comp, paths))
+    k = best
+    quotients = [([list(_bits(b)) for b in blocks], comp, {})
+                 for span, blocks, comp, paths in spans if span == k]
+    _, blocks, _, paths = next(e for e in spans if e[0] == k)
+    labels = [0] * len(d1)
+    for block, x in zip(blocks, _path_layout(len(blocks), paths)):
+        for v in _bits(block):
+            labels[v] = x
+
+    def probe(trial):
+        for members, comp, gaps in quotients:
+            dom = []
+            for vs in members:
+                m = -1
+                for v in vs:
+                    m &= trial[v]
+                if not m:
+                    break
+                dom.append(m)
+            else:
+                got = _probe_in_label_order(comp, dom, k, gaps)
+                if got is not None:
+                    labels = [0] * len(trial)
+                    for vs, x in zip(members, got):
+                        for v in vs:
+                            labels[v] = x
+                    return labels
+        return None
+
+    return k, labels, probe
+
+
 # ---------------------------------------------------------------------------
 # the solver proper
 # ---------------------------------------------------------------------------
@@ -589,13 +732,10 @@ def lambda_number(g: Graph) -> SolveReport:
     n = g.n
     d1 = g.adj_masks
     d2 = _second_neighbourhoods(d1)
-    if _diameter_two(n, d1, d2):
-        # span = n + pc(complement) - 2, from the cached minimum cover
-        comp = _complement_masks(d1)
-        paths = g.complement_path_cover
-        k = n + len(paths) - 2
-        labels = _path_layout(n, paths)
-        probe = lambda trial: _probe_in_label_order(comp, trial, k)
+    far = _far_masks(n, d1, d2)
+    # each far pair is counted at both of its vertices
+    if sum(m.bit_count() for m in far) <= 2 * FAR_PAIR_LIMIT:
+        k, labels, probe = _partition_route(g, d1, far)
     else:
         plan = _plan(d1, d2, _connected_order(d1, d2))
         cliques = _square_cliques(d1, d2)

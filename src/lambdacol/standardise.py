@@ -164,21 +164,32 @@ class StandardisedGraph:
                 f"matchings given for non-noncontiguous pairs: {sorted(extra)}"
             )
         edges = set()
-        for m, p in pairs:
-            lo = min(s[m], s[p])
-            inj = matchings.get((m, p))
-            inj = tuple(range(lo)) if inj is None else tuple(inj)
-            big = p if s[m] <= s[p] else m
-            if len(inj) != lo or len(set(inj)) != lo or \
-                    any(not 0 <= x < s[big] for x in inj):
-                raise ValueError(
-                    f"matching for pair {(m, p)} is not an injection of "
-                    f"0..{lo - 1} into 0..{s[big] - 1}: {inj}"
-                )
-            if big == p:
-                edges.update((off[m] + i, off[p] + x) for i, x in enumerate(inj))
-            else:
-                edges.update((off[m] + x, off[p] + i) for i, x in enumerate(inj))
+        for m in range(len(s)):
+            aligned = []  # classes p whose pair (m, p) aligns equal ranks
+            for p in range(m + 2, len(s)):
+                inj = matchings.get((m, p))
+                if inj is None:
+                    aligned.append(p)
+                    continue
+                inj = tuple(inj)
+                lo = min(s[m], s[p])
+                big = p if s[m] <= s[p] else m
+                if len(inj) != lo or len(set(inj)) != lo or \
+                        any(not 0 <= x < s[big] for x in inj):
+                    raise ValueError(
+                        f"matching for pair {(m, p)} is not an injection of "
+                        f"0..{lo - 1} into 0..{s[big] - 1}: {inj}"
+                    )
+                if big == p:
+                    edges.update((off[m] + i, off[p] + x)
+                                 for i, x in enumerate(inj))
+                else:
+                    edges.update((off[m] + x, off[p] + i)
+                                 for i, x in enumerate(inj))
+            # an injection by construction, so unchecked
+            for i in range(s[m]):
+                u = off[m] + i
+                edges.update([(u, off[p] + i) for p in aligned if i < s[p]])
         return Graph(self.shape.n, frozenset(edges))
 
     def partition(self) -> ColouredPartition:

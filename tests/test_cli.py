@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lambdacol import CHECK_CAP, Graph
+from lambdacol.solver import FAR_PAIR_LIMIT
 from lambdacol.cli import main
 
 
@@ -319,10 +320,15 @@ def test_check_refuses_a_path_past_the_cap_before_any_mask(
     assert secs < 1.0
 
 
-def test_solver_fault_exits_one(capsys, g3_file, monkeypatch):
-    # a search that never succeeds runs past the trivial upper bound
+def test_solver_fault_exits_one(capsys, tmp_path, monkeypatch):
+    # a search that never succeeds runs past the trivial upper bound; the
+    # path on 7 vertices has 10 far pairs, too many for the partition route,
+    # so the DFS decides it
+    p7 = tmp_path / "p7.txt"
+    p7.write_text("p 7 6\n" + "".join(f"e {v} {v + 1}\n" for v in range(6)))
+    assert FAR_PAIR_LIMIT < 10
     monkeypatch.setattr("lambdacol.solver._search_masks", lambda *a: None)
-    code, out, err = run(capsys, "lambda", g3_file)
+    code, out, err = run(capsys, "lambda", str(p7))
     assert code == 1 and out == ""
     assert "error:" in err and "trivial upper bound" in err
 

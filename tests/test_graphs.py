@@ -174,8 +174,10 @@ def test_complement_path_cover_is_a_minimum_cover(n):
     for g in all_graphs(n):
         comp = g.complement()
         pc = brute_path_cover(comp)
-        walked = _path_cover_masks(comp.adj_masks)
+        walked = _path_cover_masks(comp.adj_masks, n + 1)
         assert _is_path_cover(comp, walked) and len(walked) == pc, g
+        # none with fewer than pc paths
+        assert not pc or _path_cover_masks(comp.adj_masks, pc) is None, g
         cached = g.complement_path_cover
         assert _is_path_cover(comp, cached) and len(cached) == pc, g
         assert (_end_slots(comp.adj_masks, (1 << n) - 1) + 1) // 2 <= pc, g
@@ -191,7 +193,7 @@ def test_path_cover_dp_matches_the_partition_oracle_on_larger_graphs():
         p = rng.uniform(0.1, 0.5)
         g = Graph.from_edges(n, [(u, v) for u in range(n)
                                  for v in range(u + 1, n) if rng.random() < p])
-        paths = _path_cover_masks(g.adj_masks)
+        paths = _path_cover_masks(g.adj_masks, n + 1)
         assert _is_path_cover(g, paths), g
         assert len(paths) == partition_path_cover(g), g
 

@@ -38,6 +38,7 @@ from lambdacol.graphs import (
     _path_cover_bound,
 )
 from lambdacol.solver import (
+    FAR_PAIR_LIMIT,
     _connected_order,
     _cut_rows,
     _diameter_two,
@@ -65,6 +66,13 @@ from test_graphs import graphs
 
 def P(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _far_pairs(g):
+    """Pairs at distance three or more, or in different components."""
+    d1 = g.adj_masks
+    d2 = _second_neighbourhoods(d1)
+    return sum(g.n - 1 - (a | b).bit_count() for a, b in zip(d1, d2)) // 2
 
 
 def K(n):
@@ -258,7 +266,7 @@ def test_at_most_one_path_cover_dp_per_graph(monkeypatch):
     calls = []
     dp = graphs_module._path_cover_masks
     monkeypatch.setattr(graphs_module, "_path_cover_masks",
-                        lambda adj: calls.append(adj) or dp(adj))
+                        lambda adj, below: calls.append(adj) or dp(adj, below))
     needed = 0
     for g in _diameter_two_graphs():
         before = len(calls)
@@ -275,7 +283,7 @@ def test_at_most_one_path_cover_dp_per_graph(monkeypatch):
 def test_no_path_cover_dp_where_a_bound_settles_the_cover(monkeypatch):
     # K_{9,11}: the complement K_9 + K_11 has two components; the edgeless
     # graph on 20 vertices: an independent set of 20 needs 20 paths
-    def refuse(adj):
+    def refuse(adj, below):
         raise AssertionError("path-cover DP run")
 
     monkeypatch.setattr(graphs_module, "_path_cover_masks", refuse)
@@ -311,8 +319,9 @@ def _fixed_prefixes(d1, d2, dom, v):
 
 @pytest.mark.parametrize("n,above", [(2, 1), (3, 1), (4, 1), (5, 0)])
 def test_label_order_probe_agrees_with_the_dfs(n, above):
-    # from every prefix the witness driver can fix, at the span (where the
-    # driver probes) and up to ``above`` spans higher
+    # from every prefix the witness search can fix, at the span (where it
+    # probes) and up to ``above`` spans higher, each span's probes sharing
+    # one end-slot table as ``lambda_number``'s do
     for g in all_graphs(n):
         d1 = g.adj_masks
         d2 = _second_neighbourhoods(d1)
@@ -322,9 +331,10 @@ def test_label_order_probe_agrees_with_the_dfs(n, above):
         plan = _plan(d1, d2, _connected_order(d1, d2))
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
+            gaps = {}
             for v, dom in _fixed_prefixes(d1, d2, _domains(d1, span), 0):
                 want = _search_masks(plan, dom)
-                got = _probe_in_label_order(comp, dom, span)
+                got = _probe_in_label_order(comp, dom, span, gaps)
                 assert (got is None) == (want is None), (g, span, dom)
                 if got is not None:
                     assert all(dom[u] >> got[u] & 1 for u in range(n))
@@ -418,9 +428,10 @@ def test_solver_cap_and_empty():
 
 
 def test_span_search_past_the_trivial_bound_is_a_typed_error(monkeypatch):
+    assert _far_pairs(P(7)) > FAR_PAIR_LIMIT  # so the DFS decides it
     monkeypatch.setattr("lambdacol.solver._search_masks", lambda *a: None)
     with pytest.raises(SpanSearchError):
-        lambda_number(P(4))
+        lambda_number(P(7))
 
 
 def test_delta_lower_bound():
@@ -613,8 +624,9 @@ def test_census_runs_without_the_square_cliques(monkeypatch):
         raise AssertionError("square cliques searched")
 
     monkeypatch.setattr(solver_module, "_square_cliques", refuse)
+    assert _far_pairs(P(7)) > FAR_PAIR_LIMIT  # so the DFS decides it
     with pytest.raises(AssertionError, match="square cliques"):
-        lambda_number(P(4))
+        lambda_number(P(7))
     # a fresh cache, so the census runs; monkeypatch restores the old one
     monkeypatch.setattr(extremal_module, "_CENSUS_CACHE", {})
     assert extremal_module.brute_force_graph_census(4) == {
@@ -689,6 +701,81 @@ def test_every_diameter_two_graph_to_the_cap_solves_in_seconds():
         start = time.perf_counter()
         _assert_solved_by_the_path_cover(g)
         assert time.perf_counter() - start < 15, g
+
+
+def _dense_graphs_with_a_pendant_vertex():
+    """Four draws for each n in 16, 18, .., 24, dense but not diameter two.
+
+    One ``random.Random(5)`` serves every draw: ``p`` from 0.7..0.9, then
+    G(n - 1, p), each pair ``u < v < n - 1`` in row order kept when
+    ``rng.random() < p``, plus the edge ``(0, n - 1)``.  They have 0 to 9
+    far pairs.
+    """
+    rng = random.Random(5)
+    for n in range(16, 25, 2):
+        for _ in range(4):
+            p = rng.choice([0.7, 0.8, 0.9])
+            edges = [e for e in combinations(range(n - 1), 2)
+                     if rng.random() < p]
+            yield Graph.from_edges(n, edges + [(0, n - 1)])
+
+
+def _assert_routed_like_the_dfs(monkeypatch, g, pinned=None):
+    """The span of ``_min_span_masks`` and the reference's first colouring
+    at it, or the ``pinned`` pair of both, with no DFS when ``g`` has at
+    most ``FAR_PAIR_LIMIT`` far pairs."""
+    if pinned is None:
+        d1 = g.adj_masks
+        k = _min_span_masks(g.n, d1, _second_neighbourhoods(d1))
+        pinned = (k, reference_lex_witness(g, k))
+
+    def refuse(*args):
+        raise AssertionError("DFS run")
+
+    with monkeypatch.context() as patched:
+        if _far_pairs(g) <= FAR_PAIR_LIMIT:
+            patched.setattr(solver_module, "_search_masks", refuse)
+        rep = lambda_number(g)
+    assert (rep.lambda_value, rep.witness.labels) == pinned, g
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_partition_route_on_every_small_graph(monkeypatch, n):
+    for g in all_graphs(n):
+        if g.edges:
+            _assert_routed_like_the_dfs(monkeypatch, g)
+
+
+def test_partition_route_on_random_graphs_with_few_far_pairs(monkeypatch):
+    # seeded G(n, p), n 7..10, with 1 to FAR_PAIR_LIMIT far pairs, each
+    # count drawn
+    rng = random.Random("far-pairs:7-10")
+    seen = Counter()
+    while len(seen) < FAR_PAIR_LIMIT or sum(seen.values()) < 60:
+        g = _gnp(rng.randint(7, 10), rng.uniform(0.3, 0.9), rng)
+        far = _far_pairs(g)
+        if g.edges and 1 <= far <= FAR_PAIR_LIMIT:
+            seen[far] += 1
+            _assert_routed_like_the_dfs(monkeypatch, g)
+
+
+def test_dense_graph_with_a_pendant_vertex_runs_no_dfs(monkeypatch):
+    # the second draw (n 16, p 0.8, 3 far pairs): the DFS took about a
+    # minute on it, and this span and witness are the ones it found
+    g = list(_dense_graphs_with_a_pendant_vertex())[1]
+    assert (g.n, _far_pairs(g)) == (16, 3)
+    want = (1, 3, 6, 4, 9, 11, 8, 2, 14, 16, 0, 12, 18, 7, 10, 5)
+    _assert_routed_like_the_dfs(monkeypatch, g, (18, want))
+
+
+@pytest.mark.slow
+def test_dense_graphs_with_a_pendant_vertex_solve_in_seconds():
+    for g in _dense_graphs_with_a_pendant_vertex():
+        if g.n <= 20:
+            start = time.perf_counter()
+            rep = lambda_number(g)
+            assert time.perf_counter() - start < 15, g
+            assert is_valid_by_distances(g, rep.witness.labels), g
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -118,6 +118,23 @@ def test_standardised_graph_realises_the_edge_bound():
     assert g.m == edge_bound(sg.shape) == 6
 
 
+def test_standardised_graph_checks_the_matchings_it_is_given():
+    # classes of 2, 1, 3 and 2 vertices from 0, 2, 3 and 6: the pairs
+    # (0, 2), (0, 3) and (1, 3), of which (0, 2) is given and the rest
+    # align equal ranks
+    sg = StandardisedGraph(PartitionShape((2, 1, 3, 2)))
+    assert sg.graph({(0, 2): (2, 0)}).edges == {
+        (0, 5), (1, 3), (0, 6), (1, 7), (2, 6)}
+    assert sg.graph({(0, 2): None}).edges == sg.graph().edges == {
+        (0, 3), (1, 4), (0, 6), (1, 7), (2, 6)}
+    with pytest.raises(ValueError, match=r"non-noncontiguous pairs: \[\(0, 1\)\]"):
+        sg.graph({(0, 1): (0,)})
+    for bad in [(1, 1), (0,), (0, 3)]:
+        with pytest.raises(ValueError, match=r"pair \(0, 2\) is not an "
+                           r"injection of 0\.\.1 into 0\.\.2"):
+            sg.graph({(0, 3): (1, 0), (0, 2): bad})
+
+
 @given(small_valid_shapes())
 @settings(max_examples=150, deadline=None)
 def test_standardised_graph_properties(s):
