@@ -88,6 +88,7 @@ from .graphs import (
     GraphParseError,
     MalformedLineError,
     _bits,
+    _complement_masks,
     _end_slots,
     _greedy_path_cover,
     _max_cliques,
@@ -626,6 +627,8 @@ def _quotient(d1, blocks):
     consecutive labels exactly when they are joined.  Into singletons, the
     quotient is the complement.
     """
+    if len(blocks) == len(d1):
+        return _complement_masks(d1)
     touch = []
     for block in blocks:
         t = 0
