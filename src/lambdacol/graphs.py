@@ -6,7 +6,7 @@ quantity that matters here is the path cover number: the least number of
 vertex-disjoint paths needed to cover every vertex, where a single vertex
 counts as a (length-zero) path.  Its value on the *complement* of a graph
 controls the top of the colouring span, which is why it lives here next to
-``complement``.
+``complement``.  Only the number is computed: the span needs no paths.
 
 The text format is line oriented.  A graph file contains a header line
 ``p <n> <m>`` followed by exactly ``m`` edge lines ``e <u> <v>`` with
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
-#: Largest order :func:`lambda_number` solves and :func:`_min_path_cover`
-#: covers: the cover's dynamic programme visits all ``2^n`` vertex subsets.
+#: Largest order :func:`lambda_number` solves and whose path cover number
+#: :func:`_path_cover_number` counts: the cover's dynamic programme visits
+#: all ``2^n`` vertex subsets.
 DEFAULT_SOLVER_CAP = 24
 
 
@@ -101,20 +101,26 @@ class Graph:
         return tuple(masks)
 
     @cached_property
-    def complement_path_cover(self) -> tuple:
-        """A minimum path cover of the complement, as vertex tuples.
+    def complement_path_cover_number(self) -> int:
+        """The path cover number of the complement.
 
-        From :func:`_min_path_cover`, which refuses graphs above
-        :data:`DEFAULT_SOLVER_CAP`.
+        Raises :class:`CapExceededError` above :data:`DEFAULT_SOLVER_CAP`
+        vertices, before any masks are built.
         """
-        return tuple(tuple(p) for p in _min_path_cover(self, complement=True))
+        _check_cover_cap(self.n)
+        return _path_cover_number(_complement_masks(self.adj_masks))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
+    def sorted_edges(self) -> tuple:
+        """The edges in ascending order, sorted once per graph."""
+        return self._sorted_edges
+
+    @cached_property
+    def _sorted_edges(self) -> tuple:
+        return tuple(sorted(self.edges))
 
     def max_degree(self) -> int:
         """Largest vertex degree; 0 for the empty or edgeless graph."""
@@ -164,13 +170,21 @@ def path_cover_number(g: Graph) -> int:
     """Minimum number of vertex-disjoint paths covering all of ``V(g)``.
 
     Isolated vertices are length-zero paths, so the answer is between 1 and
-    ``n`` for any non-empty graph (and 0 for the empty one).  The size of
-    :func:`_min_path_cover`'s cover: the greedy one when it meets
-    :func:`_path_cover_bound`, else the exact dynamic programme over vertex
-    subsets (:func:`_path_cover_masks`).  Raises :class:`CapExceededError`
-    when ``n`` exceeds :data:`DEFAULT_SOLVER_CAP`.
+    ``n`` for any non-empty graph (and 0 for the empty one).  From
+    :func:`_path_cover_number`.  Raises :class:`CapExceededError` when ``n``
+    exceeds :data:`DEFAULT_SOLVER_CAP`, before any masks are built.
     """
-    return len(_min_path_cover(g))
+    _check_cover_cap(g.n)
+    return _path_cover_number(g.adj_masks)
+
+
+def _check_cover_cap(n):
+    """Refuse a cover of more than :data:`DEFAULT_SOLVER_CAP` vertices."""
+    if n > DEFAULT_SOLVER_CAP:
+        raise CapExceededError(
+            f"path cover limited to n <= {DEFAULT_SOLVER_CAP} vertices, "
+            f"got {n}"
+        )
 
 
 def _complement_masks(adj):
@@ -179,24 +193,17 @@ def _complement_masks(adj):
     return tuple(full & ~m & ~(1 << v) for v, m in enumerate(adj))
 
 
-def _min_path_cover(g, complement=False):
-    """A minimum path cover of ``g``, or of its complement, as vertex lists.
+def _path_cover_number(adj):
+    """The path cover number of bitmask adjacency ``adj``.
 
-    Raises :class:`CapExceededError` above :data:`DEFAULT_SOLVER_CAP`
-    vertices, before any masks are built.  The greedy cover is minimum when
-    it meets :func:`_path_cover_bound`; only otherwise does the ``2^n`` DP
-    run, and only for covers of fewer paths than the greedy one.
+    The greedy cover's size when it meets :func:`_path_cover_bound`; only
+    otherwise does the ``2^n`` DP run, and only for covers of fewer paths
+    than the greedy one.
     """
-    if g.n > DEFAULT_SOLVER_CAP:
-        raise CapExceededError(
-            f"path cover limited to n <= {DEFAULT_SOLVER_CAP} vertices, "
-            f"got {g.n}"
-        )
-    adj = _complement_masks(g.adj_masks) if complement else g.adj_masks
-    paths = _greedy_path_cover(adj)
-    if len(paths) > _path_cover_bound(adj):
-        paths = _path_cover_masks(adj, len(paths)) or paths
-    return paths
+    greedy = len(_greedy_path_cover(adj))
+    if greedy > _path_cover_bound(adj):
+        return _path_cover_masks(adj, greedy) or greedy
+    return greedy
 
 
 def _path_cover_bound(adj):
@@ -251,8 +258,8 @@ def _max_cliques(adj, limit=1):
 
 
 def _path_cover_masks(adj, below):
-    """A minimum path cover of bitmask adjacency ``adj``, as vertex lists,
-    when it has fewer than ``below`` paths; else None.
+    """The path cover number of bitmask adjacency ``adj`` when it is below
+    ``below``; else None.
 
     A dynamic programme over all ``2^n`` vertex subsets, each family of
     subsets held as one integer whose bit ``S`` stands for the subset ``S``,
@@ -260,39 +267,18 @@ def _path_cover_masks(adj, below):
     ``p = 1, 2, ...`` in turn, ``ends[v]`` is the family of subsets with a
     cover by at most ``p`` paths, one of them ending at ``v`` (the levels of
     :func:`_cover_levels`).  The first ``p`` at which some ``ends[v]`` holds
-    the full set is the cover number.  The levels up to ``below - 1`` are
-    built one at a time and dropped, so a run that finds no cover holds
-    about ``2n`` families of ``2^n`` bits (2 MB each at 24 vertices).  Only
-    when a cover is found are its ``p`` levels built again and kept, and
-    the cover is walked back from the full set, each path going on to a
-    neighbour whose ``ends`` at the same ``p`` hold the rest, and otherwise
-    stopping there and leaving the rest to ``p - 1`` paths.
+    the full set is the cover number.  Each level is built once and dropped
+    for the next, so the run holds about ``2n`` families of ``2^n`` bits
+    (2 MB each at 24 vertices).
     """
     full = (1 << len(adj)) - 1
-    p = 0  # the empty set needs no paths
-    if full:
-        levels = _cover_levels(adj)
-        for p in range(1, below):
-            if any(fam >> full & 1 for fam in next(levels)):
-                break
-        else:
-            return None
-    levels = list(islice(_cover_levels(adj), p))
-    paths = []
-    s = full
-    while s:
-        ends = levels.pop()
-        v = next(v for v in _bits(s) if ends[v] >> s & 1)
-        path = [v]
-        paths.append(path)
-        s ^= 1 << v
-        while s:
-            v = next((u for u in _bits(adj[v]) if ends[u] >> s & 1), -1)
-            if v < 0:
-                break
-            path.append(v)
-            s ^= 1 << v
-    return paths
+    if not full:
+        return 0  # the empty set needs no paths
+    levels = _cover_levels(adj)
+    for p in range(1, below):
+        if any(fam >> full & 1 for fam in next(levels)):
+            return p
+    return None
 
 
 def _cover_levels(adj):

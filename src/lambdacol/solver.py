@@ -44,7 +44,7 @@ plan, for the probes too.  The cut drops only branches without completions,
 so the colourings found and their order are the same.
 
 A graph with at most :data:`FAR_PAIR_LIMIT` *far* pairs, at distance three
-or more, takes the route far-clique partitions -> path covers -> layout ->
+or more, takes the route far-clique partitions -> path cover numbers ->
 label-order probes, and runs no DFS.  The vertices sharing a label are
 pairwise far, and two labels in a row hold vertex sets with no edge between
 them.  So a colouring is a partition ``P`` of the vertices into blocks of
@@ -54,15 +54,16 @@ them, with a one-label hole between consecutive paths.  The span is the
 least ``|P| + pc - 2`` over the partitions, ``pc`` the path cover number of
 the quotient (Georges, Mauro and Whittlesey, 1994, on each quotient).  At
 diameter two the only partition is into singletons, its quotient is the
-complement, and the span is ``n + pc(complement) - 2``, from the minimum
-cover cached on the graph, :attr:`Graph.complement_path_cover`.  Laying the
-paths of a best partition out in order gives the first colouring.  The
-witness is then built vertex by vertex in the same way, but each probe
-walks the labels ``0..k`` in order on each quotient of span ``k``, placing
-at each label a quotient neighbour of the block at the label before, or a
-hole (:func:`_probe_in_label_order`; the label-order subset search of
-Havet, Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes
-of at most one block).  The DFS decides every other graph, and the census.
+complement, and the span is ``n + pc(complement) - 2``, from the cover
+number cached on the graph, :attr:`Graph.complement_path_cover_number`.
+Only the numbers are needed: the witness is built vertex by vertex in the
+same way but with no incumbent to start from, the first vertex trying every
+open label until a probe succeeds.  Each probe walks the labels ``0..k`` in
+order on each quotient of span ``k``, placing at each label a quotient
+neighbour of the block at the label before, or a hole
+(:func:`_probe_in_label_order`; the label-order subset search of Havet,
+Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
+most one block).  The DFS decides every other graph, and the census.
 The census keeps to three elementary bounds, ``max_degree + 1``,
 ``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches with no cut,
 so the checks of the theorem stay independent of it and it pays nothing for
@@ -88,7 +89,6 @@ from .graphs import (
     GraphParseError,
     MalformedLineError,
     _bits,
-    _complement_masks,
     _end_slots,
     _greedy_path_cover,
     _max_cliques,
@@ -539,26 +539,29 @@ def _probe_in_label_order(comp, dom, k, gaps):
     return labels if rec(0, -1, 0) else None
 
 
-def _lex_least_witness(d1, d2, k, incumbent, probe):
+def _lex_least_witness(d1, d2, k, probe, incumbent=None):
     """The lexicographically least colouring with labels in ``0..k``.
 
-    ``incumbent`` is any such colouring.  Vertex by vertex in id order, each
-    label below the incumbent's still open to the vertex is tried in
-    ascending order: it is fixed with forward checking and ``probe`` is
+    ``incumbent`` is any such colouring, or None for one not yet known.
+    Vertex by vertex in id order, each label below the incumbent's (every
+    label, while there is no incumbent) still open to the vertex is tried
+    in ascending order: it is fixed with forward checking and ``probe`` is
     asked for a colouring within the fixed domains, or None.  On the
     far-pair route that is the label-order probe
     (:func:`_probe_in_label_order`) on each quotient of span ``k`` in turn,
-    sharing one end-slot table per quotient; else the DFS over the graph's
-    one plan with the cut rows of span ``k``, so no probe builds a plan or
-    a cut.
+    sharing one end-slot table per quotient, and there is no incumbent; else
+    the DFS over the graph's one plan with the cut rows of span ``k``, so no
+    probe builds a plan or a cut.
     The first success becomes the incumbent, so after vertex v its prefix
     through v is the least one that extends, whichever completion the probe
     returned; v is then fixed to the incumbent's label, which always
-    extends.
+    extends.  Raises :class:`SpanSearchError` when no probe of the first
+    vertex succeeds and there is no incumbent.
     """
     dom = _domains(d1, k)
     for v in range(len(d1)):
-        for x in _bits(dom[v] & ((1 << incumbent[v]) - 1)):
+        below = -1 if incumbent is None else (1 << incumbent[v]) - 1
+        for x in _bits(dom[v] & below):
             trial = _fix(d1, d2, dom, v, x)
             if trial is None:
                 continue
@@ -566,24 +569,10 @@ def _lex_least_witness(d1, d2, k, incumbent, probe):
             if labels is not None:
                 incumbent = labels
                 break
+        if incumbent is None:
+            raise SpanSearchError(f"no colouring of span {k} found")
         dom = _fix(d1, d2, dom, v, incumbent[v])
     return incumbent
-
-
-def _path_layout(n, paths):
-    """Labels putting ``paths`` in order, one hole between consecutive ones.
-
-    Span ``n + len(paths) - 2``; at diameter two a colouring when ``paths``
-    cover the complement.
-    """
-    labels = [0] * n
-    x = 0
-    for path in paths:
-        for v in path:
-            labels[v] = x
-            x += 1
-        x += 1
-    return labels
 
 
 def _far_masks(n, d1, d2):
@@ -627,8 +616,6 @@ def _quotient(d1, blocks):
     consecutive labels exactly when they are joined.  Into singletons, the
     quotient is the complement.
     """
-    if len(blocks) == len(d1):
-        return _complement_masks(d1)
     touch = []
     for block in blocks:
         t = 0
@@ -641,7 +628,7 @@ def _quotient(d1, blocks):
 
 
 def _partition_route(g, d1, far):
-    """Span, a colouring at it and a witness probe, by far-clique partitions.
+    """Span and a witness probe, by far-clique partitions.
 
     A colouring's label classes are pairwise far, so they partition the
     vertices into blocks of :func:`_far_partitions`, each block at its own
@@ -650,45 +637,39 @@ def _partition_route(g, d1, far):
     over the partitions ``P`` (Georges, Mauro and Whittlesey, 1994, apply to
     each quotient), and a colouring within some domains exists exactly when
     :func:`_probe_in_label_order` finds one on a quotient of span at most
-    ``k``, a block's domain the AND of its members'.  Without far pairs the
-    one quotient is the complement, whose minimum cover is the one cached
-    on the graph.  Otherwise each quotient starts from the greedy cover and
-    :func:`_path_cover_bound`; the DP runs only for a quotient whose bound
-    could reach the best span so far, and only up to that span, so every
-    quotient at the least span is known exactly.
+    ``k``, a block's domain the AND of its members'.  Only cover numbers are
+    needed.  Without far pairs the one quotient is the complement, whose
+    cover number is the one cached on the graph.  Otherwise each quotient
+    starts from the greedy cover's size and :func:`_path_cover_bound`; the
+    DP runs only for a quotient whose bound could reach the best span so
+    far, and only up to that span, so every quotient at the least span is
+    known exactly.
     """
     found = []
     diameter_two = not any(far)
     for blocks in _far_partitions(far):
         comp = _quotient(d1, blocks)
         if diameter_two:
-            paths = g.complement_path_cover
-            bound = len(paths)
+            pc = bound = g.complement_path_cover_number
         else:
-            paths = _greedy_path_cover(comp)
+            pc = len(_greedy_path_cover(comp))
             bound = _path_cover_bound(comp)
-        found.append((len(blocks) + bound - 2, blocks, comp, paths))
+        found.append((len(blocks) + bound - 2, blocks, comp, pc))
     found.sort(key=lambda entry: entry[0])
-    best = min(len(blocks) + len(paths) - 2 for _, blocks, _, paths in found)
+    best = min(len(blocks) + pc - 2 for _, blocks, _, pc in found)
     spans = []
-    for lowest, blocks, comp, paths in found:
+    for lowest, blocks, comp, pc in found:
         if lowest > best:
             break
         base = len(blocks) - 2
-        if lowest < base + len(paths):
+        if lowest < base + pc:
             # a cover of fewer paths than greedy's, and reaching ``best``
-            fewer = _path_cover_masks(comp, min(len(paths), best - base + 1))
-            paths = fewer or paths
-        best = min(best, base + len(paths))
-        spans.append((base + len(paths), blocks, comp, paths))
+            pc = _path_cover_masks(comp, min(pc, best - base + 1)) or pc
+        best = min(best, base + pc)
+        spans.append((base + pc, blocks, comp))
     k = best
     quotients = [([list(_bits(b)) for b in blocks], comp, {})
-                 for span, blocks, comp, paths in spans if span == k]
-    _, blocks, _, paths = next(e for e in spans if e[0] == k)
-    labels = [0] * len(d1)
-    for block, x in zip(blocks, _path_layout(len(blocks), paths)):
-        for v in _bits(block):
-            labels[v] = x
+                 for span, blocks, comp in spans if span == k]
 
     def probe(trial):
         for members, comp, gaps in quotients:
@@ -710,7 +691,7 @@ def _partition_route(g, d1, far):
                     return labels
         return None
 
-    return k, labels, probe
+    return k, probe
 
 
 # ---------------------------------------------------------------------------
@@ -738,15 +719,16 @@ def lambda_number(g: Graph) -> SolveReport:
     far = _far_masks(n, d1, d2)
     # each far pair is counted at both of its vertices
     if sum(m.bit_count() for m in far) <= 2 * FAR_PAIR_LIMIT:
-        k, labels, probe = _partition_route(g, d1, far)
+        k, probe = _partition_route(g, d1, far)
+        labels = _lex_least_witness(d1, d2, k, probe)
     else:
         plan = _plan(d1, d2, _connected_order(d1, d2))
         cliques = _square_cliques(d1, d2)
         lb = max(_lower_bound(n, d1, False), cliques[0].bit_count() - 1)
         k, labels, cut = _optimal_colouring(plan, d1, lb, cliques)
-        probe = lambda trial: _search_masks(plan, trial, cut)
-    labels = _lex_least_witness(d1, d2, k, min(labels, [k - x for x in labels]),
-                                probe)
+        labels = _lex_least_witness(
+            d1, d2, k, lambda trial: _search_masks(plan, trial, cut),
+            min(labels, [k - x for x in labels]))
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
 
@@ -762,7 +744,7 @@ def lambda_via_path_cover(g: Graph) -> PathCoverBound:
     """
     if g.n == 0:
         raise ValueError("span of the empty graph is undefined")
-    t = len(g.complement_path_cover)
+    t = g.complement_path_cover_number
     if t >= 2:
         return PathCoverBound(t, True, g.n + t - 2)
     return PathCoverBound(t, False, g.n - 1)

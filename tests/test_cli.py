@@ -333,6 +333,18 @@ def test_solver_fault_exits_one(capsys, tmp_path, monkeypatch):
     assert "error:" in err and "trivial upper bound" in err
 
 
+def test_failing_label_order_probes_exit_one(capsys, tmp_path, monkeypatch):
+    # the path on 4 vertices has one far pair, so the partition route
+    # decides it and its witness rests on the probes alone
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("p 4 3\ne 0 1\ne 1 2\ne 2 3\n")
+    monkeypatch.setattr("lambdacol.solver._probe_in_label_order",
+                        lambda *a: None)
+    code, out, err = run(capsys, "lambda", str(p4))
+    assert code == 1 and out == ""
+    assert "error:" in err
+
+
 def test_optimised_interpreter_keeps_errors_and_answers(g3_file):
     # under -O every assert is gone, so no answer or error may rest on one
     src = str(Path(__file__).resolve().parents[1] / "src")

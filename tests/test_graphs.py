@@ -19,6 +19,7 @@ from lambdacol import (
     parse_graph,
     path_cover_number,
 )
+import lambdacol.graphs as graphs_module
 from lambdacol.graphs import (
     _bfs_layers,
     _bits,
@@ -167,19 +168,17 @@ def test_greedy_path_cover_is_an_upper_bound(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5,
                                pytest.param(6, marks=pytest.mark.slow)])
 def test_complement_path_cover_is_a_minimum_cover(n):
-    # the cover walked back through the DP's tables and the cached cover
-    # (greedy or DP), against permutations; the end-slot bound and the
-    # bound that accepts greedy covers below the cover number of the
-    # complement and of the graph itself
+    # the DP's count and the cached count (greedy or DP), against
+    # permutations; the end-slot bound and the bound that accepts greedy
+    # covers below the cover number of the complement and of the graph
+    # itself
     for g in all_graphs(n):
         comp = g.complement()
         pc = brute_path_cover(comp)
-        walked = _path_cover_masks(comp.adj_masks, n + 1)
-        assert _is_path_cover(comp, walked) and len(walked) == pc, g
+        assert _path_cover_masks(comp.adj_masks, n + 1) == pc, g
         # none with fewer than pc paths
         assert not pc or _path_cover_masks(comp.adj_masks, pc) is None, g
-        cached = g.complement_path_cover
-        assert _is_path_cover(comp, cached) and len(cached) == pc, g
+        assert g.complement_path_cover_number == pc, g
         assert (_end_slots(comp.adj_masks, (1 << n) - 1) + 1) // 2 <= pc, g
         assert _path_cover_bound(comp.adj_masks) <= pc, g
         assert _path_cover_bound(g.adj_masks) <= brute_path_cover(g), g
@@ -193,9 +192,30 @@ def test_path_cover_dp_matches_the_partition_oracle_on_larger_graphs():
         p = rng.uniform(0.1, 0.5)
         g = Graph.from_edges(n, [(u, v) for u in range(n)
                                  for v in range(u + 1, n) if rng.random() < p])
-        paths = _path_cover_masks(g.adj_masks, n + 1)
-        assert _is_path_cover(g, paths), g
-        assert len(paths) == partition_path_cover(g), g
+        assert _path_cover_masks(g.adj_masks, n + 1) == \
+            partition_path_cover(g), g
+
+
+def test_path_cover_dp_builds_each_level_once(monkeypatch):
+    # G(16, 0.225) from random.Random(5), pairs u < v in row order: greedy
+    # takes 2 paths and the graph has a Hamilton path, so the DP needs
+    # exactly its first level
+    rng = random.Random(5)
+    g = Graph.from_edges(16, [(u, v) for u in range(16)
+                              for v in range(u + 1, 16)
+                              if rng.random() < 0.225])
+    assert len(_greedy_path_cover(g.adj_masks)) == 2
+    built = []
+    levels = graphs_module._cover_levels
+
+    def counted(adj):
+        for ends in levels(adj):
+            built.append(1)
+            yield ends
+
+    monkeypatch.setattr(graphs_module, "_cover_levels", counted)
+    assert path_cover_number(g) == 1
+    assert len(built) == 1
 
 
 @given(graphs(max_n=6))

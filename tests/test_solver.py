@@ -434,6 +434,16 @@ def test_span_search_past_the_trivial_bound_is_a_typed_error(monkeypatch):
         lambda_number(P(7))
 
 
+def test_failing_label_order_probes_are_a_typed_error(monkeypatch):
+    # the far-pair route starts its witness from the probes alone, so when
+    # every probe fails there is no colouring to return
+    assert 1 <= _far_pairs(P(4)) <= FAR_PAIR_LIMIT
+    monkeypatch.setattr("lambdacol.solver._probe_in_label_order",
+                        lambda *a: None)
+    with pytest.raises(SpanSearchError):
+        lambda_number(P(4))
+
+
 def test_delta_lower_bound():
     # span >= max_degree + 1: tight on the path, loose on the clique
     assert P(4).max_degree() + 1 == lambda_number(P(4)).lambda_value == 3
@@ -672,7 +682,7 @@ def _diameter_two_graphs_to_the_cap():
 def _assert_solved_by_the_path_cover(g):
     rep = lambda_number(g)
     assert is_valid_by_distances(g, rep.witness.labels), g
-    pc = len(g.complement_path_cover)
+    pc = g.complement_path_cover_number
     assert rep.lambda_value == g.n + pc - 2 == lambda_via_path_cover(g).value
     return rep.lambda_value
 
