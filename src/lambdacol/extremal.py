@@ -482,9 +482,6 @@ def _graph_classes(n):
     return tuple(classes.values())
 
 
-_CENSUS_CACHE = {}
-
-
 def brute_force_graph_census(n):
     """Exact span of every graph on ``n`` vertices, summarised.
 
@@ -503,8 +500,12 @@ def brute_force_graph_census(n):
         raise CapExceededError(f"census limited to n <= {CENSUS_CAP}, got {n}")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    if n in _CENSUS_CACHE:
-        return dict(_CENSUS_CACHE[n])
+    return dict(_census(n))
+
+
+@lru_cache(maxsize=None)
+def _census(n):
+    """The dict of :func:`brute_force_graph_census`, memoised per ``n``."""
     best = {0: 0}  # the edgeless graph, the only one of span 0
     for d1 in _extensions(n) if n else ():
         edges = sum(m.bit_count() for m in d1) // 2
@@ -512,8 +513,7 @@ def brute_force_graph_census(n):
             lam = _min_span_masks(n, d1, _second_neighbourhoods(d1))
             if best.get(lam, -1) < edges:
                 best[lam] = edges
-    _CENSUS_CACHE[n] = best
-    return dict(best)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ class Graph:
         vertices, before any masks are built.
         """
         _check_cover_cap(self.n)
-        return _path_cover_number(_complement_masks(self.adj_masks))
+        return _path_cover_number(_complement_masks(self.adj_masks), self.n + 1)
 
     @property
     def m(self) -> int:
@@ -175,7 +175,7 @@ def path_cover_number(g: Graph) -> int:
     exceeds :data:`DEFAULT_SOLVER_CAP`, before any masks are built.
     """
     _check_cover_cap(g.n)
-    return _path_cover_number(g.adj_masks)
+    return _path_cover_number(g.adj_masks, g.n + 1)
 
 
 def _check_cover_cap(n):
@@ -193,17 +193,25 @@ def _complement_masks(adj):
     return tuple(full & ~m & ~(1 << v) for v, m in enumerate(adj))
 
 
-def _path_cover_number(adj):
-    """The path cover number of bitmask adjacency ``adj``.
+def _path_cover_number(adj, below):
+    """The path cover number of bitmask adjacency ``adj`` when it is below
+    ``below``; else None.
 
-    The greedy cover's size when it meets :func:`_path_cover_bound`; only
-    otherwise does the ``2^n`` DP run, and only for covers of fewer paths
-    than the greedy one.
+    None at once when :func:`_path_cover_bound` reaches ``below``; the
+    greedy cover's size when it meets the bound; only otherwise does the
+    ``2^n`` DP run, and only for covers of fewer paths than both the greedy
+    one and ``below``.  Every cover number is decided here.
     """
+    bound = _path_cover_bound(adj)
+    if bound >= below:
+        return None
     greedy = len(_greedy_path_cover(adj))
-    if greedy > _path_cover_bound(adj):
-        return _path_cover_masks(adj, greedy) or greedy
-    return greedy
+    if greedy == bound:
+        return greedy
+    pc = _path_cover_masks(adj, min(greedy, below))
+    if pc is None and greedy < below:
+        return greedy  # no cover of fewer paths
+    return pc
 
 
 def _path_cover_bound(adj):

@@ -56,15 +56,6 @@ class PartitionShape:
         """Total vertex count."""
         return sum(self.sizes)
 
-    def __len__(self):
-        return len(self.sizes)
-
-    def __getitem__(self, i):
-        return self.sizes[i]
-
-    def __iter__(self):
-        return iter(self.sizes)
-
 
 def is_valid_shape(shape: PartitionShape) -> bool:
     """Whether the shape can belong to an optimal colouring of span >= 3.

@@ -52,10 +52,14 @@ pairwise far vertices, one label per block, and an ordered list of paths
 of the *quotient*, in which two blocks are joined when no edge runs between
 them, with a one-label hole between consecutive paths.  The span is the
 least ``|P| + pc - 2`` over the partitions, ``pc`` the path cover number of
-the quotient (Georges, Mauro and Whittlesey, 1994, on each quotient).  At
-diameter two the only partition is into singletons, its quotient is the
-complement, and the span is ``n + pc(complement) - 2``, from the cover
+the quotient (Georges, Mauro and Whittlesey, 1994, on each quotient).  The
+partition into singletons starts every such graph: its quotient is the
+complement, and its span ``n + pc(complement) - 2`` comes from the cover
 number cached on the graph, :attr:`Graph.complement_path_cover_number`.
+At diameter two it is the only partition.  Each other quotient asks
+:mod:`~lambdacol.graphs` for its cover number, given only when the partition
+reaches the best span so far; that module alone decides whether the ``2^n``
+DP runs.
 Only the numbers are needed: the witness is built vertex by vertex in the
 same way but with no incumbent to start from, the first vertex trying every
 open label until a probe succeeds.  Each probe walks the labels ``0..k`` in
@@ -90,10 +94,8 @@ from .graphs import (
     MalformedLineError,
     _bits,
     _end_slots,
-    _greedy_path_cover,
     _max_cliques,
-    _path_cover_bound,
-    _path_cover_masks,
+    _path_cover_number,
     _significant_lines,
 )
 
@@ -225,11 +227,11 @@ class SolveReport:
 class PathCoverBound:
     """What the path-cover number of the complement says about the span.
 
-    ``path_cover`` is the cover number of the complement graph.  When it is at
-    least 2 the span is determined exactly (``exact`` is ``True`` and ``value``
-    is the span); when the complement has a Hamilton path the theorem only
-    bounds the span by ``n - 1`` (``exact`` is ``False``, ``value`` is that
-    bound).
+    ``path_cover`` is the cover number ``t`` of the complement graph and
+    ``value`` is ``n + t - 2``, the span of the partition into singletons.
+    When ``t`` is at least 2 that is the span (``exact`` is ``True``); when
+    the complement has a Hamilton path (``t = 1``) the theorem only bounds
+    the span by ``n - 1`` (``exact`` is ``False``).
     """
 
     path_cover: int
@@ -638,36 +640,25 @@ def _partition_route(g, d1, far):
     each quotient), and a colouring within some domains exists exactly when
     :func:`_probe_in_label_order` finds one on a quotient of span at most
     ``k``, a block's domain the AND of its members'.  Only cover numbers are
-    needed.  Without far pairs the one quotient is the complement, whose
-    cover number is the one cached on the graph.  Otherwise each quotient
-    starts from the greedy cover's size and :func:`_path_cover_bound`; the
-    DP runs only for a quotient whose bound could reach the best span so
-    far, and only up to that span, so every quotient at the least span is
+    needed.  The partition into singletons starts every graph: its quotient
+    is the complement, whose cover number is the one cached on the graph,
+    and its span ``n + pc - 2`` is the first ``k``.  Every other quotient
+    asks :func:`_path_cover_number` for its number below ``k - |P| + 3``,
+    which comes only when the partition reaches span ``k``; ``k`` then
+    drops to the partition's span, so every quotient at the least span is
     known exactly.
     """
-    found = []
-    diameter_two = not any(far)
+    k = g.n + g.complement_path_cover_number - 2
+    spans = []
     for blocks in _far_partitions(far):
         comp = _quotient(d1, blocks)
-        if diameter_two:
-            pc = bound = g.complement_path_cover_number
+        if len(blocks) == g.n:
+            pc = g.complement_path_cover_number
         else:
-            pc = len(_greedy_path_cover(comp))
-            bound = _path_cover_bound(comp)
-        found.append((len(blocks) + bound - 2, blocks, comp, pc))
-    found.sort(key=lambda entry: entry[0])
-    best = min(len(blocks) + pc - 2 for _, blocks, _, pc in found)
-    spans = []
-    for lowest, blocks, comp, pc in found:
-        if lowest > best:
-            break
-        base = len(blocks) - 2
-        if lowest < base + pc:
-            # a cover of fewer paths than greedy's, and reaching ``best``
-            pc = _path_cover_masks(comp, min(pc, best - base + 1)) or pc
-        best = min(best, base + pc)
-        spans.append((base + pc, blocks, comp))
-    k = best
+            pc = _path_cover_number(comp, k - len(blocks) + 3)
+        if pc is not None:  # the partition reaches span ``k`` or beats it
+            k = len(blocks) + pc - 2
+            spans.append((k, blocks, comp))
     quotients = [([list(_bits(b)) for b in blocks], comp, {})
                  for span, blocks, comp in spans if span == k]
 
@@ -745,9 +736,7 @@ def lambda_via_path_cover(g: Graph) -> PathCoverBound:
     if g.n == 0:
         raise ValueError("span of the empty graph is undefined")
     t = g.complement_path_cover_number
-    if t >= 2:
-        return PathCoverBound(t, True, g.n + t - 2)
-    return PathCoverBound(t, False, g.n - 1)
+    return PathCoverBound(t, t >= 2, g.n + t - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from lambdacol.graphs import (
     _greedy_path_cover,
     _path_cover_bound,
     _path_cover_masks,
+    _path_cover_number,
 )
 from oracles import (
     all_graphs,
@@ -182,6 +183,33 @@ def test_complement_path_cover_is_a_minimum_cover(n):
         assert (_end_slots(comp.adj_masks, (1 << n) - 1) + 1) // 2 <= pc, g
         assert _path_cover_bound(comp.adj_masks) <= pc, g
         assert _path_cover_bound(g.adj_masks) <= brute_path_cover(g), g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5,
+                               pytest.param(6, marks=pytest.mark.slow)])
+def test_path_cover_number_answers_only_below_its_limit(n):
+    for g in all_graphs(n):
+        pc = brute_path_cover(g)
+        for below in range(1, n + 2):
+            want = pc if pc < below else None
+            assert _path_cover_number(g.adj_masks, below) == want, (g, below)
+
+
+def test_path_cover_number_stops_at_the_bound(monkeypatch):
+    # K_{9,11}: each path holds at most one more vertex of the larger side
+    # than of the smaller, so the bound is 2; at a limit it reaches, neither
+    # the greedy walk nor the DP runs
+    def refuse(*args):
+        raise AssertionError("cover searched past the bound")
+
+    monkeypatch.setattr(graphs_module, "_greedy_path_cover", refuse)
+    monkeypatch.setattr(graphs_module, "_path_cover_masks", refuse)
+    g = Graph.from_edges(20, [(u, v) for u in range(9) for v in range(9, 20)])
+    assert _path_cover_bound(g.adj_masks) == 2
+    for below in (0, 1, 2):
+        assert _path_cover_number(g.adj_masks, below) is None
+    with pytest.raises(AssertionError, match="past the bound"):
+        _path_cover_number(g.adj_masks, 3)
 
 
 def test_path_cover_dp_matches_the_partition_oracle_on_larger_graphs():

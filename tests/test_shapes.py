@@ -50,7 +50,7 @@ def test_partition_shape_validation():
         PartitionShape((1, -1, 1, 1))
     s = PartitionShape((3, 2, 1, 3))
     assert s.t == 3 and s.n == 9
-    assert list(s) == [3, 2, 1, 3] and s[1] == 2 and len(s) == 4
+    assert s.sizes == (3, 2, 1, 3)
 
 
 def test_parse_format_shape():

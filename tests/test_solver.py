@@ -3,6 +3,7 @@
 import random
 import time
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -638,7 +639,8 @@ def test_census_runs_without_the_square_cliques(monkeypatch):
     with pytest.raises(AssertionError, match="square cliques"):
         lambda_number(P(7))
     # a fresh cache, so the census runs; monkeypatch restores the old one
-    monkeypatch.setattr(extremal_module, "_CENSUS_CACHE", {})
+    monkeypatch.setattr(extremal_module, "_census", lru_cache(maxsize=None)(
+        extremal_module._census.__wrapped__))
     assert extremal_module.brute_force_graph_census(4) == {
         0: 0, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
 
