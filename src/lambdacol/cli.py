@@ -66,7 +66,7 @@ def _read_coloured(args):
 
 
 def _graph_json(g):
-    return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
+    return {"n": g.n, "edges": g.sorted_edges()}
 
 
 def _indexed(tag, values):

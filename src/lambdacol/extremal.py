@@ -301,14 +301,8 @@ class ClassificationReport:
 
 def _sporadic_tag_of(shape):
     """Sporadic letter matching this exact orientation, or None."""
-    patterns = _SPORADIC_PATTERNS.get(shape.t)
-    if not patterns:
-        return None
-    for tag, offsets in patterns.items():
-        diffs = {s - o for s, o in zip(shape.sizes, offsets)}
-        if len(diffs) == 1:
-            return tag
-    return None
+    return next((tag for tag in _SPORADIC_PATTERNS.get(shape.t, ())
+                 if _sporadic_shape(shape.t, tag, shape.n) == shape), None)
 
 
 def _stationary_type_of(shape):

@@ -67,7 +67,9 @@ order on each quotient of span ``k``, placing at each label a quotient
 neighbour of the block at the label before, or a hole
 (:func:`_probe_in_label_order`; the label-order subset search of Havet,
 Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
-most one block).  The DFS decides every other graph, and the census.
+most one block), by two rules: a block left at the last label of its domain
+goes there, and a state that failed at a label fails at every later one.
+The DFS decides every other graph, and the census.
 The census keeps to three elementary bounds, ``max_degree + 1``,
 ``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches with no cut,
 so the checks of the theorem stay independent of it and it pays nothing for
@@ -478,52 +480,44 @@ def _probe_in_label_order(comp, dom, k, gaps):
     and its quotient (:func:`_quotient`).  So the labels ``0..k`` are walked
     in order, each taking an unplaced vertex whose domain ``dom`` (none
     empty) holds it and that is a ``comp`` neighbour of the vertex at the
-    label before, or a hole.  A vertex whose domain is a single label goes
-    at exactly that label.  A branch is cut when a vertex left has a domain
-    ending before the current label, or when the labels left cannot hold
-    the vertices left: these form paths of ``comp`` with a hole between
-    consecutive paths, and there are at least half as many paths as
-    :func:`_end_slots` counts.  ``gaps`` maps each set of vertices left to
-    those holes, and is shared by every probe on ``comp``.  A state
-    (vertices placed, vertex or hole at the last label, label) that failed
-    is not entered again.
+    label before, or a hole.  A vertex left at the last label of its domain
+    goes there: with two, the branch dies, and with one, it is the only
+    candidate and no hole is allowed.  A state (vertices placed, vertex or
+    hole at the label before) that failed at a label fails at every later
+    one, as holes would carry a completion from there back, so ``dead``
+    keeps its least failed label.  A branch is also cut when the labels
+    left cannot hold the vertices left: these form at least one path of
+    ``comp``, and at least half as many as :func:`_end_slots` counts, with
+    a hole between consecutive paths.  ``gaps`` maps each set of vertices
+    left to those holes, and is shared by every probe on ``comp``.
     """
     n = len(dom)
     full = (1 << n) - 1
-    pinned = [-1] * (k + 1)  # the vertex whose domain is just the label
-    # vertices whose domain ends at the label before; every branch walks
-    # every label, so it meets a vertex left there at the first label past
-    # the vertex's domain
-    expired = [0] * (k + 2)
+    last = [0] * (k + 2)  # the vertices whose domain ends at the label
     for v, m in enumerate(dom):
-        top = m.bit_length()
-        expired[top] |= 1 << v
-        if m == 1 << top - 1:
-            pinned[top - 1] = v
+        last[m.bit_length() - 1] |= 1 << v
     labels = [0] * n
-    dead = set()
+    dead = {}
 
-    def rec(placed, last, x):
+    def rec(placed, prev, x):
         if placed == full:
             return True
         left = full ^ placed
-        count = left.bit_count()
-        room = k + 1 - x
-        if count > room or expired[x] & left:
+        must = last[x] & left
+        if must & must - 1:
             return False
-        key = (placed * (n + 1) + last + 1) * (k + 1) + x
-        if key in dead:
+        key = placed * (n + 1) + prev + 1
+        if dead.get(key, k + 1) <= x:
             return False
         # the paths the vertices left form need holes between them
         holes = gaps.get(left)
         if holes is None:
-            holes = gaps[left] = (_end_slots(comp, left) + 1) // 2 - 1
-        if count + holes > room:
+            holes = gaps[left] = max(1, (_end_slots(comp, left) + 1) // 2) - 1
+        if left.bit_count() + holes > k + 1 - x:
             return False
-        v = pinned[x]
-        cand = left if v < 0 else 1 << v
-        if last >= 0:
-            cand &= comp[last]
+        cand = must or left
+        if prev >= 0:
+            cand &= comp[prev]
         while cand:
             b = cand & -cand
             cand ^= b
@@ -533,9 +527,9 @@ def _probe_in_label_order(comp, dom, k, gaps):
             labels[u] = x
             if rec(placed | b, u, x + 1):
                 return True
-        if v < 0 and rec(placed, -1, x + 1):
+        if not must and rec(placed, -1, x + 1):
             return True
-        dead.add(key)
+        dead[key] = x
         return False
 
     return labels if rec(0, -1, 0) else None

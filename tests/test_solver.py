@@ -1,10 +1,12 @@
 """Exact solver: known spans, brute-force agreement, witnesses, files."""
 
 import random
+import sys
 import time
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -778,6 +780,31 @@ def test_dense_graph_with_a_pendant_vertex_runs_no_dfs(monkeypatch):
     assert (g.n, _far_pairs(g)) == (16, 3)
     want = (1, 3, 6, 4, 9, 11, 8, 2, 14, 16, 0, 12, 18, 7, 10, 5)
     _assert_routed_like_the_dfs(monkeypatch, g, (18, want))
+
+
+def test_label_order_probe_work_is_pinned():
+    # work counters: the label-order probe's recursive calls on three
+    # n = 16 draws, at most the counts of its two rules (a vertex left at
+    # the last label of its domain goes there; a state failed at a label
+    # fails at every later one)
+    inner, = [c for c in _probe_in_label_order.__code__.co_consts
+              if isinstance(c, CodeType)]
+    draws = list(_dense_graphs_with_a_pendant_vertex())
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is inner:
+            calls += 1
+
+    for i, most in [(0, 16_179), (2, 5_429), (3, 39_564)]:
+        calls = 0
+        sys.setprofile(count)
+        try:
+            lambda_number(draws[i])
+        finally:
+            sys.setprofile(None)
+        assert calls <= most, (i, calls)
 
 
 @pytest.mark.slow
