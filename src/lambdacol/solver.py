@@ -9,12 +9,12 @@ unconstrained.  The *span* of the graph is the least achievable maximum label
 
 The solver iterates candidate spans upward from a lower bound and decides
 feasibility of each span by depth-first search with forward checking on
-label domains (stored as bitmasks: a chosen label ``x`` removes
-``{x-1, x, x+1}`` from unassigned neighbours and ``{x}`` from unassigned
-vertices at distance two).  One search plan per graph serves every span
-and every witness probe: a connected vertex order, in which each vertex
-follows those within distance two of it, and the forward-checking lists of
-that order.  Reversal ``x -> k - x`` maps colourings of span ``k`` to
+label domains (a chosen label ``x`` removes ``{x-1, x, x+1}`` from
+unassigned neighbours and ``{x}`` from unassigned vertices at distance two).
+One search plan per graph serves every span and every witness probe: a
+connected vertex order, in which each vertex follows those within distance
+two of it, and per position the masks of the later vertices that forward
+checking narrows.  Reversal ``x -> k - x`` maps colourings of span ``k`` to
 colourings, so the first vertex searched only takes labels up to ``k // 2``.
 
 The lexicographically smallest optimal witness is then built vertex by vertex
@@ -39,9 +39,10 @@ has ``k + 1`` members and uses every label once.  Every search
 at that span, witness probes included, is cut on the tight cliques (at most
 ``n`` of them): a branch dies when the labels left to a tight clique's
 unplaced members are fewer than those members, the pigeonhole filter of
-all-different propagation (Regin, 1994).  Its rows are built once, over the
-plan, for the probes too.  The cut drops only branches without completions,
-so the colourings found and their order are the same.
+all-different propagation (Regin, 1994).  The placed members hold distinct
+labels, which forward checking took from the others, so that is when some
+label is held by no member.  The cut drops only branches without
+completions, so the colourings found and their order are the same.
 
 A graph with at most :data:`FAR_PAIR_LIMIT` *far* pairs, at distance three
 or more, takes the route far-clique partitions -> path cover numbers ->
@@ -79,9 +80,14 @@ At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
 (see :func:`_domains`), so every search starts such vertices from that
 two-label domain.
 
-One recursive forward-checking core, :func:`_search_masks`, runs every
-search off that route and returns its first completion; each branch narrows
-its own copy of the domains, so there is no undo trail.
+One iterative forward-checking core, :func:`_search_masks`, runs every
+search off that route and returns its first completion.  A search state is
+one integer of packed label domains, a field per vertex, and at spans with
+tight cliques a second one that holds, per clique and label, the members
+that can still take the label; a label choice narrows each by one shifted
+mask and a guard-borrow subtraction finds an empty field, so a step back
+restores two integers.  The masks are built once per span
+(:func:`_span_table`) and shared by the witness probes.
 """
 
 from __future__ import annotations
@@ -319,97 +325,153 @@ def _connected_order(d1, d2):
 
 
 def _plan(d1, d2, order):
-    """``order`` with, per position, the later vertices at distance one and
-    at distance two, which forward checking narrows: one plan serves every
-    search of a graph, at every span and with any vertices fixed.
+    """``order`` with, per position, the masks of the later vertices at
+    distance one and at distance two, which forward checking narrows: one
+    plan serves every search of a graph, at every span and with any vertices
+    fixed.
     """
     later1, later2 = [], []
     after = (1 << len(order)) - 1
     for v in order:
         after ^= 1 << v
-        later1.append(list(_bits(d1[v] & after)))
-        later2.append(list(_bits(d2[v] & after)))
+        later1.append(d1[v] & after)
+        later2.append(d2[v] & after)
     return order, later1, later2
 
 
-def _cut_rows(plan, tight):
-    """The cut over ``plan`` on cliques of the square ``tight`` at a span.
+def _span_table(plan, k, tight=()):
+    """What every search at span ``k`` over ``plan`` reads, built once.
 
-    Such a clique has one member per label.  Row ``i + 1`` holds, as
-    ``(members, count)``, each tight clique's members after position ``i``
-    when the label placed at ``i`` can narrow their domains; row 0 holds
-    every clique.  A fixed member's label is already gone from the other
-    members' domains, so it adds one to both sides of its row.
+    The domains of a search are one integer, a field of ``w = k + 2`` bits
+    per vertex: label ``y`` of ``u`` at bit ``u*w + 1 + y``, over a zero bit
+    that also guards the field below.  Labelling the vertex at position
+    ``i`` with ``x`` clears ``clear[i] << x``: ``7`` at the foot of each
+    later neighbour's field (labels ``x-1..x+1`` once shifted) and ``2`` at
+    each later vertex at distance two (label ``x``); at ``x = 0`` and
+    ``x = k`` the shift reaches only zero bits.  ``high[i]`` sets the guards
+    over those fields and ``low[i]`` holds their lowest label bits, so a
+    field is empty exactly when subtracting ``low[i]`` borrows its guard.
+
+    ``tight`` lists the cliques of the square with ``k + 1`` members (see
+    :func:`_tight`); each needs every label once.  With some, a second
+    integer holds, label by label (slot ``y + 1`` for label ``y``, over a
+    zero slot), a field per clique of one bit per member, set while the
+    member's domain holds the label, and a guard bit.  Labelling with ``x``
+    clears ``placed[i]`` shifted by ``x`` slots, the same pattern over
+    member bits plus the placed member's bit at label ``x``, XORed with
+    ``column[i]``, that member's bit at every label: so the member placed
+    keeps only its own label.  The placed members' labels are gone
+    from the others' domains, so an empty field is exactly a clique whose
+    unplaced members' domains hold fewer labels than there are of them:
+    the pigeonhole filter of all-different propagation (Regin, 1994), which
+    cuts only branches without completions.
     """
     order, later1, later2 = plan
-    left = (1 << len(order)) - 1
-    rows = [[(list(_bits(q)), q.bit_count()) for q in tight]]
-    for v, l1, l2 in zip(order, later1, later2):
-        left ^= 1 << v
-        near = sum(1 << u for u in l1 + l2)
-        rows.append([(list(_bits(q & left)), (q & left).bit_count())
-                     for q in tight if q & near])
-    return rows
+    w = k + 2
+    clear, low, high = [], [], []
+    for l1, l2 in zip(later1, later2):
+        # one bit at the foot of each later vertex's field, by distance
+        s1 = s2 = 0
+        while l1:
+            b = l1 & -l1
+            l1 ^= b
+            s1 |= 1 << (b.bit_length() - 1) * w
+        while l2:
+            b = l2 & -l2
+            l2 ^= b
+            s2 |= 1 << (b.bit_length() - 1) * w
+        clear.append(7 * s1 | 2 * s2)
+        low.append(2 * (s1 | s2))
+        high.append((s1 | s2) << w)
+    cover = None
+    if tight:
+        # a field of k + 1 member bits and the guard per clique and label
+        stride = len(tight) * w
+        cols = [0] * len(order)
+        members = 0
+        for j, q in enumerate(tight):
+            members |= q
+            for slot, u in enumerate(_bits(q)):
+                cols[u] |= 1 << j * w + slot
+        slots = sum(1 << y * stride for y in range(1, k + 2))
+        lows = slots * sum(1 << j * w for j in range(len(tight)))
+        placed, column = [], []
+        for v, l1, l2 in zip(order, later1, later2):
+            c1 = c2 = 0
+            for u in _bits(l1 & members):
+                c1 |= cols[u]
+            for u in _bits(l2 & members):
+                c2 |= cols[u]
+            placed.append(c1 * (1 | 1 << stride | 1 << 2 * stride)
+                          | (c2 | cols[v]) << stride)
+            column.append(cols[v] * slots)
+        cover = (cols, members, stride, lows, lows << k + 1, placed, column)
+    return k, order, range(1, len(order) * w, w), clear, low, high, cover
 
 
-def _search_masks(plan, dom, cut=()):
+def _search_masks(table, dom):
     """DFS with forward checking; returns a label list or None.
 
-    Labels the vertices in the order of ``plan`` (:func:`_plan`), each
-    taking the smallest label left in its domain first; ``dom[v]`` is the
-    bitmask of labels open to vertex v, a one-label domain for a vertex
-    fixed beforehand (already forward-checked into the rest).  Returns the
-    first completion, the lexicographically smallest along the order.  Each
-    branch forward-checks its own copy of the domains, so backtracking has
-    nothing to undo.
-
-    ``cut`` holds the rows of :func:`_cut_rows` at the search's span.  A
-    branch, the root included, dies when a row's domains hold fewer labels
-    between them than its count.  That only cuts branches without
-    completions, so the completions and their order stay the same.
+    Labels the vertices in the order of the plan of ``table``
+    (:func:`_span_table`), each taking the smallest label left in its
+    domain first; ``dom[v]`` is the bitmask of labels open to vertex v, a
+    one-label domain for a vertex fixed beforehand (already forward-checked
+    into the rest).  Returns the first completion, the lexicographically
+    smallest along the order.  Each search state is the domain integer, and
+    at spans with tight cliques the coverage integer, so a step back
+    restores two integers.  A branch, the root included, dies when a tight
+    clique's coverage leaves a label empty.
     """
-    order, later1, later2 = plan
-    depth = len(order)
-    labels = [0] * depth
-    if cut and _short(cut[0], dom):
-        return None
-
-    def rec(i, dom):
-        if i == depth:
-            return True
-        v = order[i]
-        l1, l2 = later1[i], later2[i]
-        rows = cut and cut[i + 1]
-        avail = dom[v]
-        while avail:
+    k, order, shift, clear, low, high, cover = table
+    full = (1 << k + 1) - 1
+    word = sum(map(int.__lshift__, dom, shift))
+    held = 0
+    if cover:
+        cols, members, stride, lows, guards, placed, column = cover
+        # the members' columns, gathered by domain
+        by = {}
+        for u in _bits(members):
+            by[dom[u]] = by.get(dom[u], 0) | cols[u]
+        for m, c in by.items():
+            for y in _bits(m):
+                held |= c << (y + 1) * stride
+        if (held | guards) - lows & guards != guards:
+            return None
+    last = len(order) - 1
+    labels = [0] * len(order)
+    stack = []
+    i = 0
+    v = order[0]
+    avail = word >> shift[v] & full
+    while True:
+        if avail:
             b = avail & -avail
             avail ^= b
             x = b.bit_length() - 1
-            nd = dom[:]
-            m3 = ~((7 << x) >> 1)
-            for u in l1:
-                nd[u] &= m3
-            for u in l2:
-                nd[u] &= ~b
-            if 0 in nd or rows and _short(rows, nd):
+            nword = word & ~(clear[i] << x)
+            guard = high[i]
+            if (nword | guard) - low[i] & guard != guard:
                 continue
+            if cover:
+                nheld = held & ~(placed[i] << x * stride ^ column[i])
+                if (nheld | guards) - lows & guards != guards:
+                    continue
             labels[v] = x
-            if rec(i + 1, nd):
-                return True
-        return False
-
-    return labels if rec(0, list(dom)) else None
-
-
-def _short(rows, dom):
-    """Whether some ``(members, count)`` row's domains hold < count labels."""
-    for members, count in rows:
-        held = 0
-        for u in members:
-            held |= dom[u]
-        if held.bit_count() < count:
-            return True
-    return False
+            if i == last:
+                return labels
+            stack.append((word, held, avail))
+            word = nword
+            if cover:
+                held = nheld
+            i += 1
+            v = order[i]
+            avail = word >> shift[v] & full
+        elif stack:
+            word, held, avail = stack.pop()
+            i -= 1
+            v = order[i]
+        else:
+            return None
 
 
 def _domains(d1, k):
@@ -426,25 +488,24 @@ def _domains(d1, k):
 
 def _optimal_colouring(plan, d1, k, cliques=()):
     """Smallest feasible span from a lower bound ``k``, a colouring at it,
-    and the cut rows of that span.
+    and the search table of that span.
 
     For a graph with >= 1 edge; every span is searched over the one
     ``plan``.  ``x -> k - x`` maps colourings of span ``k`` to colourings
     (and the domains of :func:`_domains` to themselves), so the first vertex
-    of the plan only needs the labels ``0..k//2``.  Each search is cut on
-    the square's ``cliques`` that are tight at its span (:func:`_cut_rows`);
-    a span with none builds no rows.
+    of the plan only needs the labels ``0..k//2``.  Each span's table
+    (:func:`_span_table`) cuts on the square's ``cliques`` that are tight at
+    it; a span with none carries no coverage.
     """
     first = plan[0][0]
     while True:
         dom = _domains(d1, k)
         dom[first] &= (1 << (k // 2 + 1)) - 1
         # the census passes no cliques and skips the cut
-        tight = _tight(cliques, k)
-        cut = tight and _cut_rows(plan, tight)
-        labels = _search_masks(plan, dom, cut)
+        table = _span_table(plan, k, _tight(cliques, k))
+        labels = _search_masks(table, dom)
         if labels is not None:
-            return k, labels, cut
+            return k, labels, table
         k += 1
         if k > 2 * (len(d1) - 1):  # greedy labelling 0,2,4,... always works
             raise SpanSearchError("span search exceeded the trivial upper bound")
@@ -546,8 +607,8 @@ def _lex_least_witness(d1, d2, k, probe, incumbent=None):
     far-pair route that is the label-order probe
     (:func:`_probe_in_label_order`) on each quotient of span ``k`` in turn,
     sharing one end-slot table per quotient, and there is no incumbent; else
-    the DFS over the graph's one plan with the cut rows of span ``k``, so no
-    probe builds a plan or a cut.
+    the DFS over the graph's one plan with the table of span ``k``, so no
+    probe builds a plan or a table.
     The first success becomes the incumbent, so after vertex v its prefix
     through v is the least one that extends, whichever completion the probe
     returned; v is then fixed to the incumbent's label, which always
@@ -710,9 +771,9 @@ def lambda_number(g: Graph) -> SolveReport:
         plan = _plan(d1, d2, _connected_order(d1, d2))
         cliques = _square_cliques(d1, d2)
         lb = max(_lower_bound(n, d1, False), cliques[0].bit_count() - 1)
-        k, labels, cut = _optimal_colouring(plan, d1, lb, cliques)
+        k, labels, table = _optimal_colouring(plan, d1, lb, cliques)
         labels = _lex_least_witness(
-            d1, d2, k, lambda trial: _search_masks(plan, trial, cut),
+            d1, d2, k, lambda trial: _search_masks(table, trial),
             min(labels, [k - x for x in labels]))
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))

@@ -43,7 +43,6 @@ from lambdacol.graphs import (
 from lambdacol.solver import (
     FAR_PAIR_LIMIT,
     _connected_order,
-    _cut_rows,
     _diameter_two,
     _domains,
     _fix,
@@ -53,7 +52,9 @@ from lambdacol.solver import (
     _probe_in_label_order,
     _search_masks,
     _second_neighbourhoods,
+    _span_table,
     _square_cliques,
+    _tight,
 )
 from oracles import (
     all_graphs,
@@ -335,8 +336,9 @@ def test_label_order_probe_agrees_with_the_dfs(n, above):
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
             gaps = {}
+            table = _span_table(plan, span)
             for v, dom in _fixed_prefixes(d1, d2, _domains(d1, span), 0):
-                want = _search_masks(plan, dom)
+                want = _search_masks(table, dom)
                 got = _probe_in_label_order(comp, dom, span, gaps)
                 assert (got is None) == (want is None), (g, span, dom)
                 if got is not None:
@@ -513,10 +515,57 @@ def test_tight_clique_cut_keeps_every_completion(n):
         cliques = _square_cliques(d1, d2)
         k = cliques[0].bit_count() - 1
         plan = _plan(d1, d2, _connected_order(d1, d2))
-        cut = _cut_rows(plan, cliques)
+        cut, plain = _span_table(plan, k, cliques), _span_table(plan, k)
         for v, dom in _fixed_prefixes(d1, d2, [(1 << k + 1) - 1] * n, 0):
-            assert _search_masks(plan, dom, cut) == _search_masks(plan, dom), \
+            assert _search_masks(cut, dom) == _search_masks(plain, dom), \
                 (g, dom)
+
+
+def _least_inside(d1, d2, dom, v, every):
+    """Each domain list of :func:`_fixed_prefixes` with the first colouring
+    of ``every`` (valid ones, in some order) inside it, or None; ``every``
+    narrows with the prefix, so a colouring outside it is never scanned."""
+    yield dom, next((c for c in every if all(
+        dom[u] >> c[u] & 1 for u in range(len(dom)))), None)
+    if v < len(dom):
+        for x in _bits(dom[v]):
+            trial = _fix(d1, d2, dom, v, x)
+            if trial is not None:
+                yield from _least_inside(d1, d2, trial, v + 1,
+                                         [c for c in every if c[v] == x])
+
+
+@pytest.mark.parametrize("n,above", [
+    (2, 1), (3, 1), (4, 1), (5, 0),
+    pytest.param(5, 1, marks=pytest.mark.slow),  # 7 s more
+])
+def test_search_returns_the_least_colouring_along_the_plan(n, above):
+    # from every prefix the witness search can fix, at the span and up to
+    # ``above`` spans higher, with and without the tight cliques of the
+    # span, the search returns the least colouring inside the domains along
+    # the plan order, by the reference enumerator.  The prefixes reach label
+    # x - 1 at x = 0 and x + 1 at x = k on the first and the last vertex,
+    # the pad and guard bits of the packed domains.
+    for g in all_graphs(n):
+        if not g.edges:
+            continue
+        d1 = g.adj_masks
+        d2 = _second_neighbourhoods(d1)
+        plan = _plan(d1, d2, _connected_order(d1, d2))
+        cliques = _square_cliques(d1, d2)
+        k = lambda_number(g).lambda_value
+        for span in range(k, k + above + 1):
+            tight = _tight(cliques, span)
+            tables = [_span_table(plan, span)]
+            if tight:
+                tables.append(_span_table(plan, span, tight))
+            every = sorted(reference_colourings(g, span),
+                           key=lambda c: [c[u] for u in plan[0]])
+            for dom, want in _least_inside(d1, d2, _domains(d1, span), 0,
+                                           every):
+                for table in tables:
+                    got = _search_masks(table, dom)
+                    assert want == (got and tuple(got)), (g, span, dom)
 
 
 # Bench instance sparse-157 (G(19, d/(n-1)) of the sparse workload, seed 1):
@@ -572,22 +621,26 @@ def test_witnesses_of_the_sparse_tail(n, edges, want):
     (SPARSE_157_EDGES, 1, 15),  # span omega(G^2) - 1: every search is cut
     (SPARSE_314_EDGES, 2, 8),  # cut at span 11 only, span 12 uncut
 ], ids=["sparse-157", "sparse-314"])
-def test_one_plan_per_solve_and_no_cut_rows_per_probe(
+def test_one_plan_per_solve_and_one_table_per_span(
         monkeypatch, edges, spans, probes):
-    # work counters: one order and one set of forward-checking lists per
-    # graph, cut rows only for the span with tight cliques, and every witness
-    # probe a search over both, counted as the searches past the span loop's
+    # work counters: one order and one set of forward-checking masks per
+    # graph, one search table per span searched and none per witness probe,
+    # tight cliques only in the table of the span that has them, and every
+    # probe a search over that table, counted as the searches past the span
+    # loop's
     counts = Counter()
-    for name in ("_connected_order", "_plan", "_cut_rows", "_search_masks"):
+    for name in ("_connected_order", "_plan", "_span_table", "_search_masks"):
         def counted(*args, _real=getattr(solver_module, name), _name=name,
                     **kwargs):
             counts[_name] += 1
+            if _name == "_span_table" and args[2]:
+                counts["cut"] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, name, counted)
     assert lambda_number(Graph.from_edges(19, edges)).lambda_value == 12
     assert counts["_connected_order"] == counts["_plan"] == 1
-    assert counts["_cut_rows"] == 1
+    assert counts["_span_table"] == spans and counts["cut"] == 1
     assert counts["_search_masks"] - spans == probes > 0
 
 
