@@ -145,21 +145,15 @@ def _components(adj):
     """Vertex sets of the connected components of ``adj``, as bitmasks."""
     left = (1 << len(adj)) - 1
     while left:
-        comp = sum(_bfs_layers(adj, left & -left))  # disjoint layers
+        comp = frontier = left & -left
+        while frontier:  # flood fill from the lowest vertex left
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
         left ^= comp
         yield comp
-
-
-def _bfs_layers(adj, start):
-    """BFS layers of bitmask adjacency ``adj`` from vertex set ``start``."""
-    seen = frontier = start
-    while frontier:
-        yield frontier
-        reach = 0
-        for v in _bits(frontier):
-            reach |= adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +199,7 @@ def _path_cover_number(adj, below):
     bound = _path_cover_bound(adj)
     if bound >= below:
         return None
-    greedy = len(_greedy_path_cover(adj))
+    greedy = _greedy_path_count(adj)
     if greedy == bound:
         return greedy
     pc = _path_cover_masks(adj, min(greedy, below))
@@ -217,15 +211,14 @@ def _path_cover_number(adj, below):
 def _path_cover_bound(adj):
     """A lower bound on the path cover number of bitmask adjacency ``adj``.
 
-    The larger of two counts.  No path leaves a component, and each
-    component needs at least one path and half its :func:`_end_slots`.  A
-    path on ``m`` vertices holds at most ``ceil(m/2)`` vertices of an
-    independent set, so ``p`` paths on ``n`` vertices hold at most
-    ``(n + p) / 2`` of them: ``p >= 2 * alpha - n``, with ``alpha`` the
-    clique number of the complement.
+    The larger of two counts.  No path leaves a component, so each
+    component needs its own :func:`_paths_needed`.  A path on ``m``
+    vertices holds at most ``ceil(m/2)`` vertices of an independent set, so
+    ``p`` paths on ``n`` vertices hold at most ``(n + p) / 2`` of them:
+    ``p >= 2 * alpha - n``, with ``alpha`` the clique number of the
+    complement.
     """
-    by_slots = sum(max(1, (_end_slots(adj, c) + 1) // 2)
-                   for c in _components(adj))
+    by_slots = sum(_paths_needed(adj, c) for c in _components(adj))
     alpha = _max_cliques(_complement_masks(adj))[0].bit_count()
     return max(by_slots, 2 * alpha - len(adj))
 
@@ -332,40 +325,41 @@ def _cover_levels(adj):
         ends = None  # the next level is built without this one
 
 
-def _greedy_path_cover(adj):
-    """A path cover of bitmask adjacency ``adj``, not always a minimum one.
+def _greedy_path_count(adj):
+    """The number of paths of a greedy path cover of bitmask adjacency
+    ``adj``, not always the least.
 
     Each path starts at an uncovered vertex with the fewest uncovered
     neighbours and grows from its end to the uncovered neighbour with the
     fewest uncovered neighbours until the end has none.
     """
     left = (1 << len(adj)) - 1
-    paths = []
+    paths = 0
     while left:
-        path = []
+        paths += 1
         cand = left
         while cand:
             v = min(_bits(cand), key=lambda u: (adj[u] & left).bit_count())
-            path.append(v)
             left &= ~(1 << v)
             cand = adj[v] & left
-        paths.append(path)
     return paths
 
 
-def _end_slots(adj, within):
-    """Path ends that any path cover of the vertex set ``within`` fills.
+def _paths_needed(adj, within):
+    """A lower bound on the paths of any path cover of the non-empty vertex
+    set ``within`` of bitmask adjacency ``adj``.
 
     Every path has two end slots (a one-vertex path fills both with its
     vertex), and a vertex with ``d < 2`` neighbours in ``within`` fills at
-    least ``2 - d`` of them, so a cover needs at least half this many paths.
+    least ``2 - d`` of them, so a cover needs at least one path and half
+    as many as the slots filled.
     """
     slots = 0
     for v in _bits(within):
         d = (adj[v] & within).bit_count()
         if d < 2:
             slots += 2 - d
-    return slots
+    return max(1, (slots + 1) // 2)
 
 
 def _bits(mask):

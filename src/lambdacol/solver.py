@@ -101,9 +101,9 @@ from .graphs import (
     GraphParseError,
     MalformedLineError,
     _bits,
-    _end_slots,
     _max_cliques,
     _path_cover_number,
+    _paths_needed,
     _significant_lines,
 )
 
@@ -266,21 +266,17 @@ def _second_neighbourhoods(adj):
     return tuple(d2)
 
 
-def _diameter_two(n, d1, d2):
-    """Whether every pair of distinct vertices is at distance one or two."""
-    full = (1 << n) - 1
-    return all((1 << v) | d1[v] | d2[v] == full for v in range(n))
-
-
-def _lower_bound(n, d1, diameter_two):
+def _lower_bound(n, d1, far):
     """Best of the three elementary bounds for a graph with >= 1 edge.
 
-    The census starts from this alone; :func:`lambda_number` raises it to
-    the distance-two clique bound of :func:`_square_cliques`.
+    ``far`` holds the :func:`_far_masks`; the graph has diameter two when
+    all of them are empty.  The census starts from this alone;
+    :func:`lambda_number` raises it to the distance-two clique bound of
+    :func:`_square_cliques`.
     """
     lb = max(m.bit_count() for m in d1) + 1
     lb = max(lb, 2 * (_max_cliques(d1)[0].bit_count() - 1))
-    if diameter_two:
+    if not any(far):
         lb = max(lb, n - 1)
     return lb
 
@@ -293,11 +289,6 @@ def _square_cliques(d1, d2):
     one.  The cap bounds the list on squares with very many maximum cliques.
     """
     return _max_cliques([a | b for a, b in zip(d1, d2)], len(d1))
-
-
-def _tight(cliques, k):
-    """The ``cliques`` with one member per label of span ``k``: ``k + 1``."""
-    return [q for q in cliques if q.bit_count() == k + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +315,13 @@ def _connected_order(d1, d2):
     return order
 
 
-def _plan(d1, d2, order):
-    """``order`` with, per position, the masks of the later vertices at
-    distance one and at distance two, which forward checking narrows: one
-    plan serves every search of a graph, at every span and with any vertices
-    fixed.
+def _plan(d1, d2):
+    """The :func:`_connected_order` with, per position, the masks of the
+    later vertices at distance one and at distance two, which forward
+    checking narrows: one plan serves every search of a graph, at every span
+    and with any vertices fixed.
     """
+    order = _connected_order(d1, d2)
     later1, later2 = [], []
     after = (1 << len(order)) - 1
     for v in order:
@@ -352,11 +344,11 @@ def _span_table(plan, k, tight=()):
     over those fields and ``low[i]`` holds their lowest label bits, so a
     field is empty exactly when subtracting ``low[i]`` borrows its guard.
 
-    ``tight`` lists the cliques of the square with ``k + 1`` members (see
-    :func:`_tight`); each needs every label once.  With some, a second
-    integer holds, label by label (slot ``y + 1`` for label ``y``, over a
-    zero slot), a field per clique of one bit per member, set while the
-    member's domain holds the label, and a guard bit.  Labelling with ``x``
+    ``tight`` lists cliques of the square with ``k + 1`` members; each
+    needs every label once.  With some, a second integer holds, label by
+    label (slot ``y + 1`` for label ``y``, over a zero slot), a field per
+    clique of one bit per member, set while the member's domain holds the
+    label, and a guard bit.  Labelling with ``x``
     clears ``placed[i]`` shifted by ``x`` slots, the same pattern over
     member bits plus the placed member's bit at label ``x``, XORed with
     ``column[i]``, that member's bit at every label: so the member placed
@@ -486,26 +478,28 @@ def _domains(d1, k):
     return [ends if m.bit_count() == k - 1 else full for m in d1]
 
 
-def _optimal_colouring(plan, d1, k, cliques=()):
+def _optimal_colouring(plan, d1, k, tight=()):
     """Smallest feasible span from a lower bound ``k``, a colouring at it,
     and the search table of that span.
 
     For a graph with >= 1 edge; every span is searched over the one
     ``plan``.  ``x -> k - x`` maps colourings of span ``k`` to colourings
     (and the domains of :func:`_domains` to themselves), so the first vertex
-    of the plan only needs the labels ``0..k//2``.  Each span's table
-    (:func:`_span_table`) cuts on the square's ``cliques`` that are tight at
-    it; a span with none carries no coverage.
+    of the plan only needs the labels ``0..k//2``.  ``tight`` lists the
+    cliques of the square with ``k + 1`` members, which the table of span
+    ``k`` (:func:`_span_table`) cuts on; no clique has more members than a
+    maximum one, so later spans carry no coverage.
     """
     first = plan[0][0]
     while True:
         dom = _domains(d1, k)
         dom[first] &= (1 << (k // 2 + 1)) - 1
         # the census passes no cliques and skips the cut
-        table = _span_table(plan, k, _tight(cliques, k))
+        table = _span_table(plan, k, tight)
         labels = _search_masks(table, dom)
         if labels is not None:
             return k, labels, table
+        tight = ()
         k += 1
         if k > 2 * (len(d1) - 1):  # greedy labelling 0,2,4,... always works
             raise SpanSearchError("span search exceeded the trivial upper bound")
@@ -517,8 +511,8 @@ def _min_span_masks(n, d1, d2):
     Search from the elementary bounds alone: the census and the checks of
     the path-cover theorem rely on it staying independent of path covers.
     """
-    lb = _lower_bound(n, d1, _diameter_two(n, d1, d2))
-    return _optimal_colouring(_plan(d1, d2, _connected_order(d1, d2)), d1, lb)[0]
+    lb = _lower_bound(n, d1, _far_masks(n, d1, d2))
+    return _optimal_colouring(_plan(d1, d2), d1, lb)[0]
 
 
 def _fix(d1, d2, dom, v, x):
@@ -547,10 +541,10 @@ def _probe_in_label_order(comp, dom, k, gaps):
     hole at the label before) that failed at a label fails at every later
     one, as holes would carry a completion from there back, so ``dead``
     keeps its least failed label.  A branch is also cut when the labels
-    left cannot hold the vertices left: these form at least one path of
-    ``comp``, and at least half as many as :func:`_end_slots` counts, with
-    a hole between consecutive paths.  ``gaps`` maps each set of vertices
-    left to those holes, and is shared by every probe on ``comp``.
+    left cannot hold the vertices left: these form at least
+    :func:`_paths_needed` paths of ``comp``, with a hole between
+    consecutive paths.  ``gaps`` maps each set of vertices left to those
+    holes, and is shared by every probe on ``comp``.
     """
     n = len(dom)
     full = (1 << n) - 1
@@ -573,7 +567,7 @@ def _probe_in_label_order(comp, dom, k, gaps):
         # the paths the vertices left form need holes between them
         holes = gaps.get(left)
         if holes is None:
-            holes = gaps[left] = max(1, (_end_slots(comp, left) + 1) // 2) - 1
+            holes = gaps[left] = _paths_needed(comp, left) - 1
         if left.bit_count() + holes > k + 1 - x:
             return False
         cand = must or left
@@ -606,7 +600,7 @@ def _lex_least_witness(d1, d2, k, probe, incumbent=None):
     asked for a colouring within the fixed domains, or None.  On the
     far-pair route that is the label-order probe
     (:func:`_probe_in_label_order`) on each quotient of span ``k`` in turn,
-    sharing one end-slot table per quotient, and there is no incumbent; else
+    sharing one ``gaps`` table per quotient, and there is no incumbent; else
     the DFS over the graph's one plan with the table of span ``k``, so no
     probe builds a plan or a table.
     The first success becomes the incumbent, so after vertex v its prefix
@@ -768,10 +762,12 @@ def lambda_number(g: Graph) -> SolveReport:
         k, probe = _partition_route(g, d1, far)
         labels = _lex_least_witness(d1, d2, k, probe)
     else:
-        plan = _plan(d1, d2, _connected_order(d1, d2))
         cliques = _square_cliques(d1, d2)
-        lb = max(_lower_bound(n, d1, False), cliques[0].bit_count() - 1)
-        k, labels, table = _optimal_colouring(plan, d1, lb, cliques)
+        top = cliques[0].bit_count() - 1
+        lb = max(_lower_bound(n, d1, far), top)
+        # every clique is a maximum one, so tight only at span ``top``
+        k, labels, table = _optimal_colouring(
+            _plan(d1, d2), d1, lb, cliques if lb == top else ())
         labels = _lex_least_witness(
             d1, d2, k, lambda trial: _search_masks(table, trial),
             min(labels, [k - x for x in labels]))

@@ -4,13 +4,14 @@ import pytest
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run tests marked slow (exhaustive checks over every graph "
-             "on six vertices)",
+        help="run tests marked slow (exhaustive checks over small graphs "
+             "and timing bounds of the solver)",
     )
 
 
 def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running exhaustive checks")
+    config.addinivalue_line(
+        "markers", "slow: long-running exhaustive checks and timing bounds")
 
 
 def pytest_collection_modifyitems(config, items):

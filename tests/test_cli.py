@@ -405,7 +405,7 @@ def _fuzz_corpus(tmp_path):
         "p 4 3\ne 0 2\ne 0 3\ne 1 3\n", "p 2 0\n", "p 4\ne 0 2\n",
         "p 1000000000 0\n", "p 25 0\n", "p 3 -1\n", "p x y\n",
         "hello world\n", "", "p 2 1\ne 0 5\n", "p 3 1\ne 1 1\n",
-        b"\xff\xfe p 3",
+        "p 3 1\ne 0 x\n", b"\xff\xfe p 3",
     ])] + [str(tmp_path / "missing"), str(tmp_path)]
     colourings = [put(f"c{i}", text) for i, text in enumerate([
         "c 0 0\nc 1 1\nc 2 2\nc 3 3\n", "c 0 0\nc 1 2\nc 2 0\nc 3 2\n",

@@ -399,6 +399,16 @@ def test_is_stationary_rejects_double_partner():
     assert is_stationary(g, part) == (False, None)
 
 
+def test_is_stationary_rejects_an_empty_end_class():
+    # the edges of S(1, 1, 1, 1) on classes that leave class 0 empty: the
+    # shape discipline fails before any edge is read
+    from lambdacol import ColouredPartition
+    g, _ = build_stationary(S(1, 1, 1, 1))
+    part = ColouredPartition(
+        4, (frozenset(), *(frozenset({v}) for v in range(4))))
+    assert is_stationary(g, part) == (False, None)
+
+
 def test_is_stationary_requires_cover():
     g, part = build_stationary(S(1, 1, 1, 1))
     with pytest.raises(ValueError):

@@ -128,6 +128,10 @@ def test_membership_rejects_size_mismatch():
 
 
 def test_assignment_validation():
+    with pytest.raises(ValueError, match="need t >= 3"):
+        FamilyAssignment(2, 1, (0, 1, 2))
+    with pytest.raises(ValueError, match="need l >= 1"):
+        FamilyAssignment(3, 0, ())
     with pytest.raises(ValueError):
         FamilyAssignment(3, 1, (0, 1, 2))  # wrong length
     with pytest.raises(ValueError):

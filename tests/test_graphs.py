@@ -21,15 +21,15 @@ from lambdacol import (
 )
 import lambdacol.graphs as graphs_module
 from lambdacol.graphs import (
-    _bfs_layers,
     _bits,
     _components,
-    _end_slots,
-    _greedy_path_cover,
+    _greedy_path_count,
     _path_cover_bound,
     _path_cover_masks,
     _path_cover_number,
+    _paths_needed,
 )
+from lambdacol.solver import _far_masks, _second_neighbourhoods
 from oracles import (
     all_graphs,
     brute_path_cover,
@@ -102,14 +102,18 @@ def test_complement_edge_count(g):
 
 @given(graphs())
 def test_distances_match_floyd_warshall(g):
-    # layer d of the BFS from u holds the vertices at distance d from u
+    # the neighbour, second-neighbour and far masks of u hold the vertices
+    # at distance 1, at distance 2 and at distance 3 or more from u
     ref = floyd_warshall(g)
+    d1 = g.adj_masks
+    d2 = _second_neighbourhoods(d1)
+    far = _far_masks(g.n, d1, d2)
     for u in range(g.n):
-        dist = [math.inf] * g.n
-        for d, layer in enumerate(_bfs_layers(g.adj_masks, 1 << u)):
-            for v in _bits(layer):
+        dist = [0] * g.n
+        for d, mask in enumerate([d1[u], d2[u], far[u]], start=1):
+            for v in _bits(mask):
                 dist[v] = d
-        assert dist == ref[u]
+        assert dist == [min(d, 3) for d in ref[u]]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
@@ -149,21 +153,10 @@ def test_path_cover_matches_brute_force_on_every_graph_of_order_six():
         assert path_cover_number(g) == brute_path_cover(g), g
 
 
-def _is_path_cover(g, paths):
-    """Whether ``paths`` are vertex-disjoint paths of ``g`` covering it."""
-    flat = [v for path in paths for v in path]
-    return sorted(flat) == list(range(g.n)) and all(
-        (min(a, b), max(a, b)) in g.edges
-        for path in paths for a, b in zip(path, path[1:])
-    )
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_greedy_path_cover_is_an_upper_bound(n):
     for g in all_graphs(n):
-        paths = _greedy_path_cover(g.adj_masks)
-        assert _is_path_cover(g, paths), g
-        assert len(paths) >= brute_path_cover(g), g
+        assert brute_path_cover(g) <= _greedy_path_count(g.adj_masks) <= n, g
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5,
@@ -180,7 +173,7 @@ def test_complement_path_cover_is_a_minimum_cover(n):
         # none with fewer than pc paths
         assert not pc or _path_cover_masks(comp.adj_masks, pc) is None, g
         assert g.complement_path_cover_number == pc, g
-        assert (_end_slots(comp.adj_masks, (1 << n) - 1) + 1) // 2 <= pc, g
+        assert not n or _paths_needed(comp.adj_masks, (1 << n) - 1) <= pc, g
         assert _path_cover_bound(comp.adj_masks) <= pc, g
         assert _path_cover_bound(g.adj_masks) <= brute_path_cover(g), g
 
@@ -202,7 +195,7 @@ def test_path_cover_number_stops_at_the_bound(monkeypatch):
     def refuse(*args):
         raise AssertionError("cover searched past the bound")
 
-    monkeypatch.setattr(graphs_module, "_greedy_path_cover", refuse)
+    monkeypatch.setattr(graphs_module, "_greedy_path_count", refuse)
     monkeypatch.setattr(graphs_module, "_path_cover_masks", refuse)
     g = Graph.from_edges(20, [(u, v) for u in range(9) for v in range(9, 20)])
     assert _path_cover_bound(g.adj_masks) == 2
@@ -232,7 +225,7 @@ def test_path_cover_dp_builds_each_level_once(monkeypatch):
     g = Graph.from_edges(16, [(u, v) for u in range(16)
                               for v in range(u + 1, 16)
                               if rng.random() < 0.225])
-    assert len(_greedy_path_cover(g.adj_masks)) == 2
+    assert _greedy_path_count(g.adj_masks) == 2
     built = []
     levels = graphs_module._cover_levels
 
@@ -295,6 +288,8 @@ def test_parse_error_classes():
         parse_graph("p 3 1\nedge 0 1\n")
     with pytest.raises(MalformedLineError):
         parse_graph("p 3 1\ne 1 0\n")  # wrong orientation
+    with pytest.raises(MalformedLineError, match="endpoints must be integers"):
+        parse_graph("p 3 1\ne 0 x\n")
     with pytest.raises(SelfLoopError):
         parse_graph("p 3 1\ne 1 1\n")
     with pytest.raises(EndpointRangeError):

@@ -1,12 +1,15 @@
-"""The public surface: the names ``lambdacol`` exports and the benchmark wraps."""
+"""The public surface: the names ``lambdacol`` exports and the benchmark
+wraps, and checks that hold under ``python -O``."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import lambdacol
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 PUBLIC = [
     "CENSUS_CAP", "CHECK_CAP", "CONSTRUCTION_CAP", "CapExceededError", "Case",
@@ -50,3 +53,13 @@ def test_every_name_the_tracer_wraps_exists():
             for name in methods:
                 assert callable(vars(getattr(home, cname)).get(name)), \
                     (layer, cname, name)
+
+
+def test_no_assert_statements_in_the_library():
+    # an assert vanishes under ``python -O``, so no check in src/ may be one
+    asserts = []
+    for path in sorted((ROOT / "src" / "lambdacol").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)]
+    assert asserts == []

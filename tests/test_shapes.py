@@ -155,12 +155,16 @@ def test_delete_max_rejects_non_max_index():
     s = PartitionShape((3, 2, 1, 3))
     with pytest.raises(ValueError):
         delete_max(s, 1)
+    with pytest.raises(ValueError, match="at least 4 classes"):
+        delete_max(PartitionShape((2, 1, 2)), 0)
 
 
 def test_insert_min_rejects_non_min_index():
     s = PartitionShape((3, 2, 1, 3))
     with pytest.raises(ValueError, match="not a min class"):
         insert_min(s, 0)
+    with pytest.raises(ValueError, match="at least 4 classes"):
+        insert_min(PartitionShape((2, 1, 2)), 1)
 
 
 def test_delete_max_rejects_invalidating_deletions():

@@ -37,14 +37,13 @@ import lambdacol.solver as solver_module
 from lambdacol.graphs import (
     _bits,
     _complement_masks,
-    _end_slots,
     _path_cover_bound,
+    _paths_needed,
 )
 from lambdacol.solver import (
     FAR_PAIR_LIMIT,
-    _connected_order,
-    _diameter_two,
     _domains,
+    _far_masks,
     _fix,
     _lower_bound,
     _min_span_masks,
@@ -54,7 +53,6 @@ from lambdacol.solver import (
     _second_neighbourhoods,
     _span_table,
     _square_cliques,
-    _tight,
 )
 from oracles import (
     all_graphs,
@@ -231,8 +229,7 @@ def _diameter_two_graphs():
     found = 0
     while found < 12:
         g = _gnp(rng.randint(12, 14), rng.uniform(0.6, 0.9), rng)
-        d1 = g.adj_masks
-        if _diameter_two(g.n, d1, _second_neighbourhoods(d1)):
+        if not _far_pairs(g):
             found += 1
             yield g
 
@@ -302,13 +299,14 @@ def test_path_cover_bound_is_no_weaker_than_the_checks_it_replaced(n):
     # on the complement of every diameter-two graph: the elementary span
     # bound read as a cover bound, and the end slots counted over all of it
     for g in all_graphs(n):
-        d1 = g.adj_masks
-        if not g.edges or not _diameter_two(n, d1, _second_neighbourhoods(d1)):
+        if not g.edges or _far_pairs(g):
             continue
+        d1 = g.adj_masks
+        far = _far_masks(n, d1, _second_neighbourhoods(d1))
         comp = _complement_masks(d1)
         bound = _path_cover_bound(comp)
-        assert bound >= _lower_bound(n, d1, True) - n + 2, g
-        assert bound >= max(1, (_end_slots(comp, (1 << n) - 1) + 1) // 2), g
+        assert bound >= _lower_bound(n, d1, far) - n + 2, g
+        assert bound >= _paths_needed(comp, (1 << n) - 1), g
 
 
 def _fixed_prefixes(d1, d2, dom, v):
@@ -325,14 +323,14 @@ def _fixed_prefixes(d1, d2, dom, v):
 def test_label_order_probe_agrees_with_the_dfs(n, above):
     # from every prefix the witness search can fix, at the span (where it
     # probes) and up to ``above`` spans higher, each span's probes sharing
-    # one end-slot table as ``lambda_number``'s do
+    # one ``gaps`` table as ``lambda_number``'s do
     for g in all_graphs(n):
+        if not g.edges or _far_pairs(g):
+            continue
         d1 = g.adj_masks
         d2 = _second_neighbourhoods(d1)
-        if not g.edges or not _diameter_two(n, d1, d2):
-            continue
         comp = _complement_masks(d1)
-        plan = _plan(d1, d2, _connected_order(d1, d2))
+        plan = _plan(d1, d2)
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
             gaps = {}
@@ -471,7 +469,7 @@ def _square_clique_start(g):
     """The start of the span loop off the diameter-two route."""
     d1 = g.adj_masks
     d2 = _second_neighbourhoods(d1)
-    return max(_lower_bound(g.n, d1, _diameter_two(g.n, d1, d2)),
+    return max(_lower_bound(g.n, d1, _far_masks(g.n, d1, d2)),
                _square_cliques(d1, d2)[0].bit_count() - 1)
 
 
@@ -485,7 +483,7 @@ def test_square_clique_bound_lies_between_the_elementary_bound_and_the_span(n):
             d1 = g.adj_masks
             d2 = _second_neighbourhoods(d1)
             start = _square_clique_start(g)
-            lb = _lower_bound(n, d1, _diameter_two(n, d1, d2))
+            lb = _lower_bound(n, d1, _far_masks(n, d1, d2))
             assert start >= lb, g
             if start > lb:
                 raised += 1
@@ -514,7 +512,7 @@ def test_tight_clique_cut_keeps_every_completion(n):
         d2 = _second_neighbourhoods(d1)
         cliques = _square_cliques(d1, d2)
         k = cliques[0].bit_count() - 1
-        plan = _plan(d1, d2, _connected_order(d1, d2))
+        plan = _plan(d1, d2)
         cut, plain = _span_table(plan, k, cliques), _span_table(plan, k)
         for v, dom in _fixed_prefixes(d1, d2, [(1 << k + 1) - 1] * n, 0):
             assert _search_masks(cut, dom) == _search_masks(plain, dom), \
@@ -551,11 +549,11 @@ def test_search_returns_the_least_colouring_along_the_plan(n, above):
             continue
         d1 = g.adj_masks
         d2 = _second_neighbourhoods(d1)
-        plan = _plan(d1, d2, _connected_order(d1, d2))
+        plan = _plan(d1, d2)
         cliques = _square_cliques(d1, d2)
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
-            tight = _tight(cliques, span)
+            tight = [q for q in cliques if q.bit_count() == span + 1]
             tables = [_span_table(plan, span)]
             if tight:
                 tables.append(_span_table(plan, span, tight))
@@ -655,7 +653,7 @@ def _square_clique_graphs():
         g = _gnp(n, rng.uniform(1.5, 4.5) / (n - 1), rng)
         d1 = g.adj_masks
         if _square_clique_start(g) > _lower_bound(
-                n, d1, _diameter_two(n, d1, _second_neighbourhoods(d1))):
+                n, d1, _far_masks(n, d1, _second_neighbourhoods(d1))):
             found += 1
             yield g
 
@@ -715,6 +713,8 @@ def test_path_cover_route_checks_the_cap_before_the_complement(monkeypatch):
         lambda_via_path_cover(C(5))
     with pytest.raises(CapExceededError):
         lambda_via_path_cover(Graph(25, frozenset()))
+    with pytest.raises(ValueError, match="empty graph"):
+        lambda_via_path_cover(Graph(0, frozenset()))
 
 
 def _diameter_two_graphs_to_the_cap():
@@ -730,8 +730,7 @@ def _diameter_two_graphs_to_the_cap():
             p = rng.choice([0.6, 0.7, 0.8, 0.9])
             g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
                                      if rng.random() < p])
-            if _diameter_two(n, g.adj_masks,
-                             _second_neighbourhoods(g.adj_masks)):
+            if not _far_pairs(g):
                 kept += 1
                 yield g
 

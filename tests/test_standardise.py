@@ -62,6 +62,8 @@ def test_partition_of_refuses_classes_above_the_cap():
 
 
 def test_coloured_partition_validation():
+    with pytest.raises(ValueError, match="span must be non-negative"):
+        ColouredPartition(-1, ())
     with pytest.raises(ValueError):
         ColouredPartition(1, (frozenset({0}),))  # wrong class count
     with pytest.raises(ValueError):
