@@ -8,12 +8,9 @@ status: 0 success, 1 domain error (unreadable input, malformed file, validity
 or cap violation), 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .extremal import (
     ClassificationError,
@@ -171,7 +168,7 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     rep = verify_classification(args.n, args.t)
-    return {**asdict(rep), "passed": rep.passed}, rep.line() + "\n"
+    return {**rep._asdict(), "passed": rep.passed}, rep.line() + "\n"
 
 
 def _cmd_census(args):
@@ -183,8 +180,8 @@ def _cmd_census(args):
 def _cmd_pathcover(args):
     bound = lambda_via_path_cover(_read_graph(args))
     exact = "yes" if bound.exact else "no"
-    return asdict(bound), (f"path_cover={bound.path_cover} exact={exact} "
-                           f"value={bound.value}\n")
+    return bound._asdict(), (f"path_cover={bound.path_cover} exact={exact} "
+                             f"value={bound.value}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,12 @@ the shape oracle, and — for tiny ``n`` — against a second, fully independent
 oracle that solves a graph from every isomorphism class exactly.
 """
 
-from __future__ import annotations
-
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 
-from .graphs import CapExceededError, Graph, _bits
+from .graphs import CapExceededError, Graph, _Record, _bits
 from .solver import (
     _min_span_masks,
     _second_neighbourhoods,
@@ -278,8 +275,7 @@ class Case(Enum):
     NOT_MAXIMAL = "NOT_MAXIMAL"
 
 
-@dataclass(frozen=True)
-class StationaryType:
+class StationaryType(_Record):
     """Which shape condition a stationary partition matches.
 
     ``tag`` is ``"EQUITABLE"`` (sizes pairwise within 1) or a sporadic letter
@@ -291,8 +287,7 @@ class StationaryType:
     dual_flag: bool
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Record):
     case: Case
     witness_shape: PartitionShape
     max_edges: int
@@ -514,8 +509,7 @@ def _census(n):
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Everything checked for one ``(n, t)`` point.
 
     ``passed`` covers the classification claims: attaining shapes equal the

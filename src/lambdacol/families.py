@@ -29,11 +29,7 @@ neighbours in one other class, so the cross-class edges already present form
 a partial matching.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .graphs import Graph
+from .graphs import Graph, _Record
 from .shapes import PartitionShape
 from .solver import Colouring
 from .standardise import (
@@ -54,8 +50,7 @@ class EmbeddingConsistencyError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class FamilyAssignment:
+class FamilyAssignment(_Record):
     """Partition of ``(t+1)*l`` vertices into classes ``0..t`` of size ``l``.
 
     ``class_of[v]`` is the class of vertex ``v``.  The constructor enforces

@@ -16,10 +16,8 @@ callers (the command-line tool in particular) can point at the offending
 line.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 #: Largest order :func:`lambda_number` solves and whose path cover number
 #: :func:`_path_cover_number` counts: the cover's dynamic programme visits
@@ -60,11 +58,77 @@ class CapExceededError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the library's frozen records.
+
+    A record's fields are its class's annotated names, in order.  They are
+    set by position or keyword, then checked by the class's
+    ``__post_init__``.  Records compare and hash by their field values,
+    never equal a record of another class, print as ``Name(field=value)``
+    and refuse assignment and deletion; a ``cached_property`` still caches,
+    since it writes the instance dictionary directly.  It stands in for
+    ``dataclass(frozen=True)``, whose imports (``inspect``, ``ast``,
+    ``dis``, ``tokenize``) and per-class code generation were half the time
+    of ``import lambdacol``.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):]
+                            if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes the fields "
+                f"({', '.join(fields)}), each once"
+            )
+        # not through self.__dict__: a materialised instance dictionary
+        # makes every later attribute read slower in CPython 3.11
+        for field, value in zip(fields, values):
+            _setattr(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return {f: getattr(self, f) for f in self._fields}
+
+
+# ---------------------------------------------------------------------------
 # the graph type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """An undirected simple graph on vertices ``0..n-1``.
 
     ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``.  Instances

@@ -23,13 +23,10 @@ edge bound by exactly computable amounts involving the *prohibited zone* of
 the touched class (its neighbours on the index line).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from .graphs import _Record
 
 
-@dataclass(frozen=True)
-class PartitionShape:
+class PartitionShape(_Record):
     """Class sizes ``(c_0, ..., c_t)`` of a coloured partition.
 
     Any non-negative vector is representable (colourings with bad hole

@@ -90,16 +90,13 @@ restores two integers.  The masks are built once per span
 (:func:`_span_table`) and shared by the witness probes.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .graphs import (
     CapExceededError,
     DEFAULT_SOLVER_CAP,
     Graph,
     GraphParseError,
     MalformedLineError,
+    _Record,
     _bits,
     _max_cliques,
     _path_cover_number,
@@ -142,8 +139,7 @@ class SpanSearchError(RuntimeError):
     """The span search passed the trivial upper bound: a solver fault."""
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(_Record):
     """A normalised total labelling: ``labels[v]`` is the label of vertex v.
 
     Labels are non-negative integers and the minimum over a non-empty graph
@@ -222,8 +218,7 @@ def holes_of(c: Colouring) -> tuple:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Record):
     """Result of an exact solve: the span, one optimal witness, its holes."""
 
     lambda_value: int
@@ -231,8 +226,7 @@ class SolveReport:
     holes: tuple
 
 
-@dataclass(frozen=True)
-class PathCoverBound:
+class PathCoverBound(_Record):
     """What the path-cover number of the complement says about the span.
 
     ``path_cover`` is the cover number ``t`` of the complement graph and

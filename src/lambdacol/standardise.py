@@ -26,12 +26,9 @@ builds all three, for any choice of matchings, and :func:`_is_layered_matching`
 checks membership and stationarity alike by counting partners and edges.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import CapExceededError, Graph
+from .graphs import CapExceededError, Graph, _Record
 from .shapes import PartitionShape, edge_bound
 from .solver import Colouring, is_lambda_colouring
 
@@ -51,8 +48,7 @@ def _check_construction_size(what, *counts):
         )
 
 
-@dataclass(frozen=True)
-class ColouredPartition:
+class ColouredPartition(_Record):
     """Ordered colour classes ``C_0..C_t`` (disjoint vertex sets, empties ok)."""
 
     t: int
@@ -106,8 +102,7 @@ def shape_of(cp: ColouredPartition) -> PartitionShape:
 # standardised graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StandardisedGraph:
+class StandardisedGraph(_Record):
     """The graph whose edges are a pure function of a shape.
 
     Vertices are numbered class-major: class ``m`` occupies the contiguous

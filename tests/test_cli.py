@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from lambdacol import CHECK_CAP, Graph
+from lambdacol import (
+    CHECK_CAP, Graph, GraphParseError, parse_colouring, parse_graph,
+)
 from lambdacol.solver import FAR_PAIR_LIMIT
 from lambdacol.cli import main
 
@@ -436,9 +438,44 @@ def _fuzz_corpus(tmp_path):
     return argvs + [argv + ["--json"] for argv in argvs]
 
 
+def _parsed(path, parse, *args):
+    """``(value, None)`` when the file parses, else ``(None, message)``.
+
+    The message is that of a read error (missing file, directory, bad UTF-8)
+    or of a :class:`GraphParseError`; any other exception escapes, since the
+    parsers raise nothing but typed errors.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return None, str(exc)
+    try:
+        return parse(text, *args), None
+    except GraphParseError as exc:
+        return None, str(exc)
+
+
+_GRAPH_VERBS = ("lambda", "classify", "pathcover")
+_COLOURED_VERBS = ("check", "embed", "standardise")
+
+
+def _expected_read_error(argv):
+    """The error a verb's file arguments make it print, or ``None``."""
+    files = [a for a in argv[1:] if a != "--json"]
+    if argv[0] not in _GRAPH_VERBS + _COLOURED_VERBS or not files:
+        return None
+    g, error = _parsed(files[0], parse_graph)
+    if error is None and argv[0] in _COLOURED_VERBS and len(files) > 1:
+        _, error = _parsed(files[1], parse_colouring, g.n)
+    return error
+
+
 def test_hostile_invocations_fail_cleanly(capsys, tmp_path):
     # Every verb, text and JSON: exit 0, 1 or 2 and never a traceback (an
     # exception escaping main), and nothing on stdout unless it succeeded.
+    # A graph or colouring file that does not parse fails with the parser's
+    # typed error, word for word.
     for argv in _fuzz_corpus(tmp_path):
         try:
             code = main(argv)
@@ -448,6 +485,9 @@ def test_hostile_invocations_fail_cleanly(capsys, tmp_path):
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
         assert code == 0 or out == "", argv
+        expected = _expected_read_error(argv)
+        if expected is not None:
+            assert (code, err) == (1, f"error: {expected}\n"), argv
 
 
 @pytest.mark.parametrize("script", ["census_table.py", "classification_sweep.py"])

@@ -4,9 +4,19 @@ wraps, and checks that hold under ``python -O``."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import lambdacol
+from lambdacol import (
+    Case, ClassificationReport, ColouredPartition, Colouring, FamilyAssignment,
+    Graph, PartitionShape, PathCoverBound, SolveReport, StandardisedGraph,
+    StationaryType, VerificationReport,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
@@ -63,3 +73,74 @@ def test_no_assert_statements_in_the_library():
         asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+_SHAPE = PartitionShape((1, 1, 1, 1))
+# each record class with its fields in order and, where its constructor
+# checks them, field values that check refuses
+RECORDS = [
+    (Graph, {"n": 3, "edges": frozenset({(0, 1), (1, 2)})},
+     {"n": 2, "edges": frozenset({(0, 2)})}),
+    (Colouring, {"labels": (0, 2, 4)}, {"labels": (1, 3)}),
+    (SolveReport, {"lambda_value": 4, "witness": Colouring((0, 2, 4)),
+                   "holes": (1, 3)}, None),
+    (PathCoverBound, {"path_cover": 2, "exact": True, "value": 3}, None),
+    (PartitionShape, {"sizes": (3, 2, 1, 3)}, {"sizes": ()}),
+    (ColouredPartition, {"t": 1, "classes": (frozenset({0}), frozenset({1}))},
+     {"t": 2, "classes": (frozenset({0}), frozenset({1}))}),
+    (StandardisedGraph, {"shape": _SHAPE},
+     {"shape": PartitionShape((1, 1, 1))}),
+    (FamilyAssignment, {"t": 3, "l": 1, "class_of": (0, 1, 2, 3)},
+     {"t": 3, "l": 1, "class_of": (0, 0, 2, 3)}),
+    (StationaryType, {"tag": "EQUITABLE", "dual_flag": False}, None),
+    (ClassificationReport, {"case": Case.DIVISIBLE, "witness_shape": _SHAPE,
+                            "max_edges": 3,
+                            "stationary": StationaryType("EQUITABLE", False)},
+     None),
+    (VerificationReport, {"n": 8, "t": 3, "max_edges": 10, "attaining": 1,
+                          "argmax_equals_predicted": True,
+                          "equitable_only_ok": None, "census_ok": None,
+                          "inner_ok": True, "outer_ok": True}, None),
+]
+
+
+@pytest.mark.parametrize("cls, fields, refused", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_frozen_values(cls, fields, refused):
+    values = tuple(fields.values())
+    record = cls(*values)
+    assert record == cls(**fields) and hash(record) == hash(cls(**fields))
+    assert repr(record) == cls.__name__ + "(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()) + ")"
+    # the same field values held by another record class are another value
+    other = next(c for c, _, _ in RECORDS if c is not cls)
+    twin = object.__new__(other)
+    vars(twin).update(vars(record))
+    assert record != twin and twin != record
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, name, fields[name])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    for wrong in (values[:-1], values + values[:1]):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+    if refused is not None:
+        with pytest.raises(ValueError):
+            cls(**refused)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are built without ``dataclasses``, which imports
+    # ``inspect``, ``ast``, ``dis`` and ``tokenize``; ``site`` may preload
+    # modules, so only the ones the import adds count
+    probe = ("import sys; before = set(sys.modules); import lambdacol; "
+             "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path},
+                         timeout=60, check=True)
+    added = set(res.stdout.split())
+    assert "lambdacol.extremal" in added
+    assert not added & {"dataclasses", "inspect"}
