@@ -7,23 +7,23 @@ two need distinct labels, and pairs further apart (or disconnected) are
 unconstrained.  The *span* of the graph is the least achievable maximum label
 (minimum label normalised to 0), written ``lambda_number`` below.
 
-The solver iterates candidate spans upward from a lower bound and decides
-feasibility of each span by depth-first search with forward checking on
-label domains (a chosen label ``x`` removes ``{x-1, x, x+1}`` from
-unassigned neighbours and ``{x}`` from unassigned vertices at distance two).
-One search plan per graph serves every span and every witness probe: a
-connected vertex order, in which each vertex follows those within distance
-two of it, and per position the masks of the later vertices that forward
-checking narrows.  Reversal ``x -> k - x`` maps colourings of span ``k`` to
-colourings, so the first vertex searched only takes labels up to ``k // 2``.
-
-The lexicographically smallest optimal witness is then built vertex by vertex
-in id order from an incumbent, the smaller of the colouring found and its
-reversal.  Each label below the incumbent's that the fixed prefix leaves
-open is fixed with forward checking, the later vertices are probed by the
-same search over the same plan (fixed vertices keep their places, with
-one-label domains), and the first probe that succeeds becomes the
-incumbent.
+The solver iterates candidate spans upward from a lower bound and, at each
+span ``k``, searches for the lexicographically least colouring with labels
+in ``0..k``; the first span at which that search succeeds is the span, and
+the colouring found is the witness.  The search builds it vertex by vertex
+in id order: each label the fixed prefix leaves open is fixed in turn with
+forward checking on label domains (a chosen label ``x`` removes
+``{x-1, x, x+1}`` from unassigned neighbours and ``{x}`` from unassigned
+vertices at distance two), and the later vertices are probed by a
+depth-first search with forward checking; the first probe that succeeds
+fixes the vertex, and later vertices only try labels below that
+colouring's.  Reversal ``x -> k - x`` maps colourings of span ``k`` to
+colourings, so vertex 0 only tries labels up to ``k // 2``, and when none of
+them extends, span ``k`` has no colouring.  One search plan per graph serves
+every span and every probe: a connected vertex order, in which each vertex
+follows those within distance two of it, and per position the masks of the
+later vertices that forward checking narrows; fixed vertices keep their
+places, with one-label domains.
 
 Off the far-pair route below, the iteration starts from the distance-two
 clique bound: vertices pairwise within distance two need pairwise distinct
@@ -35,14 +35,14 @@ neighbour: the spider with edges 01, 02, 03, 14 has ``omega(G^2) - 1 = 3``
 and span 4.  So the start is ``max(max_degree + 1, 2*(omega - 1),
 omega(G^2) - 1)``, with ``omega`` the clique number of G (pairwise gaps of
 2).  At span ``k = omega(G^2) - 1`` a maximum clique of G^2 is *tight*: it
-has ``k + 1`` members and uses every label once.  Every search
-at that span, witness probes included, is cut on the tight cliques (at most
-``n`` of them): a branch dies when the labels left to a tight clique's
-unplaced members are fewer than those members, the pigeonhole filter of
-all-different propagation (Regin, 1994).  The placed members hold distinct
-labels, which forward checking took from the others, so that is when some
-label is held by no member.  The cut drops only branches without
-completions, so the colourings found and their order are the same.
+has ``k + 1`` members and uses every label once.  Every probe at that span
+is cut on the tight cliques (at most ``n`` of them): a branch dies when the
+labels left to a tight clique's unplaced members are fewer than those
+members, the pigeonhole filter of all-different propagation (Regin, 1994).
+The placed members hold distinct labels, which forward checking took from
+the others, so that is when some label is held by no member.  The cut
+drops only branches without completions, so the colourings found and their
+order are the same.
 
 A graph with at most :data:`FAR_PAIR_LIMIT` *far* pairs, at distance three
 or more, takes the route far-clique partitions -> path cover numbers ->
@@ -62,8 +62,7 @@ At diameter two it is the only partition.  Each other quotient asks
 reaches the best span so far; that module alone decides whether the ``2^n``
 DP runs.
 Only the numbers are needed: the witness is built vertex by vertex in the
-same way but with no incumbent to start from, the first vertex trying every
-open label until a probe succeeds.  Each probe walks the labels ``0..k`` in
+same way, at that one span.  Each probe walks the labels ``0..k`` in
 order on each quotient of span ``k``, placing at each label a quotient
 neighbour of the block at the label before, or a hole
 (:func:`_probe_in_label_order`; the label-order subset search of Havet,
@@ -72,9 +71,10 @@ most one block), by two rules: a block left at the last label of its domain
 goes there, and a state that failed at a label fails at every later one.
 The DFS decides every other graph, and the census.
 The census keeps to three elementary bounds, ``max_degree + 1``,
-``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches with no cut,
-so the checks of the theorem stay independent of it and it pays nothing for
-the cliques of G^2.
+``2*(omega - 1)`` and ``n - 1`` at diameter two, and runs one search per
+span with no cut and no witness (:func:`_min_span_masks`), so the checks of
+the theorem stay independent of it and it pays nothing for the cliques of
+G^2.
 
 At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
 (see :func:`_domains`), so every search starts such vertices from that
@@ -87,7 +87,8 @@ tight cliques a second one that holds, per clique and label, the members
 that can still take the label; a label choice narrows each by one shifted
 mask and a guard-borrow subtraction finds an empty field, so a step back
 restores two integers.  The masks are built once per span
-(:func:`_span_table`) and shared by the witness probes.
+(:func:`_span_table`, which alone decides which cliques are tight) and
+shared by the witness probes.
 """
 
 from .graphs import (
@@ -154,10 +155,6 @@ class Colouring(_Record):
                 raise ValueError(f"labels must be non-negative integers, got {x!r}")
         if self.labels and min(self.labels) != 0:
             raise ValueError("colouring must be normalised: minimum label 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
     @property
     def span(self) -> int:
@@ -325,7 +322,7 @@ def _plan(d1, d2):
     return order, later1, later2
 
 
-def _span_table(plan, k, tight=()):
+def _span_table(plan, k, cliques=()):
     """What every search at span ``k`` over ``plan`` reads, built once.
 
     The domains of a search are one integer, a field of ``w = k + 2`` bits
@@ -338,18 +335,18 @@ def _span_table(plan, k, tight=()):
     over those fields and ``low[i]`` holds their lowest label bits, so a
     field is empty exactly when subtracting ``low[i]`` borrows its guard.
 
-    ``tight`` lists cliques of the square with ``k + 1`` members; each
-    needs every label once.  With some, a second integer holds, label by
-    label (slot ``y + 1`` for label ``y``, over a zero slot), a field per
-    clique of one bit per member, set while the member's domain holds the
-    label, and a guard bit.  Labelling with ``x``
+    The cliques of the square among ``cliques`` with ``k + 1`` members are
+    *tight*: each needs every label once.  With some, a second integer
+    holds, label by label (slot ``y + 1`` for label ``y``, over a zero
+    slot), a field per tight clique of one bit per member, set while the
+    member's domain holds the label, and a guard bit.  Labelling with ``x``
     clears ``placed[i]`` shifted by ``x`` slots, the same pattern over
     member bits plus the placed member's bit at label ``x``, XORed with
     ``column[i]``, that member's bit at every label: so the member placed
-    keeps only its own label.  The placed members' labels are gone
-    from the others' domains, so an empty field is exactly a clique whose
-    unplaced members' domains hold fewer labels than there are of them:
-    the pigeonhole filter of all-different propagation (Regin, 1994), which
+    keeps only its own label.  The placed members' labels are gone from the
+    others' domains, so an empty field is exactly a clique whose unplaced
+    members' domains hold fewer labels than there are of them: the
+    pigeonhole filter of all-different propagation (Regin, 1994), which
     cuts only branches without completions.
     """
     order, later1, later2 = plan
@@ -369,6 +366,7 @@ def _span_table(plan, k, tight=()):
         clear.append(7 * s1 | 2 * s2)
         low.append(2 * (s1 | s2))
         high.append((s1 | s2) << w)
+    tight = [q for q in cliques if q.bit_count() == k + 1]
     cover = None
     if tight:
         # a field of k + 1 member bits and the guard per clique and label
@@ -472,41 +470,25 @@ def _domains(d1, k):
     return [ends if m.bit_count() == k - 1 else full for m in d1]
 
 
-def _optimal_colouring(plan, d1, k, tight=()):
-    """Smallest feasible span from a lower bound ``k``, a colouring at it,
-    and the search table of that span.
-
-    For a graph with >= 1 edge; every span is searched over the one
-    ``plan``.  ``x -> k - x`` maps colourings of span ``k`` to colourings
-    (and the domains of :func:`_domains` to themselves), so the first vertex
-    of the plan only needs the labels ``0..k//2``.  ``tight`` lists the
-    cliques of the square with ``k + 1`` members, which the table of span
-    ``k`` (:func:`_span_table`) cuts on; no clique has more members than a
-    maximum one, so later spans carry no coverage.
-    """
-    first = plan[0][0]
-    while True:
-        dom = _domains(d1, k)
-        dom[first] &= (1 << (k // 2 + 1)) - 1
-        # the census passes no cliques and skips the cut
-        table = _span_table(plan, k, tight)
-        labels = _search_masks(table, dom)
-        if labels is not None:
-            return k, labels, table
-        tight = ()
-        k += 1
-        if k > 2 * (len(d1) - 1):  # greedy labelling 0,2,4,... always works
-            raise SpanSearchError("span search exceeded the trivial upper bound")
-
-
 def _min_span_masks(n, d1, d2):
     """Smallest feasible span for bitmask adjacency with >= 1 edge.
 
-    Search from the elementary bounds alone: the census and the checks of
-    the path-cover theorem rely on it staying independent of path covers.
+    One search per span upward from the elementary bounds alone, with no
+    cut and no witness: the census and the checks of the path-cover theorem
+    rely on it staying independent of path covers and of the solver's
+    witness loop.  ``x -> k - x`` maps colourings of span ``k`` to
+    colourings (and the domains of :func:`_domains` to themselves), so the
+    first vertex of the plan only needs the labels ``0..k//2``.
     """
-    lb = _lower_bound(n, d1, _far_masks(n, d1, d2))
-    return _optimal_colouring(_plan(d1, d2), d1, lb)[0]
+    plan = _plan(d1, d2)
+    first = plan[0][0]
+    # greedy labelling 0,2,4,... always works
+    for k in range(_lower_bound(n, d1, _far_masks(n, d1, d2)), 2 * n - 1):
+        dom = _domains(d1, k)
+        dom[first] &= (1 << (k // 2 + 1)) - 1
+        if _search_masks(_span_table(plan, k), dom) is not None:
+            return k
+    raise SpanSearchError("span search exceeded the trivial upper bound")
 
 
 def _fix(d1, d2, dom, v, x):
@@ -584,40 +566,41 @@ def _probe_in_label_order(comp, dom, k, gaps):
     return labels if rec(0, -1, 0) else None
 
 
-def _lex_least_witness(d1, d2, k, probe, incumbent=None):
-    """The lexicographically least colouring with labels in ``0..k``.
+def _lex_least_witness(d1, d2, k, probe):
+    """The lexicographically least colouring with labels in ``0..k``, or
+    None when there is none.
 
-    ``incumbent`` is any such colouring, or None for one not yet known.
-    Vertex by vertex in id order, each label below the incumbent's (every
-    label, while there is no incumbent) still open to the vertex is tried
-    in ascending order: it is fixed with forward checking and ``probe`` is
+    Vertex by vertex in id order, labels still open to the vertex are tried
+    in ascending order: each is fixed with forward checking and ``probe`` is
     asked for a colouring within the fixed domains, or None.  On the
     far-pair route that is the label-order probe
     (:func:`_probe_in_label_order`) on each quotient of span ``k`` in turn,
-    sharing one ``gaps`` table per quotient, and there is no incumbent; else
-    the DFS over the graph's one plan with the table of span ``k``, so no
-    probe builds a plan or a table.
-    The first success becomes the incumbent, so after vertex v its prefix
-    through v is the least one that extends, whichever completion the probe
-    returned; v is then fixed to the incumbent's label, which always
-    extends.  Raises :class:`SpanSearchError` when no probe of the first
-    vertex succeeds and there is no incumbent.
+    sharing one ``gaps`` table per quotient; else the DFS over the graph's
+    one plan with the table of span ``k``, so no probe builds a plan or a
+    table.  Reversal ``x -> k - x`` maps colourings to colourings (and the
+    domains of :func:`_domains` to themselves), so vertex 0 only tries the
+    labels ``0..k//2``: when none of them extends, there is no colouring.
+    After that, each vertex only tries the labels below that of the last
+    colouring found, so after vertex v its prefix through v is the least
+    one that extends, whichever completion the probe returned; v is then
+    fixed to that colouring's label, which always extends.
     """
     dom = _domains(d1, k)
+    labels = None
     for v in range(len(d1)):
-        below = -1 if incumbent is None else (1 << incumbent[v]) - 1
-        for x in _bits(dom[v] & below):
+        top = k // 2 + 1 if labels is None else labels[v]
+        for x in _bits(dom[v] & (1 << top) - 1):
             trial = _fix(d1, d2, dom, v, x)
             if trial is None:
                 continue
-            labels = probe(trial)
-            if labels is not None:
-                incumbent = labels
+            got = probe(trial)
+            if got is not None:
+                labels = got
                 break
-        if incumbent is None:
-            raise SpanSearchError(f"no colouring of span {k} found")
-        dom = _fix(d1, d2, dom, v, incumbent[v])
-    return incumbent
+        if labels is None:
+            return None
+        dom = _fix(d1, d2, dom, v, labels[v])
+    return labels
 
 
 def _far_masks(n, d1, d2):
@@ -755,16 +738,21 @@ def lambda_number(g: Graph) -> SolveReport:
     if sum(m.bit_count() for m in far) <= 2 * FAR_PAIR_LIMIT:
         k, probe = _partition_route(g, d1, far)
         labels = _lex_least_witness(d1, d2, k, probe)
+        if labels is None:
+            raise SpanSearchError(f"no colouring of span {k} found")
     else:
+        # the span is the first k at which the witness search succeeds
+        plan = _plan(d1, d2)
         cliques = _square_cliques(d1, d2)
-        top = cliques[0].bit_count() - 1
-        lb = max(_lower_bound(n, d1, far), top)
-        # every clique is a maximum one, so tight only at span ``top``
-        k, labels, table = _optimal_colouring(
-            _plan(d1, d2), d1, lb, cliques if lb == top else ())
-        labels = _lex_least_witness(
-            d1, d2, k, lambda trial: _search_masks(table, trial),
-            min(labels, [k - x for x in labels]))
+        start = max(_lower_bound(n, d1, far), cliques[0].bit_count() - 1)
+        for k in range(start, 2 * n - 1):  # greedy 0,2,4,... always works
+            table = _span_table(plan, k, cliques)
+            labels = _lex_least_witness(
+                d1, d2, k, lambda trial: _search_masks(table, trial))
+            if labels is not None:
+                break
+        else:
+            raise SpanSearchError("span search exceeded the trivial upper bound")
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
 

@@ -68,10 +68,6 @@ class ColouredPartition(_Record):
                     raise ValueError(f"vertex {v} appears in two classes")
                 seen.add(v)
 
-    @property
-    def n(self) -> int:
-        return sum(len(cl) for cl in self.classes)
-
 
 def partition_of(g: Graph, c: Colouring) -> ColouredPartition:
     """The coloured partition of ``g`` under a valid colouring ``c``.

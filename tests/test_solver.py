@@ -45,6 +45,7 @@ from lambdacol.solver import (
     _domains,
     _far_masks,
     _fix,
+    _lex_least_witness,
     _lower_bound,
     _min_span_masks,
     _plan,
@@ -344,6 +345,30 @@ def test_label_order_probe_agrees_with_the_dfs(n, above):
                     assert is_valid_by_distances(g, got), (g, span, got)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_witness_search_succeeds_first_at_the_span(n):
+    # the DFS route's span loop: from the elementary bound up, the witness
+    # search over each span's table finds nothing below the span, and at
+    # the span the least colouring by the reference enumerator
+    for g in all_graphs(n):
+        if not g.edges:
+            continue
+        d1 = g.adj_masks
+        d2 = _second_neighbourhoods(d1)
+        plan = _plan(d1, d2)
+        cliques = _square_cliques(d1, d2)
+        for k in range(_lower_bound(n, d1, _far_masks(n, d1, d2)), 2 * n - 1):
+            table = _span_table(plan, k, cliques)
+            got = _lex_least_witness(
+                d1, d2, k, lambda trial: _search_masks(table, trial))
+            want = next(reference_colourings(g, k), None)
+            assert (got and tuple(got)) == want, (g, k)
+            if want:
+                break
+        else:
+            raise AssertionError(f"no colouring of {g} within 2(n - 1)")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_vertices_of_degree_span_minus_one_sit_at_the_ends(n):
     # checked on the reference enumerator, which knows nothing of degrees
@@ -553,10 +578,10 @@ def test_search_returns_the_least_colouring_along_the_plan(n, above):
         cliques = _square_cliques(d1, d2)
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
-            tight = [q for q in cliques if q.bit_count() == span + 1]
             tables = [_span_table(plan, span)]
-            if tight:
-                tables.append(_span_table(plan, span, tight))
+            # the cliques are maximum ones, so tight at this span only
+            if span == cliques[0].bit_count() - 1:
+                tables.append(_span_table(plan, span, cliques))
             every = sorted(reference_colourings(g, span),
                            key=lambda c: [c[u] for u in plan[0]])
             for dom, want in _least_inside(d1, d2, _domains(d1, span), 0,
@@ -615,23 +640,24 @@ def test_witnesses_of_the_sparse_tail(n, edges, want):
     assert (rep.lambda_value, rep.witness.labels) == want
 
 
-@pytest.mark.parametrize("edges,spans,probes", [
+@pytest.mark.parametrize("edges,spans,searches", [
     (SPARSE_157_EDGES, 1, 15),  # span omega(G^2) - 1: every search is cut
-    (SPARSE_314_EDGES, 2, 8),  # cut at span 11 only, span 12 uncut
+    # cut at span 11 only, refuted by 6 probes of vertex 0; span 12 uncut
+    (SPARSE_314_EDGES, 2, 15),
 ], ids=["sparse-157", "sparse-314"])
 def test_one_plan_per_solve_and_one_table_per_span(
-        monkeypatch, edges, spans, probes):
+        monkeypatch, edges, spans, searches):
     # work counters: one order and one set of forward-checking masks per
     # graph, one search table per span searched and none per witness probe,
-    # tight cliques only in the table of the span that has them, and every
-    # probe a search over that table, counted as the searches past the span
-    # loop's
+    # a tight clique (k + 1 members) only in the table of the span that has
+    # them, and every search a witness probe over that table
     counts = Counter()
     for name in ("_connected_order", "_plan", "_span_table", "_search_masks"):
         def counted(*args, _real=getattr(solver_module, name), _name=name,
                     **kwargs):
             counts[_name] += 1
-            if _name == "_span_table" and args[2]:
+            if _name == "_span_table" and any(
+                    q.bit_count() == args[1] + 1 for q in args[2]):
                 counts["cut"] += 1
             return _real(*args, **kwargs)
 
@@ -639,7 +665,7 @@ def test_one_plan_per_solve_and_one_table_per_span(
     assert lambda_number(Graph.from_edges(19, edges)).lambda_value == 12
     assert counts["_connected_order"] == counts["_plan"] == 1
     assert counts["_span_table"] == spans and counts["cut"] == 1
-    assert counts["_search_masks"] - spans == probes > 0
+    assert counts["_search_masks"] == searches
 
 
 def _square_clique_graphs():

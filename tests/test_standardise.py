@@ -92,7 +92,8 @@ def test_reversal_reverses_the_classes_and_the_shape():
 def test_dual_colouring_stays_valid(g):
     if not g.edges:
         return
-    # lambda_number's incumbent takes the smaller of a colouring and this
+    # lambda_number's witness search tries vertex 0 only up to half the
+    # span, relying on this reversal
     c = lambda_number(g).witness
     rev = Colouring(tuple(c.span - x for x in c.labels))
     assert is_lambda_colouring(g, rev)
