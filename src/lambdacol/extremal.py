@@ -221,10 +221,14 @@ _SPORADIC_PATTERNS = {
 
 
 def _sporadic_shape(t, tag, n):
-    """The tag's shape for ``(n, t)`` if the parameter works out, else None."""
-    offsets = _SPORADIC_PATTERNS.get(t, {}).get(tag)
-    if offsets is None:
-        return None
+    """The shape of ``tag`` in ``_SPORADIC_PATTERNS[t]`` for ``(n, t)`` if
+    the parameter works out, else None.
+
+    With no size negative it is valid: an offset of -2 or -3 makes
+    ``k >= 2``, end offsets of 0 or -1 leave the end classes non-empty, and
+    no two adjacent offsets are both ``-k``.
+    """
+    offsets = _SPORADIC_PATTERNS[t][tag]
     base = sum(offsets)
     if (n - base) % (t + 1):
         return None
@@ -232,8 +236,7 @@ def _sporadic_shape(t, tag, n):
     sizes = tuple(k + o for o in offsets)
     if any(s < 0 for s in sizes):
         return None
-    shape = PartitionShape(sizes)
-    return shape if is_valid_shape(shape) else None
+    return PartitionShape(sizes)
 
 
 def predicted_shapes(n, t):

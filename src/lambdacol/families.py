@@ -117,6 +117,8 @@ def family_member(t: int, l: int, matchings="canonical"):
     with those matchings.  Returns ``(graph, assignment)``; raises
     :class:`CapExceededError` above :data:`CONSTRUCTION_CAP`.
     """
+    if l < 1:  # before any shape of t + 1 classes is built
+        raise ValueError(f"need l >= 1, got {l}")
     _check_member_size(t, l)
     sg = StandardisedGraph(PartitionShape((l,) * (t + 1)))
     return sg.graph(matchings), FamilyAssignment(t, l, sg.class_labels)

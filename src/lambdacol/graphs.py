@@ -329,36 +329,23 @@ def _path_cover_masks(adj, below):
     A dynamic programme over all ``2^n`` vertex subsets, each family of
     subsets held as one integer whose bit ``S`` stands for the subset ``S``,
     so that one integer operation acts on every subset at once.  For
-    ``p = 1, 2, ...`` in turn, ``ends[v]`` is the family of subsets with a
-    cover by at most ``p`` paths, one of them ending at ``v`` (the levels of
-    :func:`_cover_levels`).  The first ``p`` at which some ``ends[v]`` holds
-    the full set is the cover number.  Each level is built once and dropped
-    for the next, so the run holds about ``2n`` families of ``2^n`` bits
-    (2 MB each at 24 vertices).
-    """
-    full = (1 << len(adj)) - 1
-    if not full:
-        return 0  # the empty set needs no paths
-    levels = _cover_levels(adj)
-    for p in range(1, below):
-        if any(fam >> full & 1 for fam in next(levels)):
-            return p
-    return None
-
-
-def _cover_levels(adj):
-    """The levels ``ends`` of :func:`_path_cover_masks`, ``p = 1, 2, ...``.
-
-    ``covered`` is the family of subsets with a cover by at most ``p - 1``
-    paths.  Taking ``v`` off the end of its path leaves ``S - v`` covered by
-    at most ``p - 1`` paths, or by at most ``p`` with one ending next to
-    ``v``; so ``ends[v]`` is the least family holding ``S + v`` for each
-    ``S`` without ``v`` in ``covered`` or in ``ends[u]`` of a neighbour
-    ``u``, reached by sweeping the vertices until no family grows.  Runs on
-    past the cover number, so the caller stops it.
+    ``p = 1, 2, ...`` in turn, ``covered`` is the family of subsets with a
+    cover by at most ``p - 1`` paths, and ``ends[v]`` the family of subsets
+    with a cover by at most ``p`` paths, one of them ending at ``v``.
+    Taking ``v`` off the end of its path leaves ``S - v`` covered by at most
+    ``p - 1`` paths, or by at most ``p`` with one ending next to ``v``; so
+    ``ends[v]`` is the least family holding ``S + v`` for each ``S`` without
+    ``v`` in ``covered`` or in ``ends[u]`` of a neighbour ``u``, reached by
+    sweeping the vertices until no family grows.  The first ``p`` at which
+    some ``ends[v]`` holds the full set is the cover number.  Each level is
+    built once and dropped for the next, so the run holds about ``2n``
+    families of ``2^n`` bits (2 MB each at 24 vertices).
     """
     n = len(adj)
     size = 1 << n
+    full = size - 1
+    if not full:
+        return 0  # the empty set needs no paths
     nbrs = [list(_bits(a)) for a in adj]
     # the subsets without v: runs of 2^v set bits and 2^v clear ones
     without = []
@@ -370,7 +357,7 @@ def _cover_levels(adj):
             width <<= 1
         without.append(fam)
     covered = 1  # just the empty set, with a cover by no paths
-    while True:
+    for p in range(1, below):
         ends = [(covered & without[v]) << (1 << v) for v in range(n)]
         grew = True
         while grew:
@@ -383,10 +370,12 @@ def _cover_levels(adj):
                 if fam != ends[v]:
                     ends[v] = fam
                     grew = True
-        yield ends
+        if any(fam >> full & 1 for fam in ends):
+            return p
         for fam in ends:
             covered |= fam
         ends = None  # the next level is built without this one
+    return None
 
 
 def _greedy_path_count(adj):

@@ -88,15 +88,16 @@ def format_shape(shape: PartitionShape) -> str:
 # ---------------------------------------------------------------------------
 
 def edge_bound(shape: PartitionShape) -> int:
-    """M: sum of smaller sizes over noncontiguous class pairs (t >= 3)."""
+    """M: sum of smaller sizes over noncontiguous class pairs (t >= 3).
+
+    Sorted descending, the ``i``-th size is the smaller of ``i`` pairs; the
+    contiguous pairs' minimums are then taken off.
+    """
     s = shape.sizes
     if len(s) < 4:
         raise ValueError(f"edge bound needs at least 4 classes, got {len(s)}")
-    return sum(
-        min(s[i], s[j])
-        for i in range(len(s) - 2)
-        for j in range(i + 2, len(s))
-    )
+    every = sum(i * c for i, c in enumerate(sorted(s, reverse=True)))
+    return every - sum(map(min, s, s[1:]))
 
 
 def adjacent_max_pairs(shape: PartitionShape) -> int:

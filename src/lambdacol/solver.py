@@ -19,11 +19,10 @@ depth-first search with forward checking; the first probe that succeeds
 fixes the vertex, and later vertices only try labels below that
 colouring's.  Reversal ``x -> k - x`` maps colourings of span ``k`` to
 colourings, so vertex 0 only tries labels up to ``k // 2``, and when none of
-them extends, span ``k`` has no colouring.  One search plan per graph serves
-every span and every probe: a connected vertex order, in which each vertex
-follows those within distance two of it, and per position the masks of the
-later vertices that forward checking narrows; fixed vertices keep their
-places, with one-label domains.
+them extends, span ``k`` has no colouring.  One search order per graph
+serves every span and every probe: a connected vertex order, in which each
+vertex follows those within distance two of it.  Fixed vertices keep their
+places in it, with one-label domains.
 
 Off the far-pair route below, the iteration starts from the distance-two
 clique bound: vertices pairwise within distance two need pairwise distinct
@@ -86,9 +85,9 @@ one integer of packed label domains, a field per vertex, and at spans with
 tight cliques a second one that holds, per clique and label, the members
 that can still take the label; a label choice narrows each by one shifted
 mask and a guard-borrow subtraction finds an empty field, so a step back
-restores two integers.  The masks are built once per span
-(:func:`_span_table`, which alone decides which cliques are tight) and
-shared by the witness probes.
+restores two integers.  The masks are built once per span, in one walk of
+the search order (:func:`_span_table`, which alone decides which cliques
+are tight), and shared by the witness probes.
 """
 
 from .graphs import (
@@ -306,24 +305,8 @@ def _connected_order(d1, d2):
     return order
 
 
-def _plan(d1, d2):
-    """The :func:`_connected_order` with, per position, the masks of the
-    later vertices at distance one and at distance two, which forward
-    checking narrows: one plan serves every search of a graph, at every span
-    and with any vertices fixed.
-    """
-    order = _connected_order(d1, d2)
-    later1, later2 = [], []
-    after = (1 << len(order)) - 1
-    for v in order:
-        after ^= 1 << v
-        later1.append(d1[v] & after)
-        later2.append(d2[v] & after)
-    return order, later1, later2
-
-
-def _span_table(plan, k, cliques=()):
-    """What every search at span ``k`` over ``plan`` reads, built once.
+def _span_table(order, d1, d2, k, cliques=()):
+    """What every search at span ``k`` along ``order`` reads, built once.
 
     The domains of a search are one integer, a field of ``w = k + 2`` bits
     per vertex: label ``y`` of ``u`` at bit ``u*w + 1 + y``, over a zero bit
@@ -349,23 +332,7 @@ def _span_table(plan, k, cliques=()):
     pigeonhole filter of all-different propagation (Regin, 1994), which
     cuts only branches without completions.
     """
-    order, later1, later2 = plan
     w = k + 2
-    clear, low, high = [], [], []
-    for l1, l2 in zip(later1, later2):
-        # one bit at the foot of each later vertex's field, by distance
-        s1 = s2 = 0
-        while l1:
-            b = l1 & -l1
-            l1 ^= b
-            s1 |= 1 << (b.bit_length() - 1) * w
-        while l2:
-            b = l2 & -l2
-            l2 ^= b
-            s2 |= 1 << (b.bit_length() - 1) * w
-        clear.append(7 * s1 | 2 * s2)
-        low.append(2 * (s1 | s2))
-        high.append((s1 | s2) << w)
     tight = [q for q in cliques if q.bit_count() == k + 1]
     cover = None
     if tight:
@@ -379,8 +346,15 @@ def _span_table(plan, k, cliques=()):
                 cols[u] |= 1 << j * w + slot
         slots = sum(1 << y * stride for y in range(1, k + 2))
         lows = slots * sum(1 << j * w for j in range(len(tight)))
-        placed, column = [], []
-        for v, l1, l2 in zip(order, later1, later2):
+        placed, column = [], []  # filled position by position below
+        cover = (cols, members, stride, lows, lows << k + 1, placed, column)
+    clear, low, high = [], [], []
+    after = (1 << len(order)) - 1
+    for v in order:
+        after ^= 1 << v
+        l1 = d1[v] & after
+        l2 = d2[v] & after
+        if cover:
             c1 = c2 = 0
             for u in _bits(l1 & members):
                 c1 |= cols[u]
@@ -389,22 +363,33 @@ def _span_table(plan, k, cliques=()):
             placed.append(c1 * (1 | 1 << stride | 1 << 2 * stride)
                           | (c2 | cols[v]) << stride)
             column.append(cols[v] * slots)
-        cover = (cols, members, stride, lows, lows << k + 1, placed, column)
+        # one bit at the foot of each later vertex's field, by distance
+        s1 = s2 = 0
+        while l1:
+            b = l1 & -l1
+            l1 ^= b
+            s1 |= 1 << (b.bit_length() - 1) * w
+        while l2:
+            b = l2 & -l2
+            l2 ^= b
+            s2 |= 1 << (b.bit_length() - 1) * w
+        clear.append(7 * s1 | 2 * s2)
+        low.append(2 * (s1 | s2))
+        high.append((s1 | s2) << w)
     return k, order, range(1, len(order) * w, w), clear, low, high, cover
 
 
 def _search_masks(table, dom):
     """DFS with forward checking; returns a label list or None.
 
-    Labels the vertices in the order of the plan of ``table``
-    (:func:`_span_table`), each taking the smallest label left in its
-    domain first; ``dom[v]`` is the bitmask of labels open to vertex v, a
-    one-label domain for a vertex fixed beforehand (already forward-checked
-    into the rest).  Returns the first completion, the lexicographically
-    smallest along the order.  Each search state is the domain integer, and
-    at spans with tight cliques the coverage integer, so a step back
-    restores two integers.  A branch, the root included, dies when a tight
-    clique's coverage leaves a label empty.
+    Labels the vertices in the order of ``table`` (:func:`_span_table`), each
+    taking the smallest label left in its domain first; ``dom[v]`` is the
+    bitmask of labels open to vertex v, a one-label domain for a vertex fixed
+    beforehand (already forward-checked into the rest).  Returns the first
+    completion, the lexicographically smallest along the order.  Each search
+    state is the domain integer, and at spans with tight cliques the coverage
+    integer, so a step back restores two integers.  A branch, the root
+    included, dies when a tight clique's coverage leaves a label empty.
     """
     k, order, shift, clear, low, high, cover = table
     full = (1 << k + 1) - 1
@@ -478,15 +463,15 @@ def _min_span_masks(n, d1, d2):
     rely on it staying independent of path covers and of the solver's
     witness loop.  ``x -> k - x`` maps colourings of span ``k`` to
     colourings (and the domains of :func:`_domains` to themselves), so the
-    first vertex of the plan only needs the labels ``0..k//2``.
+    first vertex of the :func:`_connected_order` only needs the labels
+    ``0..k//2``.
     """
-    plan = _plan(d1, d2)
-    first = plan[0][0]
+    order = _connected_order(d1, d2)
     # greedy labelling 0,2,4,... always works
     for k in range(_lower_bound(n, d1, _far_masks(n, d1, d2)), 2 * n - 1):
         dom = _domains(d1, k)
-        dom[first] &= (1 << (k // 2 + 1)) - 1
-        if _search_masks(_span_table(plan, k), dom) is not None:
+        dom[order[0]] &= (1 << (k // 2 + 1)) - 1
+        if _search_masks(_span_table(order, d1, d2, k), dom) is not None:
             return k
     raise SpanSearchError("span search exceeded the trivial upper bound")
 
@@ -572,18 +557,18 @@ def _lex_least_witness(d1, d2, k, probe):
 
     Vertex by vertex in id order, labels still open to the vertex are tried
     in ascending order: each is fixed with forward checking and ``probe`` is
-    asked for a colouring within the fixed domains, or None.  On the
-    far-pair route that is the label-order probe
-    (:func:`_probe_in_label_order`) on each quotient of span ``k`` in turn,
-    sharing one ``gaps`` table per quotient; else the DFS over the graph's
-    one plan with the table of span ``k``, so no probe builds a plan or a
-    table.  Reversal ``x -> k - x`` maps colourings to colourings (and the
-    domains of :func:`_domains` to themselves), so vertex 0 only tries the
-    labels ``0..k//2``: when none of them extends, there is no colouring.
-    After that, each vertex only tries the labels below that of the last
-    colouring found, so after vertex v its prefix through v is the least
-    one that extends, whichever completion the probe returned; v is then
-    fixed to that colouring's label, which always extends.
+    asked for a colouring within the fixed domains, or None.  On the far-pair
+    route that is the label-order probe (:func:`_probe_in_label_order`) on
+    each quotient of span ``k`` in turn, sharing one ``gaps`` table per
+    quotient; else the DFS along the graph's one search order with the table
+    of span ``k``, so no probe builds an order or a table.  Reversal
+    ``x -> k - x`` maps colourings to colourings (and the domains of
+    :func:`_domains` to themselves), so vertex 0 only tries the labels
+    ``0..k//2``: when none of them extends, there is no colouring.  After
+    that, each vertex only tries the labels below that of the last
+    colouring found, so after vertex v its prefix through v is the least one
+    that extends, whichever completion the probe returned; v is then fixed
+    to that colouring's label, which always extends.
     """
     dom = _domains(d1, k)
     labels = None
@@ -742,11 +727,11 @@ def lambda_number(g: Graph) -> SolveReport:
             raise SpanSearchError(f"no colouring of span {k} found")
     else:
         # the span is the first k at which the witness search succeeds
-        plan = _plan(d1, d2)
+        order = _connected_order(d1, d2)
         cliques = _square_cliques(d1, d2)
         start = max(_lower_bound(n, d1, far), cliques[0].bit_count() - 1)
         for k in range(start, 2 * n - 1):  # greedy 0,2,4,... always works
-            table = _span_table(plan, k, cliques)
+            table = _span_table(order, d1, d2, k, cliques)
             labels = _lex_least_witness(
                 d1, d2, k, lambda trial: _search_masks(table, trial))
             if labels is not None:

@@ -26,6 +26,7 @@ from lambdacol import (
     edge_bound,
     is_lambda_colouring,
     is_stationary,
+    is_valid_shape,
     lambda_number,
     max_edges,
     partition_of,
@@ -35,6 +36,7 @@ from lambdacol import (
     verify_classification,
 )
 from lambdacol.extremal import (
+    _SPORADIC_PATTERNS,
     _graph_classes,
     _layer_table,
     _max_edges_cached,
@@ -285,7 +287,19 @@ def test_sporadic_patterns_respect_residues():
     assert _sporadic_shape(4, "f", 12) == S(3, 1, 3, 2, 3)
     assert _sporadic_shape(4, "g", 11) == S(3, 1, 3, 1, 3)
     assert _sporadic_shape(4, "h", 13) == S(3, 3, 1, 3, 3)
-    assert _sporadic_shape(5, "c", 10) is None  # no sporadic families
+    assert set(_SPORADIC_PATTERNS) == {3, 4}  # no sporadic families at t 5+
+
+
+def test_every_sporadic_shape_is_valid():
+    # _sporadic_shape checks no validity past non-negative sizes: every
+    # pattern's offsets must keep its shapes valid wherever they exist
+    for t, patterns in _SPORADIC_PATTERNS.items():
+        for tag in patterns:
+            shapes = [s for n in range(201)
+                      if (s := _sporadic_shape(t, tag, n)) is not None]
+            assert shapes, (t, tag)
+            for s in shapes:
+                assert is_valid_shape(s), (t, tag, s)
 
 
 def test_h_is_never_predicted():

@@ -108,6 +108,19 @@ def test_family_member_rejects_bad_matchings():
         family_member(2, 1)  # span below 3
 
 
+@pytest.mark.parametrize("t", [3, 10**6])
+def test_family_member_refuses_width_zero_before_building(monkeypatch, t):
+    # a shape of t + 1 empty classes would be built before the assignment
+    # refused the width: at t = 10**9 that tuple alone is about 8 GB
+    def refuse(*args):
+        raise AssertionError("shape built")
+
+    monkeypatch.setattr(families, "PartitionShape", refuse)
+    monkeypatch.setattr(families, "StandardisedGraph", refuse)
+    with pytest.raises(ValueError, match="need l >= 1, got 0"):
+        family_member(t, 0)
+
+
 def test_membership_detects_tampering():
     g, fa = family_member(3, 2)
     # an intra-class edge

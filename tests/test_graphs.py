@@ -219,24 +219,24 @@ def test_path_cover_dp_matches_the_partition_oracle_on_larger_graphs():
 
 def test_path_cover_dp_builds_each_level_once(monkeypatch):
     # G(16, 0.225) from random.Random(5), pairs u < v in row order: greedy
-    # takes 2 paths and the graph has a Hamilton path, so the DP needs
-    # exactly its first level
+    # takes 2 paths and the graph has a Hamilton path, so the DP runs once,
+    # asked only for covers below 2, and its loop builds at most
+    # ``below - 1`` levels: exactly its first
     rng = random.Random(5)
     g = Graph.from_edges(16, [(u, v) for u in range(16)
                               for v in range(u + 1, 16)
                               if rng.random() < 0.225])
     assert _greedy_path_count(g.adj_masks) == 2
-    built = []
-    levels = graphs_module._cover_levels
+    calls = []
+    dp = graphs_module._path_cover_masks
 
-    def counted(adj):
-        for ends in levels(adj):
-            built.append(1)
-            yield ends
+    def counted(adj, below):
+        calls.append((below, dp(adj, below)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(graphs_module, "_cover_levels", counted)
+    monkeypatch.setattr(graphs_module, "_path_cover_masks", counted)
     assert path_cover_number(g) == 1
-    assert len(built) == 1
+    assert calls == [(2, 1)]
 
 
 @given(graphs(max_n=6))

@@ -1,5 +1,6 @@
 """Shape functionals and the delete/insert transforms."""
 
+import random
 from functools import cache
 from itertools import product
 
@@ -21,6 +22,7 @@ from lambdacol import (
     prohibited_zone,
     spread,
 )
+from lambdacol import shapes
 from oracles import reference_edge_bound, reference_valid_shapes
 
 
@@ -104,6 +106,26 @@ def test_adjacent_max_pairs_frozen(sizes, want):
 @given(small_valid_shapes())
 def test_edge_bound_matches_reference(s):
     assert edge_bound(s) == reference_edge_bound(s)
+
+
+def test_edge_bound_takes_no_min_per_noncontiguous_pair(monkeypatch):
+    # 2,000 classes make about 2 M noncontiguous pairs but 1,999
+    # contiguous ones; ``min`` is counted through the module's globals
+    rng = random.Random("edge-bound:2000")
+    s = PartitionShape(tuple(rng.randint(0, 50) for _ in range(2000)))
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 2000:
+            raise AssertionError("min taken per noncontiguous pair")
+        return min(*args)
+
+    monkeypatch.setattr(shapes, "min", counted, raising=False)
+    got = edge_bound(s)
+    monkeypatch.undo()
+    assert got == reference_edge_bound(s)
 
 
 def test_spread_and_extremes():

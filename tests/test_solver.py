@@ -42,13 +42,13 @@ from lambdacol.graphs import (
 )
 from lambdacol.solver import (
     FAR_PAIR_LIMIT,
+    _connected_order,
     _domains,
     _far_masks,
     _fix,
     _lex_least_witness,
     _lower_bound,
     _min_span_masks,
-    _plan,
     _probe_in_label_order,
     _search_masks,
     _second_neighbourhoods,
@@ -331,11 +331,11 @@ def test_label_order_probe_agrees_with_the_dfs(n, above):
         d1 = g.adj_masks
         d2 = _second_neighbourhoods(d1)
         comp = _complement_masks(d1)
-        plan = _plan(d1, d2)
+        order = _connected_order(d1, d2)
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
             gaps = {}
-            table = _span_table(plan, span)
+            table = _span_table(order, d1, d2, span)
             for v, dom in _fixed_prefixes(d1, d2, _domains(d1, span), 0):
                 want = _search_masks(table, dom)
                 got = _probe_in_label_order(comp, dom, span, gaps)
@@ -355,10 +355,10 @@ def test_witness_search_succeeds_first_at_the_span(n):
             continue
         d1 = g.adj_masks
         d2 = _second_neighbourhoods(d1)
-        plan = _plan(d1, d2)
+        order = _connected_order(d1, d2)
         cliques = _square_cliques(d1, d2)
         for k in range(_lower_bound(n, d1, _far_masks(n, d1, d2)), 2 * n - 1):
-            table = _span_table(plan, k, cliques)
+            table = _span_table(order, d1, d2, k, cliques)
             got = _lex_least_witness(
                 d1, d2, k, lambda trial: _search_masks(table, trial))
             want = next(reference_colourings(g, k), None)
@@ -537,8 +537,9 @@ def test_tight_clique_cut_keeps_every_completion(n):
         d2 = _second_neighbourhoods(d1)
         cliques = _square_cliques(d1, d2)
         k = cliques[0].bit_count() - 1
-        plan = _plan(d1, d2)
-        cut, plain = _span_table(plan, k, cliques), _span_table(plan, k)
+        order = _connected_order(d1, d2)
+        cut = _span_table(order, d1, d2, k, cliques)
+        plain = _span_table(order, d1, d2, k)
         for v, dom in _fixed_prefixes(d1, d2, [(1 << k + 1) - 1] * n, 0):
             assert _search_masks(cut, dom) == _search_masks(plain, dom), \
                 (g, dom)
@@ -574,16 +575,16 @@ def test_search_returns_the_least_colouring_along_the_plan(n, above):
             continue
         d1 = g.adj_masks
         d2 = _second_neighbourhoods(d1)
-        plan = _plan(d1, d2)
+        order = _connected_order(d1, d2)
         cliques = _square_cliques(d1, d2)
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
-            tables = [_span_table(plan, span)]
+            tables = [_span_table(order, d1, d2, span)]
             # the cliques are maximum ones, so tight at this span only
             if span == cliques[0].bit_count() - 1:
-                tables.append(_span_table(plan, span, cliques))
+                tables.append(_span_table(order, d1, d2, span, cliques))
             every = sorted(reference_colourings(g, span),
-                           key=lambda c: [c[u] for u in plan[0]])
+                           key=lambda c: [c[u] for u in order])
             for dom, want in _least_inside(d1, d2, _domains(d1, span), 0,
                                            every):
                 for table in tables:
@@ -647,23 +648,23 @@ def test_witnesses_of_the_sparse_tail(n, edges, want):
 ], ids=["sparse-157", "sparse-314"])
 def test_one_plan_per_solve_and_one_table_per_span(
         monkeypatch, edges, spans, searches):
-    # work counters: one order and one set of forward-checking masks per
-    # graph, one search table per span searched and none per witness probe,
-    # a tight clique (k + 1 members) only in the table of the span that has
-    # them, and every search a witness probe over that table
+    # work counters: one search order per graph, one search table per span
+    # searched and none per witness probe, a tight clique (k + 1 members)
+    # only in the table of the span that has them, and every search a
+    # witness probe over that table
     counts = Counter()
-    for name in ("_connected_order", "_plan", "_span_table", "_search_masks"):
+    for name in ("_connected_order", "_span_table", "_search_masks"):
         def counted(*args, _real=getattr(solver_module, name), _name=name,
                     **kwargs):
             counts[_name] += 1
             if _name == "_span_table" and any(
-                    q.bit_count() == args[1] + 1 for q in args[2]):
+                    q.bit_count() == args[3] + 1 for q in args[4]):
                 counts["cut"] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, name, counted)
     assert lambda_number(Graph.from_edges(19, edges)).lambda_value == 12
-    assert counts["_connected_order"] == counts["_plan"] == 1
+    assert counts["_connected_order"] == 1
     assert counts["_span_table"] == spans and counts["cut"] == 1
     assert counts["_search_masks"] == searches
 
