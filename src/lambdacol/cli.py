@@ -25,12 +25,7 @@ from .families import (
     family_member,
     path_complement,
 )
-from .graphs import (
-    CapExceededError,
-    GraphParseError,
-    format_graph,
-    parse_graph,
-)
+from .graphs import format_graph, parse_graph
 from .shapes import (
     adjacent_max_pairs,
     edge_bound,
@@ -261,8 +256,8 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (GraphParseError, EmbeddingConsistencyError, ClassificationError,
-            SpanSearchError, CapExceededError, ValueError, OSError) as exc:
+    except (EmbeddingConsistencyError, ClassificationError, SpanSearchError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,10 +22,12 @@ The attaining shapes are completely classified:
   satisfies every necessary condition yet always falls short by exactly one
   edge; it is excluded.
 
-A graph realising an attaining shape in the canonical way is *stationary*:
-no edges inside a class or between adjacent classes, and every noncontiguous
-class pair joined by a matching saturating the smaller class, with the shape
-(or its reversal) equitable or one of the sporadic patterns.
+A graph on the classes of an attaining shape is *stationary* when it is a
+layered matching: no edges inside a class or between adjacent classes, and
+every noncontiguous class pair joined by a matching saturating the smaller
+class, with the shape (or its reversal) equitable or one of the sporadic
+patterns.  :func:`build_stationary` builds the rank-aligned one, and
+:func:`is_stationary` recognises every one.
 :func:`verify_classification` checks the whole story per ``(n, t)`` against
 the shape oracle, and — for tiny ``n`` — against a second, fully independent
 oracle that solves a graph from every isomorphism class exactly.
@@ -242,18 +244,16 @@ def _sporadic_shape(t, tag, n):
 def predicted_shapes(n, t):
     """The attaining-shape set the classification predicts for ``(n, t)``.
 
-    Divisible ``n``: the single all-equal shape.  Otherwise: all minimum-K
-    near-equal shapes, plus (for spans 3 and 4) the sporadic patterns that
-    exist at this ``n`` and their reversals — excluding tag ``h``, which is
-    stationary but always one edge short of the maximum.  Raises
+    All minimum-K near-equal shapes (for divisible ``n``, the single
+    all-equal shape, where no sporadic pattern fits), plus (for spans 3 and
+    4) the sporadic patterns that exist at this ``n`` and their reversals —
+    excluding tag ``h``, which is stationary but always one edge short of
+    the maximum.  Raises
     :class:`CapExceededError` where :func:`max_edges` does, which also bounds
     the ``C(t+1, r) <= 2^(t+1)`` near-equal placements it enumerates.
     """
     _check_range(n, t)
     _check_shape_cap(n, t)
-    b, r = divmod(n, t + 1)
-    if r == 0:
-        return frozenset({PartitionShape((b,) * (t + 1))})
     out = set(_equitable_min_k_shapes(n, t))
     for tag in _SPORADIC_PATTERNS.get(t, {}):
         if tag == "h":
@@ -316,21 +316,19 @@ def _stationary_type_of(shape):
     return None
 
 
-def build_stationary(shape: PartitionShape, matchings="canonical"):
+def build_stationary(shape: PartitionShape):
     """Materialise a graph realising ``shape`` with the stationary edge rules.
 
-    Every noncontiguous class pair gets a matching saturating its smaller
-    class; nothing else.  ``matchings`` maps a pair ``(m, p)`` (``p >= m+2``)
-    to an injection: a tuple of distinct larger-class ranks, one per
-    smaller-class rank (ties broken toward ``m`` as "smaller").
-    ``"canonical"`` aligns equal ranks, reproducing the standardised graph.
-    Returns ``(graph, partition)``; the class map is a valid colouring of
-    span exactly the shape's top index.
+    Every noncontiguous class pair gets the matching that joins equal ranks,
+    which saturates its smaller class; nothing else: the standardised graph
+    of ``shape``.  Returns ``(graph, partition)``; the class map is a valid
+    colouring of span exactly the shape's top index.  Raises
+    :class:`CapExceededError` above :data:`CONSTRUCTION_CAP`.
     """
     if not is_valid_shape(shape):
         raise ValueError(f"not a valid shape: {shape.sizes}")
     sg = StandardisedGraph(shape)
-    return sg.graph(matchings), sg.partition()
+    return sg.graph(), sg.partition()
 
 
 def is_stationary(g: Graph, partition: ColouredPartition):

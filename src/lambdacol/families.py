@@ -12,12 +12,13 @@ the complement of the path ``0-1-...-n``, and labelling vertex ``i`` with
 The second is the *layer family*: fix a span ``t >= 3`` and width ``l >= 1``,
 take ``t + 1`` disjoint classes of ``l`` vertices, and join two classes by a
 perfect matching exactly when their indices differ by at least 2 (consecutive
-classes and class interiors stay edgeless).  Every choice of matchings gives a
-graph on ``(t+1)*l`` vertices with ``C(t, 2)*l`` edges and span exactly ``t``;
-the class map itself is a valid colouring.  Width-1 members are exactly the
-:func:`path_complement` graphs.  A member is the layered matching on the
-shape ``(l,) * (t+1)``, so :func:`family_member` and :func:`is_family_member`
-use the one builder and checker of :mod:`lambdacol.standardise`.
+classes and class interiors stay edgeless).  Every choice of the perfect
+matching per pair gives a graph on ``(t+1)*l`` vertices with ``C(t, 2)*l``
+edges and span exactly ``t``; the class map itself is a valid colouring.
+Width-1 members are exactly the :func:`path_complement` graphs.  A member is
+a layered matching on the shape ``(l,) * (t+1)``: :func:`family_member`
+builds the rank-aligned one with the builder of :mod:`lambdacol.standardise`,
+and :func:`is_family_member` recognises every one with its checker.
 
 The family is universal: any graph with a valid colouring of span ``t`` sits
 inside some member with ``l`` equal to its largest colour class.
@@ -106,22 +107,20 @@ def path_complement(n: int) -> Graph:
     return family_member(n, 1)[0]
 
 
-def family_member(t: int, l: int, matchings="canonical"):
-    """Build one member of the width-``l`` layer family for span ``t``.
+def family_member(t: int, l: int):
+    """The rank-aligned member of the width-``l`` layer family for span ``t``.
 
-    Vertices are numbered class-major (``class * l + index``).  ``matchings``
-    maps a noncontiguous class pair ``(m, p)`` to a permutation ``sigma`` of
-    ``0..l-1``, joining index ``i`` of class ``m`` to index ``sigma[i]`` of
-    class ``p``; pairs not mentioned (or the string ``"canonical"``) use the
-    identity.  This is the standardised graph of the shape ``(l,) * (t+1)``
-    with those matchings.  Returns ``(graph, assignment)``; raises
+    Vertices are numbered class-major (``class * l + index``), and index
+    ``i`` of every class is joined to index ``i`` of each class at index
+    distance two or more: the standardised graph of the shape
+    ``(l,) * (t+1)``.  Returns ``(graph, assignment)``; raises
     :class:`CapExceededError` above :data:`CONSTRUCTION_CAP`.
     """
     if l < 1:  # before any shape of t + 1 classes is built
         raise ValueError(f"need l >= 1, got {l}")
     _check_member_size(t, l)
     sg = StandardisedGraph(PartitionShape((l,) * (t + 1)))
-    return sg.graph(matchings), FamilyAssignment(t, l, sg.class_labels)
+    return sg.graph(), FamilyAssignment(t, l, sg.class_labels)
 
 
 def is_family_member(g: Graph, fa: FamilyAssignment) -> bool:

@@ -3,7 +3,7 @@
 A colouring of span ``t`` partitions the vertices into classes ``C_0..C_t``
 (some possibly empty — holes).  The *standardised graph* of a pair ``(g, c)``
 keeps the vertex set and the partition but replaces the edge set with the
-canonical one determined purely by the shape: rank the vertices of each class
+one determined purely by the shape: rank the vertices of each class
 by ascending id, then join rank ``i`` of class ``m`` with rank ``i`` of class
 ``p`` for every noncontiguous pair ``m < p - 1`` and every rank below both
 class sizes.  Three facts make this the workhorse of the extremal theory:
@@ -20,10 +20,11 @@ class sizes.  Three facts make this the workhorse of the extremal theory:
   graphs reduce to integer questions about shapes.
 
 The standardised graph, the layer family and the stationary extremal graphs
-are all *layered matchings*: every noncontiguous class pair joined by a
+are each a *layered matching*: every noncontiguous class pair joined by a
 matching that saturates the smaller class.  :meth:`StandardisedGraph.graph`
-builds all three, for any choice of matchings, and :func:`_is_layered_matching`
-checks membership and stationarity alike by counting partners and edges.
+builds the rank-aligned one on any shape, and :func:`_is_layered_matching`
+recognises every one, whichever matching joins each pair, so membership and
+stationarity are checked alike by counting partners and edges.
 """
 
 from functools import cached_property
@@ -105,7 +106,8 @@ class StandardisedGraph(_Record):
     block starting at ``offset(m)``, with ranks ``0..c_m - 1``.  The edge set
     is the rank-aligned matching between every noncontiguous class pair, so
     the edge count is exactly the shape's edge bound.  Shapes with more
-    than :data:`CONSTRUCTION_CAP` noncontiguous class pairs are refused.
+    than :data:`CONSTRUCTION_CAP` noncontiguous class pairs, or vertices
+    plus edges, are refused.
     """
 
     shape: PartitionShape
@@ -115,6 +117,9 @@ class StandardisedGraph(_Record):
         if t < 3:
             raise ValueError("standardised graphs need span >= 3 (4 classes)")
         _check_construction_size("class pairs", t * (t - 1) // 2)
+        _check_construction_size(
+            "vertices plus edges", self.shape.n, edge_bound(self.shape)
+        )
 
     @cached_property
     def offsets(self) -> tuple:
@@ -136,51 +141,16 @@ class StandardisedGraph(_Record):
             m for m, size in enumerate(self.shape.sizes) for _ in range(size)
         )
 
-    def graph(self, matchings=None) -> Graph:
-        """The layered matching on this shape, the standardised graph by default.
-
-        ``matchings`` maps a noncontiguous pair ``(m, p)`` to an injection of
-        the smaller class's ranks (ties: class ``m``) into the larger's;
-        pairs not mentioned (all, for ``None`` or ``"canonical"``) align
-        equal ranks.  Other keys and non-injections raise ``ValueError``.
-        """
+    def graph(self) -> Graph:
+        """The standardised graph: each noncontiguous pair joins equal ranks."""
         s = self.shape.sizes
         off = self.offsets
-        pairs = [(m, p) for m in range(len(s)) for p in range(m + 2, len(s))]
-        if matchings is None or matchings == "canonical":
-            matchings = {}
-        extra = set(matchings).difference(pairs)
-        if extra:
-            raise ValueError(
-                f"matchings given for non-noncontiguous pairs: {sorted(extra)}"
-            )
         edges = set()
         for m in range(len(s)):
-            aligned = []  # classes p whose pair (m, p) aligns equal ranks
-            for p in range(m + 2, len(s)):
-                inj = matchings.get((m, p))
-                if inj is None:
-                    aligned.append(p)
-                    continue
-                inj = tuple(inj)
-                lo = min(s[m], s[p])
-                big = p if s[m] <= s[p] else m
-                if len(inj) != lo or len(set(inj)) != lo or \
-                        any(not 0 <= x < s[big] for x in inj):
-                    raise ValueError(
-                        f"matching for pair {(m, p)} is not an injection of "
-                        f"0..{lo - 1} into 0..{s[big] - 1}: {inj}"
-                    )
-                if big == p:
-                    edges.update((off[m] + i, off[p] + x)
-                                 for i, x in enumerate(inj))
-                else:
-                    edges.update((off[m] + x, off[p] + i)
-                                 for i, x in enumerate(inj))
-            # an injection by construction, so unchecked
+            later = range(m + 2, len(s))
             for i in range(s[m]):
                 u = off[m] + i
-                edges.update([(u, off[p] + i) for p in aligned if i < s[p]])
+                edges.update([(u, off[p] + i) for p in later if i < s[p]])
         return Graph(self.shape.n, frozenset(edges))
 
     def partition(self) -> ColouredPartition:

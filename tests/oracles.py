@@ -228,6 +228,30 @@ def labelled_census(n):
     return best
 
 
+def layered_matching(sizes, injections=None):
+    """A layered matching on classes of ``sizes``, numbered class-major.
+
+    ``injections`` maps a pair ``(m, p)`` with ``p >= m + 2`` to distinct
+    ranks of the larger class (ties: class ``p``), one per rank of the
+    smaller, which joins rank ``i`` of the smaller class to rank
+    ``injections[m, p][i]`` of the larger; every other such pair joins equal
+    ranks.  Returns ``(graph, class_of)``.
+    """
+    injections = injections or {}
+    class_of = [m for m, size in enumerate(sizes) for _ in range(size)]
+    first = [class_of.index(m) if size else None
+             for m, size in enumerate(sizes)]
+    edges = []
+    for m, p in combinations(range(len(sizes)), 2):
+        if p - m < 2:
+            continue
+        small, big = (m, p) if sizes[m] <= sizes[p] else (p, m)
+        ranks = injections.get((m, p), range(sizes[small]))
+        edges += [(first[small] + i, first[big] + x)
+                  for i, x in enumerate(ranks)]
+    return Graph.from_edges(len(class_of), edges), tuple(class_of)
+
+
 def is_layered_matching(g, class_of) -> bool:
     """Layered matching straight from the definition, pair by pair.
 

@@ -14,6 +14,7 @@ from itertools import combinations, product
 from math import ceil, comb
 
 from lambdacol import (
+    FamilyAssignment,
     Graph,
     brute_force_graph_census,
     build_stationary,
@@ -37,7 +38,12 @@ from lambdacol import (
 )
 from lambdacol.extremal import _sporadic_shape
 from lambdacol.solver import _min_span_masks, _second_neighbourhoods
-from oracles import all_graphs, brute_lambda, is_valid_by_distances
+from oracles import (
+    all_graphs,
+    brute_lambda,
+    is_valid_by_distances,
+    layered_matching,
+)
 
 
 def _finish(num, ok, detail, started, budget):
@@ -79,16 +85,16 @@ def test_criterion_2_construction_spans():
     solved = 0
     for t in (3, 4, 5):
         for l in (1, 2, 3):
-            variants = [None]
+            members = [family_member(t, l)]
             for _ in range(5):
-                matchings = {
+                injections = {
                     (m, p): tuple(rng.sample(range(l), l))
                     for m in range(t - 1)
                     for p in range(m + 2, t + 1)
                 }
-                variants.append(matchings)
-            for matchings in variants:
-                g, fa = family_member(t, l, matchings=matchings)
+                g, class_of = layered_matching((l,) * (t + 1), injections)
+                members.append((g, FamilyAssignment(t, l, class_of)))
+            for g, fa in members:
                 assert is_family_member(g, fa)
                 assert lambda_number(g).lambda_value == t
                 solved += 1

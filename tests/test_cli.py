@@ -289,6 +289,20 @@ def test_huge_span_on_two_vertices_is_refused_before_building(capsys, tmp_path):
             assert "error:" in err and "constructions limited" in err
 
 
+def test_standardise_refuses_many_edges_before_building(capsys, tmp_path):
+    # 1,000 classes of 5: 498,501 class pairs, under the cap, but 2,492,505
+    # edges in the standardised graph
+    n = 5000
+    g, c = graph_and_colouring(
+        tmp_path, f"p {n} 0\n",
+        "".join(f"c {v} {v % 1000}\n" for v in range(n)),
+    )
+    code, out, err, secs = run_timed(capsys, "standardise", g, c)
+    assert code == 1 and out == "" and secs < 1.0
+    assert err == ("error: constructions limited to 500000 vertices plus "
+                   "edges, got 5000 + 2492505\n")
+
+
 def test_check_on_a_long_path_reads_only_pairs_within_distance_two(
         capsys, tmp_path):
     # 2 * 10^8 vertex pairs, of which about 4 * 10^4 are within distance two

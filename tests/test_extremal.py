@@ -44,6 +44,7 @@ from lambdacol.extremal import (
 )
 from oracles import (
     labelled_census,
+    layered_matching,
     max_edges_by_rows,
     reference_valid_shapes,
     valid_shape_rows,
@@ -336,11 +337,11 @@ def test_build_stationary_canonical(s):
     assert shape_of(part) == s
 
 
-def test_build_stationary_custom_matchings():
+def test_is_stationary_accepts_another_matching():
     s = S(2, 1, 2, 2)
-    g, part = build_stationary(s, matchings={(0, 2): (1, 0)})
-    canonical, _ = build_stationary(s)
-    assert g != canonical
+    g, _ = layered_matching(s.sizes, {(0, 2): (1, 0)})
+    aligned, part = build_stationary(s)
+    assert g != aligned
     assert g.m == edge_bound(s)
     ok, st = is_stationary(g, part)
     assert ok and st.tag == "EQUITABLE"
@@ -349,12 +350,6 @@ def test_build_stationary_custom_matchings():
 def test_build_stationary_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_stationary(S(0, 1, 1, 1))
-    with pytest.raises(ValueError):
-        build_stationary(S(2, 1, 2, 2), matchings={(0, 2): (0, 0)})
-    with pytest.raises(ValueError):
-        build_stationary(S(2, 1, 2, 2), matchings={(0, 2): (0, 1, 2)})
-    with pytest.raises(ValueError):
-        build_stationary(S(2, 1, 2, 2), matchings={(1, 2): (0,)})  # contiguous
 
 
 def test_is_stationary_tags():

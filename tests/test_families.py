@@ -16,7 +16,7 @@ from lambdacol import (
     path_complement,
 )
 from lambdacol import families
-from oracles import all_graphs, floyd_warshall
+from oracles import all_graphs, floyd_warshall, layered_matching
 from test_graphs import graphs
 
 
@@ -85,27 +85,23 @@ def test_family_member_span_is_t(t, l):
 
 
 def test_family_member_custom_matchings():
+    # a member other than the rank-aligned one, built by the oracle
     perm = {(0, 2): (1, 0), (1, 3): (1, 0)}
-    g, fa = family_member(3, 2, matchings=perm)
+    g, class_of = layered_matching((2,) * 4, perm)
+    fa = FamilyAssignment(3, 2, class_of)
     assert is_family_member(g, fa)
     assert (0, 5) in g.edges  # class 0 rank 0 -> class 2 rank 1
-    canonical, _ = family_member(3, 2)
-    assert g != canonical
+    aligned, aligned_fa = family_member(3, 2)
+    assert g != aligned and fa == aligned_fa
     assert lambda_number(g).lambda_value == 3
     # sigma itself, not its inverse: 0 -> 1, 1 -> 2, 2 -> 0 into class 2
-    g, _ = family_member(3, 3, matchings={(0, 2): (1, 2, 0)})
+    g, _ = layered_matching((3,) * 4, {(0, 2): (1, 2, 0)})
     assert {(0, 7), (1, 8), (2, 6)} <= g.edges
 
 
-def test_family_member_rejects_bad_matchings():
+def test_family_member_rejects_a_span_below_three():
     with pytest.raises(ValueError):
-        family_member(3, 2, matchings={(0, 2): (0, 0)})  # not a bijection
-    with pytest.raises(ValueError):
-        family_member(3, 2, matchings={(0, 1): (0, 1)})  # contiguous pair
-    with pytest.raises(ValueError):
-        family_member(3, 2, matchings={(0, 2): (0,)})  # wrong length
-    with pytest.raises(ValueError):
-        family_member(2, 1)  # span below 3
+        family_member(2, 1)
 
 
 @pytest.mark.parametrize("t", [3, 10**6])

@@ -28,7 +28,8 @@ from lambdacol import (
     partition_of,
     shape_of,
 )
-from oracles import is_layered_matching, is_stationary_shape
+from lambdacol import standardise
+from oracles import is_layered_matching, is_stationary_shape, layered_matching
 from test_graphs import graphs
 from test_shapes import small_valid_shapes
 
@@ -121,21 +122,11 @@ def test_standardised_graph_realises_the_edge_bound():
     assert g.m == edge_bound(sg.shape) == 6
 
 
-def test_standardised_graph_checks_the_matchings_it_is_given():
+def test_standardised_graph_aligns_equal_ranks():
     # classes of 2, 1, 3 and 2 vertices from 0, 2, 3 and 6: the pairs
-    # (0, 2), (0, 3) and (1, 3), of which (0, 2) is given and the rest
-    # align equal ranks
+    # (0, 2), (0, 3) and (1, 3) each join equal ranks
     sg = StandardisedGraph(PartitionShape((2, 1, 3, 2)))
-    assert sg.graph({(0, 2): (2, 0)}).edges == {
-        (0, 5), (1, 3), (0, 6), (1, 7), (2, 6)}
-    assert sg.graph({(0, 2): None}).edges == sg.graph().edges == {
-        (0, 3), (1, 4), (0, 6), (1, 7), (2, 6)}
-    with pytest.raises(ValueError, match=r"non-noncontiguous pairs: \[\(0, 1\)\]"):
-        sg.graph({(0, 1): (0,)})
-    for bad in [(1, 1), (0,), (0, 3)]:
-        with pytest.raises(ValueError, match=r"pair \(0, 2\) is not an "
-                           r"injection of 0\.\.1 into 0\.\.2"):
-            sg.graph({(0, 3): (1, 0), (0, 2): bad})
+    assert sg.graph().edges == {(0, 3), (1, 4), (0, 6), (1, 7), (2, 6)}
 
 
 @given(small_valid_shapes())
@@ -144,6 +135,7 @@ def test_standardised_graph_properties(s):
     sg = StandardisedGraph(s)
     g = sg.graph()
     assert g.m == edge_bound(s)
+    assert (g, sg.class_labels) == layered_matching(s.sizes)
     part = sg.partition()
     assert shape_of(part) == s
     c = Colouring(sg.class_labels)
@@ -166,6 +158,22 @@ def test_standardised_graph_refuses_class_pairs_above_the_cap():
     StandardisedGraph(PartitionShape((1,) + (0,) * (t - 1) + (1,)))
     with pytest.raises(CapExceededError, match="class pairs"):
         StandardisedGraph(PartitionShape((1,) + (0,) * t + (1,)))
+
+
+def test_standardised_graph_refuses_vertices_plus_edges_above_the_cap(
+        monkeypatch):
+    # four classes, so few class pairs, but k + 1 edges on 2k + 1 vertices
+    # for (k, 0, 1, k): the largest k within the cap, then one vertex and
+    # one edge more, refused before anything is built
+    def refuse(*args):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(standardise, "Graph", refuse)
+    k = (CONSTRUCTION_CAP - 2) // 3
+    StandardisedGraph(PartitionShape((k, 0, 1, k)))
+    for sizes in [(k, 0, 2, k), (200_000, 1, 1, 200_000)]:
+        with pytest.raises(CapExceededError, match="vertices plus edges"):
+            build_stationary(PartitionShape(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +252,9 @@ def test_family_membership_agrees_with_the_oracle():
         t, l = rng.randint(3, 5), rng.randint(1, 3)
         relabel = list(range((t + 1) * l))
         rng.shuffle(relabel)
-        g, fa = family_member(t, l, _random_injections(rng, (l,) * (t + 1)))
+        g, class_of = layered_matching((l,) * (t + 1),
+                                       _random_injections(rng, (l,) * (t + 1)))
+        fa = FamilyAssignment(t, l, class_of)
         # the same member with shuffled vertex ids
         g = Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in g.edges])
         class_of = [0] * g.n
@@ -272,13 +282,10 @@ def test_stationary_edge_condition_agrees_with_the_oracle():
         if not is_valid_shape(shape):
             continue
         shape_ok = is_stationary_shape(shape.sizes)
-        canonical, part = build_stationary(shape)
-        assert is_stationary(canonical, part)[0] == shape_ok, shape
-        g, part = build_stationary(shape, _random_injections(rng, shape.sizes))
-        class_of = [0] * g.n
-        for m, cl in enumerate(part.classes):
-            for v in cl:
-                class_of[v] = m
+        aligned, part = build_stationary(shape)
+        assert is_stationary(aligned, part)[0] == shape_ok, shape
+        g, class_of = layered_matching(shape.sizes,
+                                       _random_injections(rng, shape.sizes))
         assert is_layered_matching(g, class_of)
         if rng.random() < 0.7:
             g = _tampered(rng, g)
@@ -290,13 +297,11 @@ def test_stationary_edge_condition_agrees_with_the_oracle():
 
 
 def test_family_member_is_the_stationary_build_of_the_equal_shape():
-    rng = random.Random(13)
-    for _ in range(40):
-        t, l = rng.randint(3, 6), rng.randint(1, 4)
-        perms = _random_injections(rng, (l,) * (t + 1))
-        g, fa = family_member(t, l, perms)
-        h, part = build_stationary(PartitionShape((l,) * (t + 1)), perms)
-        assert g == h
-        assert fa.class_of == tuple(
-            m for m, cl in enumerate(part.classes) for _ in cl
-        )
+    for t in range(3, 7):
+        for l in range(1, 5):
+            g, fa = family_member(t, l)
+            h, part = build_stationary(PartitionShape((l,) * (t + 1)))
+            assert g == h
+            assert fa.class_of == tuple(
+                m for m, cl in enumerate(part.classes) for _ in cl
+            )
