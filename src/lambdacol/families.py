@@ -116,7 +116,9 @@ def family_member(t: int, l: int):
     ``(l,) * (t+1)``.  Returns ``(graph, assignment)``; raises
     :class:`CapExceededError` above :data:`CONSTRUCTION_CAP`.
     """
-    if l < 1:  # before any shape of t + 1 classes is built
+    if t < 3:  # before the size arithmetic or any shape is built
+        raise ValueError(f"need t >= 3, got {t}")
+    if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     _check_member_size(t, l)
     sg = StandardisedGraph(PartitionShape((l,) * (t + 1)))

@@ -75,19 +75,18 @@ span with no cut and no witness (:func:`_min_span_masks`), so the checks of
 the theorem stay independent of it and it pays nothing for the cliques of
 G^2.
 
-At every span ``k`` a vertex of degree ``k - 1`` only takes label 0 or ``k``
-(see :func:`_domains`), so every search starts such vertices from that
-two-label domain.
-
-One iterative forward-checking core, :func:`_search_masks`, runs every
-search off that route and returns its first completion.  A search state is
-one integer of packed label domains, a field per vertex, and at spans with
+Every search, on both routes, runs on one packed state, built once per span
+with its masks (:func:`_span_table`, which alone decides which cliques are
+tight): an integer of label domains, a field per vertex, and at spans with
 tight cliques a second one that holds, per clique and label, the members
-that can still take the label; a label choice narrows each by one shifted
-mask and a guard-borrow subtraction finds an empty field, so a step back
-restores two integers.  The masks are built once per span, in one walk of
-the search order (:func:`_span_table`, which alone decides which cliques
-are tight), and shared by the witness probes.
+that can still take the label.  At the root a vertex of degree ``k - 1``
+holds only labels 0 and ``k``.  A label choice narrows each integer by one
+shifted mask, and one guard-borrow subtraction per integer finds an empty
+field, so a step back restores two integers.  The witness loop fixes
+vertices on that state (:func:`_fix`), and each probe starts from the state
+it is given: the iterative forward-checking DFS, :func:`_search_masks`, or
+on the far-pair route the label-order probe, which reads each block's
+domain out of it.
 """
 
 from .graphs import (
@@ -305,107 +304,96 @@ def _connected_order(d1, d2):
     return order
 
 
-def _span_table(order, d1, d2, k, cliques=()):
-    """What every search at span ``k`` along ``order`` reads, built once.
+def _span_table(d1, d2, k, cliques=()):
+    """What every search at span ``k`` reads, and its root state.
 
-    The domains of a search are one integer, a field of ``w = k + 2`` bits
-    per vertex: label ``y`` of ``u`` at bit ``u*w + 1 + y``, over a zero bit
-    that also guards the field below.  Labelling the vertex at position
-    ``i`` with ``x`` clears ``clear[i] << x``: ``7`` at the foot of each
-    later neighbour's field (labels ``x-1..x+1`` once shifted) and ``2`` at
-    each later vertex at distance two (label ``x``); at ``x = 0`` and
-    ``x = k`` the shift reaches only zero bits.  ``high[i]`` sets the guards
-    over those fields and ``low[i]`` holds their lowest label bits, so a
-    field is empty exactly when subtracting ``low[i]`` borrows its guard.
+    A search state is ``(word, held)``.  ``word`` packs the label domains, a
+    field of ``w = k + 2`` bits per vertex: label ``y`` of ``u`` at bit
+    ``shift[u] + y = u*w + 1 + y``, over a zero bit that also guards the
+    field below.  Labelling v with ``x`` clears ``clear[v] << x``: ``7`` at
+    the foot of each neighbour's field (labels ``x-1..x+1`` once shifted)
+    and ``2`` at each vertex at distance two (label ``x``); at ``x = 0`` and
+    ``x = k`` the shift reaches only zero bits.  ``high`` sets the guard
+    over every field and ``low`` holds every lowest label bit, so some field
+    is empty exactly when subtracting ``low`` borrows a guard.  The masks
+    reach placed and fixed vertices too, and no search order is needed:
+    forward checking already took every label within 1 of such a vertex's
+    label (equal to it, at distance two) from the vertices it constrains, so
+    no later step can empty its field.
 
     The cliques of the square among ``cliques`` with ``k + 1`` members are
-    *tight*: each needs every label once.  With some, a second integer
-    holds, label by label (slot ``y + 1`` for label ``y``, over a zero
-    slot), a field per tight clique of one bit per member, set while the
-    member's domain holds the label, and a guard bit.  Labelling with ``x``
-    clears ``placed[i]`` shifted by ``x`` slots, the same pattern over
-    member bits plus the placed member's bit at label ``x``, XORed with
-    ``column[i]``, that member's bit at every label: so the member placed
-    keeps only its own label.  The placed members' labels are gone from the
-    others' domains, so an empty field is exactly a clique whose unplaced
-    members' domains hold fewer labels than there are of them: the
-    pigeonhole filter of all-different propagation (Regin, 1994), which
-    cuts only branches without completions.
+    *tight*: each needs every label once.  With some, ``held`` holds, label
+    by label (slot ``y + 1`` for label ``y``, over a zero slot), a field per
+    tight clique of one bit per member, set while the member's domain holds
+    the label, and a guard bit; else it is 0.  Labelling v with ``x``
+    clears ``placed[v]`` shifted by ``x`` slots, the same pattern over
+    member bits plus v's bit at label ``x``, XORed with ``column[v]``, v's
+    bit at every label: so v keeps only its own label.  The placed members'
+    labels are gone from the others' domains, so an empty field is exactly a
+    clique whose unplaced members' domains hold fewer labels than there are
+    of them: the pigeonhole filter of all-different propagation (Regin,
+    1994), which cuts only branches without completions.
+
+    The root domains are ``0..k``, but ``{0, k}`` at degree ``k - 1``: the
+    closed neighbourhood needs ``k`` distinct labels, and a label
+    ``0 < x < k`` on the vertex leaves its neighbours only ``k - 2``.
     """
+    n = len(d1)
     w = k + 2
-    tight = [q for q in cliques if q.bit_count() == k + 1]
+    full = (1 << k + 1) - 1
+    every = ((1 << n * w) - 1) // ((1 << w) - 1)  # bit u*w for every u
+    pinned = [m.bit_count() == k - 1 for m in d1]
+    word = every * 2 * full
+    clear = []
+    for v, (l1, l2) in enumerate(zip(d1, d2)):
+        if pinned[v]:
+            word ^= (full ^ (1 | 1 << k)) << v * w + 1
+        m = l1 | l2
+        s = 0
+        while m:
+            b = m & -m
+            m ^= b
+            s |= (7 if l1 & b else 2) << (b.bit_length() - 1) * w
+        clear.append(s)
+    held = 0
     cover = None
+    tight = [q for q in cliques if q.bit_count() == k + 1]
     if tight:
         # a field of k + 1 member bits and the guard per clique and label
         stride = len(tight) * w
-        cols = [0] * len(order)
-        members = 0
+        cols = [0] * n
         for j, q in enumerate(tight):
-            members |= q
             for slot, u in enumerate(_bits(q)):
                 cols[u] |= 1 << j * w + slot
         slots = sum(1 << y * stride for y in range(1, k + 2))
+        ends = 1 << stride | 1 << (k + 1) * stride
         lows = slots * sum(1 << j * w for j in range(len(tight)))
-        placed, column = [], []  # filled position by position below
-        cover = (cols, members, stride, lows, lows << k + 1, placed, column)
-    clear, low, high = [], [], []
-    after = (1 << len(order)) - 1
-    for v in order:
-        after ^= 1 << v
-        l1 = d1[v] & after
-        l2 = d2[v] & after
-        if cover:
-            c1 = c2 = 0
-            for u in _bits(l1 & members):
-                c1 |= cols[u]
-            for u in _bits(l2 & members):
-                c2 |= cols[u]
-            placed.append(c1 * (1 | 1 << stride | 1 << 2 * stride)
-                          | (c2 | cols[v]) << stride)
-            column.append(cols[v] * slots)
-        # one bit at the foot of each later vertex's field, by distance
-        s1 = s2 = 0
-        while l1:
-            b = l1 & -l1
-            l1 ^= b
-            s1 |= 1 << (b.bit_length() - 1) * w
-        while l2:
-            b = l2 & -l2
-            l2 ^= b
-            s2 |= 1 << (b.bit_length() - 1) * w
-        clear.append(7 * s1 | 2 * s2)
-        low.append(2 * (s1 | s2))
-        high.append((s1 | s2) << w)
-    return k, order, range(1, len(order) * w, w), clear, low, high, cover
+        placed = [sum(cols[u] for u in _bits(a))
+                  * (1 | 1 << stride | 1 << 2 * stride)
+                  | (sum(cols[u] for u in _bits(b)) | cols[v]) << stride
+                  for v, (a, b) in enumerate(zip(d1, d2))]
+        column = [c * slots for c in cols]
+        held = sum(c * (ends if p else slots) for c, p in zip(cols, pinned))
+        cover = (stride, lows, lows << k + 1, placed, column)
+    return (k, range(1, n * w, w), clear, 2 * every, every << w, cover,
+            (word, held))
 
 
-def _search_masks(table, dom):
-    """DFS with forward checking; returns a label list or None.
+def _search_masks(table, order, state):
+    """DFS with forward checking from ``state``; a label list or None.
 
-    Labels the vertices in the order of ``table`` (:func:`_span_table`), each
-    taking the smallest label left in its domain first; ``dom[v]`` is the
-    bitmask of labels open to vertex v, a one-label domain for a vertex fixed
-    beforehand (already forward-checked into the rest).  Returns the first
-    completion, the lexicographically smallest along the order.  Each search
-    state is the domain integer, and at spans with tight cliques the coverage
-    integer, so a step back restores two integers.  A branch, the root
-    included, dies when a tight clique's coverage leaves a label empty.
+    Labels the vertices in ``order`` over the :func:`_span_table` ``table``,
+    each taking the smallest label left in its field first (a vertex fixed
+    by :func:`_fix` has one), with the checks of :func:`_fix` inline; the
+    search never reads a placed vertex's field again, so it is not narrowed.
+    Returns the first completion, the lexicographically smallest along the
+    order.
     """
-    k, order, shift, clear, low, high, cover = table
+    k, shift, clear, low, high, cover, _ = table
     full = (1 << k + 1) - 1
-    word = sum(map(int.__lshift__, dom, shift))
-    held = 0
+    word, held = state
     if cover:
-        cols, members, stride, lows, guards, placed, column = cover
-        # the members' columns, gathered by domain
-        by = {}
-        for u in _bits(members):
-            by[dom[u]] = by.get(dom[u], 0) | cols[u]
-        for m, c in by.items():
-            for y in _bits(m):
-                held |= c << (y + 1) * stride
-        if (held | guards) - lows & guards != guards:
-            return None
+        stride, lows, guards, placed, column = cover
     last = len(order) - 1
     labels = [0] * len(order)
     stack = []
@@ -417,12 +405,11 @@ def _search_masks(table, dom):
             b = avail & -avail
             avail ^= b
             x = b.bit_length() - 1
-            nword = word & ~(clear[i] << x)
-            guard = high[i]
-            if (nword | guard) - low[i] & guard != guard:
+            nword = word & ~(clear[v] << x)
+            if (nword | high) - low & high != high:
                 continue
             if cover:
-                nheld = held & ~(placed[i] << x * stride ^ column[i])
+                nheld = held & ~(placed[v] << x * stride ^ column[v])
                 if (nheld | guards) - lows & guards != guards:
                     continue
             labels[v] = x
@@ -443,18 +430,6 @@ def _search_masks(table, dom):
             return None
 
 
-def _domains(d1, k):
-    """Label domains at span ``k``: ``0..k``, or ``{0, k}`` at degree k - 1.
-
-    The closed neighbourhood of a vertex of degree ``k - 1`` needs ``k``
-    distinct labels, and a label ``0 < x < k`` on the vertex leaves its
-    neighbours only the ``k - 2`` labels of ``0..k`` outside ``x-1..x+1``.
-    """
-    full = (1 << (k + 1)) - 1
-    ends = 1 | 1 << k
-    return [ends if m.bit_count() == k - 1 else full for m in d1]
-
-
 def _min_span_masks(n, d1, d2):
     """Smallest feasible span for bitmask adjacency with >= 1 edge.
 
@@ -462,29 +437,37 @@ def _min_span_masks(n, d1, d2):
     cut and no witness: the census and the checks of the path-cover theorem
     rely on it staying independent of path covers and of the solver's
     witness loop.  ``x -> k - x`` maps colourings of span ``k`` to
-    colourings (and the domains of :func:`_domains` to themselves), so the
-    first vertex of the :func:`_connected_order` only needs the labels
-    ``0..k//2``.
+    colourings (and the root domains of :func:`_span_table` to themselves),
+    so the first vertex of the :func:`_connected_order` only needs the
+    labels ``0..k//2``.
     """
     order = _connected_order(d1, d2)
     # greedy labelling 0,2,4,... always works
     for k in range(_lower_bound(n, d1, _far_masks(n, d1, d2)), 2 * n - 1):
-        dom = _domains(d1, k)
-        dom[order[0]] &= (1 << (k // 2 + 1)) - 1
-        if _search_masks(_span_table(order, d1, d2, k), dom) is not None:
+        table = _span_table(d1, d2, k)
+        half = (1 << k + 1) - (1 << k // 2 + 1)  # the labels above k // 2
+        word = table[-1][0] & ~(half << table[1][order[0]])
+        if _search_masks(table, order, (word, 0)) is not None:
             return k
     raise SpanSearchError("span search exceeded the trivial upper bound")
 
 
-def _fix(d1, d2, dom, v, x):
-    """Copy of ``dom`` with v labelled x, forward-checked; None on a wipe-out."""
-    dom = list(dom)
-    dom[v] = 1 << x
-    for u in _bits(d1[v]):
-        dom[u] &= ~((7 << x) >> 1)
-    for u in _bits(d2[v]):
-        dom[u] &= ~(1 << x)
-    return None if 0 in dom else dom
+def _fix(table, state, v, x):
+    """``state`` with v labelled ``x`` and forward-checked, or None when a
+    field or, at spans with tight cliques, a clique's coverage is left
+    empty (see :func:`_span_table`)."""
+    k, shift, clear, low, high, cover, _ = table
+    word, held = state
+    s = shift[v]
+    word = word & ~(clear[v] << x | (1 << k + 1) - 1 << s) | 1 << s + x
+    if (word | high) - low & high != high:
+        return None
+    if cover:
+        stride, lows, guards, placed, column = cover
+        held &= ~(placed[v] << x * stride ^ column[v])
+        if (held | guards) - lows & guards != guards:
+            return None
+    return word, held
 
 
 def _probe_in_label_order(comp, dom, k, gaps):
@@ -551,31 +534,32 @@ def _probe_in_label_order(comp, dom, k, gaps):
     return labels if rec(0, -1, 0) else None
 
 
-def _lex_least_witness(d1, d2, k, probe):
-    """The lexicographically least colouring with labels in ``0..k``, or
-    None when there is none.
+def _lex_least_witness(table, probe):
+    """The lexicographically least colouring over the :func:`_span_table`
+    ``table`` of span ``k``, or None when there is none.
 
     Vertex by vertex in id order, labels still open to the vertex are tried
-    in ascending order: each is fixed with forward checking and ``probe`` is
-    asked for a colouring within the fixed domains, or None.  On the far-pair
-    route that is the label-order probe (:func:`_probe_in_label_order`) on
-    each quotient of span ``k`` in turn, sharing one ``gaps`` table per
-    quotient; else the DFS along the graph's one search order with the table
-    of span ``k``, so no probe builds an order or a table.  Reversal
-    ``x -> k - x`` maps colourings to colourings (and the domains of
-    :func:`_domains` to themselves), so vertex 0 only tries the labels
-    ``0..k//2``: when none of them extends, there is no colouring.  After
-    that, each vertex only tries the labels below that of the last
-    colouring found, so after vertex v its prefix through v is the least one
-    that extends, whichever completion the probe returned; v is then fixed
-    to that colouring's label, which always extends.
+    in ascending order: each is fixed (:func:`_fix`) and ``probe`` is asked
+    for a colouring from the fixed state, or None.  On the far-pair route
+    that is the label-order probe (:func:`_probe_in_label_order`) on each
+    quotient of span ``k`` in turn, sharing one ``gaps`` table per
+    quotient; else the DFS along the graph's one search order over
+    ``table``, so no probe builds an order or a table.  Reversal
+    ``x -> k - x`` maps colourings to colourings (and the root domains to
+    themselves), so vertex 0 only tries the labels ``0..k//2``: when none
+    of them extends, there is no colouring.  After that, each vertex only
+    tries the labels below that of the last colouring found, so after
+    vertex v its prefix through v is the least one that extends, whichever
+    completion the probe returned; v is then fixed to that colouring's
+    label, which always extends.
     """
-    dom = _domains(d1, k)
+    k, shift = table[:2]
+    state = table[-1]
     labels = None
-    for v in range(len(d1)):
+    for v, s in enumerate(shift):
         top = k // 2 + 1 if labels is None else labels[v]
-        for x in _bits(dom[v] & (1 << top) - 1):
-            trial = _fix(d1, d2, dom, v, x)
+        for x in _bits(state[0] >> s & (1 << top) - 1):
+            trial = _fix(table, state, v, x)
             if trial is None:
                 continue
             got = probe(trial)
@@ -584,7 +568,7 @@ def _lex_least_witness(d1, d2, k, probe):
                 break
         if labels is None:
             return None
-        dom = _fix(d1, d2, dom, v, labels[v])
+        state = _fix(table, state, v, labels[v])
     return labels
 
 
@@ -640,8 +624,8 @@ def _quotient(d1, blocks):
                  for i, t in enumerate(touch))
 
 
-def _partition_route(g, d1, far):
-    """Span and a witness probe, by far-clique partitions.
+def _partition_route(g, d1, d2, far):
+    """Span table and witness probe, by far-clique partitions.
 
     A colouring's label classes are pairwise far, so they partition the
     vertices into blocks of :func:`_far_partitions`, each block at its own
@@ -657,7 +641,9 @@ def _partition_route(g, d1, far):
     asks :func:`_path_cover_number` for its number below ``k - |P| + 3``,
     which comes only when the partition reaches span ``k``; ``k`` then
     drops to the partition's span, so every quotient at the least span is
-    known exactly.
+    known exactly.  The :func:`_span_table` of that span serves only the
+    witness search's fixes; the probe reads each member's domain out of the
+    fixed state.
     """
     k = g.n + g.complement_path_cover_number - 2
     spans = []
@@ -672,28 +658,32 @@ def _partition_route(g, d1, far):
             spans.append((k, blocks, comp))
     quotients = [([list(_bits(b)) for b in blocks], comp, {})
                  for span, blocks, comp in spans if span == k]
+    table = _span_table(d1, d2, k)
+    shift = table[1]
+    full = (1 << k + 1) - 1
 
-    def probe(trial):
+    def probe(state):
+        word = state[0]
         for members, comp, gaps in quotients:
             dom = []
             for vs in members:
-                m = -1
+                m = full
                 for v in vs:
-                    m &= trial[v]
+                    m &= word >> shift[v]
                 if not m:
                     break
                 dom.append(m)
             else:
                 got = _probe_in_label_order(comp, dom, k, gaps)
                 if got is not None:
-                    labels = [0] * len(trial)
+                    labels = [0] * len(shift)
                     for vs, x in zip(members, got):
                         for v in vs:
                             labels[v] = x
                     return labels
         return None
 
-    return k, probe
+    return table, probe
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +711,9 @@ def lambda_number(g: Graph) -> SolveReport:
     far = _far_masks(n, d1, d2)
     # each far pair is counted at both of its vertices
     if sum(m.bit_count() for m in far) <= 2 * FAR_PAIR_LIMIT:
-        k, probe = _partition_route(g, d1, far)
-        labels = _lex_least_witness(d1, d2, k, probe)
+        table, probe = _partition_route(g, d1, d2, far)
+        k = table[0]
+        labels = _lex_least_witness(table, probe)
         if labels is None:
             raise SpanSearchError(f"no colouring of span {k} found")
     else:
@@ -731,9 +722,9 @@ def lambda_number(g: Graph) -> SolveReport:
         cliques = _square_cliques(d1, d2)
         start = max(_lower_bound(n, d1, far), cliques[0].bit_count() - 1)
         for k in range(start, 2 * n - 1):  # greedy 0,2,4,... always works
-            table = _span_table(order, d1, d2, k, cliques)
+            table = _span_table(d1, d2, k, cliques)
             labels = _lex_least_witness(
-                d1, d2, k, lambda trial: _search_masks(table, trial))
+                table, lambda state: _search_masks(table, order, state))
             if labels is not None:
                 break
         else:

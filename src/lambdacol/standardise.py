@@ -130,8 +130,9 @@ class StandardisedGraph(_Record):
 
     def vertex(self, m: int, i: int) -> int:
         """Vertex id of rank ``i`` within class ``m``."""
-        if not 0 <= i < self.shape.sizes[m]:
-            raise IndexError(f"rank {i} out of range for class {m}")
+        sizes = self.shape.sizes
+        if not (0 <= m < len(sizes) and 0 <= i < sizes[m]):
+            raise IndexError(f"no rank {i} in class {m} of 0..{len(sizes) - 1}")
         return self.offsets[m] + i
 
     @cached_property

@@ -335,6 +335,37 @@ def reference_colourings(g: Graph, k: int):
     return extend(0)
 
 
+def root_domains(g: Graph, k: int):
+    """Label domains at span ``k`` as bitmasks: ``0..k`` for every vertex,
+    but ``{0, k}`` for a vertex of degree ``k - 1``, whose closed
+    neighbourhood needs ``k`` distinct labels and so leaves it no label
+    strictly inside.
+    """
+    degree = [0] * g.n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    full = (1 << k + 1) - 1
+    return [1 | 1 << k if d == k - 1 else full for d in degree]
+
+
+def forward_check(dist, dom, v, x):
+    """The domain list ``dom`` with v labelled ``x``, or None.
+
+    ``dist`` is the distance matrix of :func:`floyd_warshall` and ``dom`` a
+    list of label bitmasks.  v's domain becomes ``{x}``, and every other
+    vertex within distance two loses the labels ``y`` that break
+    ``|x - y| + d >= 3``: ``x-1..x+1`` at distance one, ``x`` at distance
+    two.  None when some domain is left empty.
+    """
+    dom = list(dom)
+    dom[v] = 1 << x
+    for u, d in enumerate(dist[v]):
+        if u != v and d <= 2:
+            dom[u] &= ~((7 << x) >> 1 if d == 1 else 1 << x)
+    return None if 0 in dom else dom
+
+
 def reference_lex_witness(g: Graph, k: int):
     """Lexicographically least valid labelling with labels in ``0..k``.
 

@@ -431,7 +431,8 @@ def _fuzz_corpus(tmp_path):
     argvs = [["construct", *params] for params in (
         ["gn", "3"], ["gn", "3000"], ["gn", "-1"], ["gn", "x"], ["gn"],
         ["gtl", "3", "2"], ["gtl", "2000", "30"], ["gtl", "1", "1"],
-        ["gtl", "3", "y"], ["gtl", "3"], ["gtl", "1", "2", "3"], ["bogus"])]
+        ["gtl", "-2000", "1"], ["gtl", "3", "y"], ["gtl", "3"],
+        ["gtl", "1", "2", "3"], ["bogus"])]
     for i, g in enumerate(graphs):
         argvs += [[verb, g] for verb in ("lambda", "classify", "pathcover")]
         paired = colourings if i < 5 else colourings[:1]

@@ -99,9 +99,17 @@ def test_family_member_custom_matchings():
     assert {(0, 7), (1, 8), (2, 6)} <= g.edges
 
 
-def test_family_member_rejects_a_span_below_three():
-    with pytest.raises(ValueError):
-        family_member(2, 1)
+def test_family_member_rejects_a_span_below_three(monkeypatch):
+    # one message for every t < 3, before the size cap's arithmetic (which
+    # read t = -2000 as -1999 vertices plus 2001000 edges) or any shape
+    def refuse(*args):
+        raise AssertionError("sized or built")
+
+    for name in ("_check_member_size", "PartitionShape", "StandardisedGraph"):
+        monkeypatch.setattr(families, name, refuse)
+    for t in (2, 0, -5, -2000):
+        with pytest.raises(ValueError, match=f"^need t >= 3, got {t}$"):
+            family_member(t, 1)
 
 
 @pytest.mark.parametrize("t", [3, 10**6])

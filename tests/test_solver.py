@@ -43,7 +43,6 @@ from lambdacol.graphs import (
 from lambdacol.solver import (
     FAR_PAIR_LIMIT,
     _connected_order,
-    _domains,
     _far_masks,
     _fix,
     _lex_least_witness,
@@ -59,10 +58,13 @@ from oracles import (
     all_graphs,
     brute_lambda,
     first_violation_by_distances,
+    floyd_warshall,
+    forward_check,
     is_valid_by_distances,
     optimal_witness_by_brute_force,
     reference_colourings,
     reference_lex_witness,
+    root_domains,
 )
 from test_graphs import graphs
 
@@ -310,14 +312,54 @@ def test_path_cover_bound_is_no_weaker_than_the_checks_it_replaced(n):
         assert bound >= _paths_needed(comp, (1 << n) - 1), g
 
 
-def _fixed_prefixes(d1, d2, dom, v):
-    """Every domain list reached by fixing vertices v, v+1, ... in turn."""
-    yield v, dom
-    if v < len(dom):
-        for x in _bits(dom[v]):
-            trial = _fix(d1, d2, dom, v, x)
-            if trial is not None:
-                yield from _fixed_prefixes(d1, d2, trial, v + 1)
+def _fields(table, state):
+    """The label domains packed in ``state``, one bitmask per vertex."""
+    k, shift = table[:2]
+    return [state[0] >> s & (1 << k + 1) - 1 for s in shift]
+
+
+def _fixed_prefixes(tables, states, v=0):
+    """Every prefix reached by fixing vertices v, v+1, ... in turn, as
+    ``(v, states)``: one state per table of ``tables``, all of one span,
+    each reached by the same ``(v, x)`` sequence.  The labels come from the
+    first table's fields; where a later table's :func:`_fix` refuses a
+    prefix, its state is None there and below."""
+    yield v, states
+    if v < len(tables[0][1]):
+        for x in _bits(_fields(tables[0], states[0])[v]):
+            trial = [s and _fix(t, s, v, x) for t, s in zip(tables, states)]
+            if trial[0] is not None:
+                yield from _fixed_prefixes(tables, trial, v + 1)
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 3, 4,
+    pytest.param(5, marks=pytest.mark.slow),  # 16.8 M fixes, 42 s
+])
+def test_fix_is_the_list_forward_check(n):
+    # the packed state against the list rule of the oracles: at every span
+    # from the elementary bound to one above the span, from every prefix
+    # the witness search can fix, each (v, x) leaves every field equal to
+    # the list's domain, and None exactly when the list empties a domain
+    for g in all_graphs(n):
+        if not g.edges:
+            continue
+        d1 = g.adj_masks
+        d2 = _second_neighbourhoods(d1)
+        dist = floyd_warshall(g)
+        lb = _lower_bound(n, d1, _far_masks(n, d1, d2))
+        for span in range(lb, lambda_number(g).lambda_value + 2):
+            table = _span_table(d1, d2, span)
+            dom = root_domains(g, span)
+            assert _fields(table, table[-1]) == dom, (g, span)
+            for v, (state,) in _fixed_prefixes([table], [table[-1]]):
+                dom = _fields(table, state)
+                for u, x in product(range(n), range(span + 1)):
+                    got = _fix(table, state, u, x)
+                    want = forward_check(dist, dom, u, x)
+                    assert (got is None) == (want is None), (g, span, dom)
+                    if got is not None:
+                        assert _fields(table, got) == want, (g, span, dom)
 
 
 @pytest.mark.parametrize("n,above", [(2, 1), (3, 1), (4, 1), (5, 0)])
@@ -335,9 +377,10 @@ def test_label_order_probe_agrees_with_the_dfs(n, above):
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
             gaps = {}
-            table = _span_table(order, d1, d2, span)
-            for v, dom in _fixed_prefixes(d1, d2, _domains(d1, span), 0):
-                want = _search_masks(table, dom)
+            table = _span_table(d1, d2, span)
+            for v, (state,) in _fixed_prefixes([table], [table[-1]]):
+                want = _search_masks(table, order, state)
+                dom = _fields(table, state)
                 got = _probe_in_label_order(comp, dom, span, gaps)
                 assert (got is None) == (want is None), (g, span, dom)
                 if got is not None:
@@ -358,9 +401,9 @@ def test_witness_search_succeeds_first_at_the_span(n):
         order = _connected_order(d1, d2)
         cliques = _square_cliques(d1, d2)
         for k in range(_lower_bound(n, d1, _far_masks(n, d1, d2)), 2 * n - 1):
-            table = _span_table(order, d1, d2, k, cliques)
+            table = _span_table(d1, d2, k, cliques)
             got = _lex_least_witness(
-                d1, d2, k, lambda trial: _search_masks(table, trial))
+                table, lambda state: _search_masks(table, order, state))
             want = next(reference_colourings(g, k), None)
             assert (got and tuple(got)) == want, (g, k)
             if want:
@@ -530,7 +573,9 @@ def test_square_clique_bound_lies_between_the_elementary_bound_and_the_span(n):
 def test_tight_clique_cut_keeps_every_completion(n):
     # at span omega(G^2) - 1 every maximum clique of the square is tight;
     # from every prefix the witness driver can fix, the cut search must
-    # return what the plain one does.  The prefixes run down to every
+    # return what the plain one does, and a prefix the cut's fix refuses
+    # must be one the plain search refutes.  The prefixes start from every
+    # domain 0..k, no vertex pinned to the ends, and run down to every
     # completion with all vertices fixed, so none of them is cut either.
     for g in all_graphs(n):
         d1 = g.adj_masks
@@ -538,24 +583,34 @@ def test_tight_clique_cut_keeps_every_completion(n):
         cliques = _square_cliques(d1, d2)
         k = cliques[0].bit_count() - 1
         order = _connected_order(d1, d2)
-        cut = _span_table(order, d1, d2, k, cliques)
-        plain = _span_table(order, d1, d2, k)
-        for v, dom in _fixed_prefixes(d1, d2, [(1 << k + 1) - 1] * n, 0):
-            assert _search_masks(cut, dom) == _search_masks(plain, dom), \
-                (g, dom)
+        tables = [_span_table(d1, d2, k), _span_table(d1, d2, k, cliques)]
+        for v, (plain, cut) in _fixed_prefixes(
+                tables, [_unpinned(t) for t in tables]):
+            want = _search_masks(tables[0], order, plain)
+            got = cut and _search_masks(tables[1], order, cut)
+            assert got == want, (g, _fields(tables[0], plain))
 
 
-def _least_inside(d1, d2, dom, v, every):
-    """Each domain list of :func:`_fixed_prefixes` with the first colouring
-    of ``every`` (valid ones, in some order) inside it, or None; ``every``
-    narrows with the prefix, so a colouring outside it is never scanned."""
-    yield dom, next((c for c in every if all(
+def _unpinned(table):
+    """The root state of ``table`` with every domain ``0..k``."""
+    k, shift, cover = table[0], table[1], table[5]
+    return (sum((1 << k + 1) - 1 << s for s in shift),
+            sum(cover[4]) if cover else 0)
+
+
+def _least_inside(tables, states, v, every):
+    """Each prefix of :func:`_fixed_prefixes` as its states on ``tables``,
+    with the first colouring of ``every`` (valid ones, in some order)
+    inside the first table's fields, or None; ``every`` narrows with the
+    prefix, so a colouring outside it is never scanned."""
+    dom = _fields(tables[0], states[0])
+    yield states, next((c for c in every if all(
         dom[u] >> c[u] & 1 for u in range(len(dom)))), None)
     if v < len(dom):
         for x in _bits(dom[v]):
-            trial = _fix(d1, d2, dom, v, x)
-            if trial is not None:
-                yield from _least_inside(d1, d2, trial, v + 1,
+            trial = [s and _fix(t, s, v, x) for t, s in zip(tables, states)]
+            if trial[0] is not None:
+                yield from _least_inside(tables, trial, v + 1,
                                          [c for c in every if c[v] == x])
 
 
@@ -567,9 +622,10 @@ def test_search_returns_the_least_colouring_along_the_plan(n, above):
     # from every prefix the witness search can fix, at the span and up to
     # ``above`` spans higher, with and without the tight cliques of the
     # span, the search returns the least colouring inside the domains along
-    # the plan order, by the reference enumerator.  The prefixes reach label
-    # x - 1 at x = 0 and x + 1 at x = k on the first and the last vertex,
-    # the pad and guard bits of the packed domains.
+    # the plan order, by the reference enumerator; a prefix the cut table's
+    # fix refuses must be one the plain search refutes.  The prefixes reach
+    # label x - 1 at x = 0 and x + 1 at x = k on the first and the last
+    # vertex, the pad and guard bits of the packed domains.
     for g in all_graphs(n):
         if not g.edges:
             continue
@@ -579,17 +635,18 @@ def test_search_returns_the_least_colouring_along_the_plan(n, above):
         cliques = _square_cliques(d1, d2)
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
-            tables = [_span_table(order, d1, d2, span)]
+            tables = [_span_table(d1, d2, span)]
             # the cliques are maximum ones, so tight at this span only
             if span == cliques[0].bit_count() - 1:
-                tables.append(_span_table(order, d1, d2, span, cliques))
+                tables.append(_span_table(d1, d2, span, cliques))
             every = sorted(reference_colourings(g, span),
                            key=lambda c: [c[u] for u in order])
-            for dom, want in _least_inside(d1, d2, _domains(d1, span), 0,
-                                           every):
-                for table in tables:
-                    got = _search_masks(table, dom)
-                    assert want == (got and tuple(got)), (g, span, dom)
+            for states, want in _least_inside(
+                    tables, [t[-1] for t in tables], 0, every):
+                for table, state in zip(tables, states):
+                    got = state and _search_masks(table, order, state)
+                    assert want == (got and tuple(got)), \
+                        (g, span, _fields(tables[0], states[0]))
 
 
 # Bench instance sparse-157 (G(19, d/(n-1)) of the sparse workload, seed 1):
@@ -642,7 +699,9 @@ def test_witnesses_of_the_sparse_tail(n, edges, want):
 
 
 @pytest.mark.parametrize("edges,spans,searches", [
-    (SPARSE_157_EDGES, 1, 15),  # span omega(G^2) - 1: every search is cut
+    # span omega(G^2) - 1: every search is cut, and 7 of the 15 fixed
+    # prefixes leave a tight clique's label uncovered, refused before any
+    (SPARSE_157_EDGES, 1, 8),
     # cut at span 11 only, refuted by 6 probes of vertex 0; span 12 uncut
     (SPARSE_314_EDGES, 2, 15),
 ], ids=["sparse-157", "sparse-314"])
@@ -658,7 +717,7 @@ def test_one_plan_per_solve_and_one_table_per_span(
                     **kwargs):
             counts[_name] += 1
             if _name == "_span_table" and any(
-                    q.bit_count() == args[3] + 1 for q in args[4]):
+                    q.bit_count() == args[2] + 1 for q in args[3]):
                 counts["cut"] += 1
             return _real(*args, **kwargs)
 

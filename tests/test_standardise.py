@@ -112,6 +112,11 @@ def test_standardised_vertex_numbering():
     assert sg.vertex(3, 0) == 5
     with pytest.raises(IndexError):
         sg.vertex(1, 1)
+    # classes outside 0..t: at the parent, vertex(-1, 0) read class 3 and
+    # returned 6, past the last vertex
+    for m, i in [(-1, 0), (-1, 1), (4, 0), (-5, 0)]:
+        with pytest.raises(IndexError):
+            sg.vertex(m, i)
     assert sg.class_labels == (0, 0, 1, 2, 2, 3)
 
 
