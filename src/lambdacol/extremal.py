@@ -39,11 +39,7 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 
 from .graphs import CapExceededError, Graph, _Record, _bits
-from .solver import (
-    _min_span_masks,
-    _second_neighbourhoods,
-    lambda_number,
-)
+from .solver import _min_span_masks, lambda_number
 from .shapes import (
     PartitionShape,
     dual_shape,
@@ -381,8 +377,6 @@ def classify(g: Graph) -> ClassificationReport:
     """
     report = lambda_number(g)
     t = report.lambda_value
-    if t < 3:
-        raise ValueError(f"classification needs span >= 3, got {t}")
     _check_range(g.n, t)
     mx, argmax = max_edges(g.n, t)
     if g.m > mx:
@@ -500,7 +494,7 @@ def _census(n):
     for d1 in _extensions(n) if n else ():
         edges = sum(m.bit_count() for m in d1) // 2
         if edges:
-            lam = _min_span_masks(n, d1, _second_neighbourhoods(d1))
+            lam = _min_span_masks(d1)
             if best.get(lam, -1) < edges:
                 best[lam] = edges
     return best

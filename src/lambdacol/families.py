@@ -102,8 +102,6 @@ def path_complement(n: int) -> Graph:
     for span ``n``.  Raises :class:`CapExceededError` above
     :data:`CONSTRUCTION_CAP`.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     return family_member(n, 1)[0]
 
 

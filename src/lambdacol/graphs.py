@@ -140,10 +140,14 @@ class Graph(_Record):
     edges: frozenset
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(
+                f"vertex count must be a non-negative integer, got {self.n!r}"
+            )
         for e in self.edges:
             u, v = e
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge {e} must join integer vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):

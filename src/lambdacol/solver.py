@@ -4,8 +4,10 @@ A *colouring* here is a total map ``c`` from vertices to non-negative integer
 labels such that ``|c(u) - c(v)| + d(u, v) >= 3`` for every pair of distinct
 vertices: adjacent vertices need labels at least 2 apart, vertices at distance
 two need distinct labels, and pairs further apart (or disconnected) are
-unconstrained.  The *span* of the graph is the least achievable maximum label
-(minimum label normalised to 0), written ``lambda_number`` below.
+unconstrained.  So every check and search here reads G and the square G^2,
+whose edges are the constrained pairs.  The *span* of the graph is the least
+achievable maximum label (minimum label normalised to 0), written
+``lambda_number`` below.
 
 The solver iterates candidate spans upward from a lower bound and, at each
 span ``k``, searches for the lexicographically least colouring with labels
@@ -97,6 +99,7 @@ from .graphs import (
     MalformedLineError,
     _Record,
     _bits,
+    _complement_masks,
     _max_cliques,
     _path_cover_number,
     _paths_needed,
@@ -179,10 +182,10 @@ def find_violation(g: Graph, c: Colouring):
         )
     lab = c.labels
     d1 = g.adj_masks
-    d2 = _second_neighbourhoods(d1)
+    sq = _square_masks(d1)
     for u in range(g.n):
         # only pairs within distance two can break the condition
-        for v in _bits((d1[u] | d2[u]) >> (u + 1) << (u + 1)):
+        for v in _bits(sq[u] >> (u + 1) << (u + 1)):
             if d1[u] >> v & 1:
                 if abs(lab[u] - lab[v]) < 2:
                     return (u, v, 1)
@@ -240,51 +243,51 @@ class PathCoverBound(_Record):
 # bounds
 # ---------------------------------------------------------------------------
 
-def _second_neighbourhoods(adj):
-    """Distance-two masks derived from distance-one masks."""
-    n = len(adj)
-    d2 = []
-    for v in range(n):
-        reach = 0
-        m = adj[v]
+def _square_masks(adj):
+    """Adjacency of the square G^2, whose edges are the constrained pairs:
+    per vertex, the other vertices within distance two."""
+    sq = []
+    for v, m in enumerate(adj):
+        reach = m
         while m:
             b = m & -m
             m ^= b
             reach |= adj[b.bit_length() - 1]
-        d2.append(reach & ~adj[v] & ~(1 << v))
-    return tuple(d2)
+        sq.append(reach & ~(1 << v))
+    return tuple(sq)
 
 
-def _lower_bound(n, d1, far):
+def _lower_bound(d1, sq):
     """Best of the three elementary bounds for a graph with >= 1 edge.
 
-    ``far`` holds the :func:`_far_masks`; the graph has diameter two when
-    all of them are empty.  The census starts from this alone;
-    :func:`lambda_number` raises it to the distance-two clique bound of
-    :func:`_square_cliques`.
+    The graph has diameter two when every vertex is within distance two of
+    all ``n - 1`` others in the square ``sq``.  The census starts from this
+    alone; :func:`lambda_number` raises it to the distance-two clique bound
+    of :func:`_square_cliques`.
     """
+    n = len(d1)
     lb = max(m.bit_count() for m in d1) + 1
     lb = max(lb, 2 * (_max_cliques(d1)[0].bit_count() - 1))
-    if not any(far):
+    if all(m.bit_count() == n - 1 for m in sq):
         lb = max(lb, n - 1)
     return lb
 
 
-def _square_cliques(d1, d2):
-    """Up to ``n`` maximum cliques of the square graph, as bitmasks.
+def _square_cliques(sq):
+    """Up to ``n`` maximum cliques of the square ``sq``, as bitmasks.
 
     A clique of the square is a vertex set pairwise within distance two, so
     its members need distinct labels and the span is at least its size less
     one.  The cap bounds the list on squares with very many maximum cliques.
     """
-    return _max_cliques([a | b for a, b in zip(d1, d2)], len(d1))
+    return _max_cliques(sq, len(sq))
 
 
 # ---------------------------------------------------------------------------
 # search core (shared with the census)
 # ---------------------------------------------------------------------------
 
-def _connected_order(d1, d2):
+def _connected_order(d1, sq):
     """Search order: the highest-degree vertex (lowest id on ties), then
     repeatedly the one with the most ordered vertices within distance two,
     ties by degree, then id.  A maximum-cardinality search (Tarjan and
@@ -299,27 +302,27 @@ def _connected_order(d1, d2):
         v = max(left, key=score.__getitem__)
         order.append(v)
         left.remove(v)
-        for u in _bits(d1[v] | d2[v]):
+        for u in _bits(sq[v]):
             score[u] += n * n
     return order
 
 
-def _span_table(d1, d2, k, cliques=()):
+def _span_table(d1, sq, k, cliques=()):
     """What every search at span ``k`` reads, and its root state.
 
     A search state is ``(word, held)``.  ``word`` packs the label domains, a
     field of ``w = k + 2`` bits per vertex: label ``y`` of ``u`` at bit
     ``shift[u] + y = u*w + 1 + y``, over a zero bit that also guards the
-    field below.  Labelling v with ``x`` clears ``clear[v] << x``: ``7`` at
-    the foot of each neighbour's field (labels ``x-1..x+1`` once shifted)
-    and ``2`` at each vertex at distance two (label ``x``); at ``x = 0`` and
-    ``x = k`` the shift reaches only zero bits.  ``high`` sets the guard
-    over every field and ``low`` holds every lowest label bit, so some field
-    is empty exactly when subtracting ``low`` borrows a guard.  The masks
-    reach placed and fixed vertices too, and no search order is needed:
-    forward checking already took every label within 1 of such a vertex's
-    label (equal to it, at distance two) from the vertices it constrains, so
-    no later step can empty its field.
+    field below.  Labelling v with ``x`` clears ``clear[v] << x``, over v's
+    neighbours in the square ``sq``: ``7`` at the foot of the field of each
+    neighbour in G (labels ``x-1..x+1`` once shifted) and ``2`` at each
+    other's (label ``x``); at ``x = 0`` and ``x = k`` the shift reaches only
+    zero bits.  ``high`` sets the guard over every field and ``low`` holds
+    every lowest label bit, so some field is empty exactly when subtracting
+    ``low`` borrows a guard.  The masks reach placed and fixed vertices too,
+    and no search order is needed: forward checking already took every label
+    within 1 of such a vertex's label (equal to it, at distance two) from
+    the vertices it constrains, so no later step can empty its field.
 
     The cliques of the square among ``cliques`` with ``k + 1`` members are
     *tight*: each needs every label once.  With some, ``held`` holds, label
@@ -345,10 +348,9 @@ def _span_table(d1, d2, k, cliques=()):
     pinned = [m.bit_count() == k - 1 for m in d1]
     word = every * 2 * full
     clear = []
-    for v, (l1, l2) in enumerate(zip(d1, d2)):
+    for v, (l1, m) in enumerate(zip(d1, sq)):
         if pinned[v]:
             word ^= (full ^ (1 | 1 << k)) << v * w + 1
-        m = l1 | l2
         s = 0
         while m:
             b = m & -m
@@ -370,8 +372,8 @@ def _span_table(d1, d2, k, cliques=()):
         lows = slots * sum(1 << j * w for j in range(len(tight)))
         placed = [sum(cols[u] for u in _bits(a))
                   * (1 | 1 << stride | 1 << 2 * stride)
-                  | (sum(cols[u] for u in _bits(b)) | cols[v]) << stride
-                  for v, (a, b) in enumerate(zip(d1, d2))]
+                  | (sum(cols[u] for u in _bits(b & ~a)) | cols[v]) << stride
+                  for v, (a, b) in enumerate(zip(d1, sq))]
         column = [c * slots for c in cols]
         held = sum(c * (ends if p else slots) for c, p in zip(cols, pinned))
         cover = (stride, lows, lows << k + 1, placed, column)
@@ -430,7 +432,7 @@ def _search_masks(table, order, state):
             return None
 
 
-def _min_span_masks(n, d1, d2):
+def _min_span_masks(d1):
     """Smallest feasible span for bitmask adjacency with >= 1 edge.
 
     One search per span upward from the elementary bounds alone, with no
@@ -441,10 +443,11 @@ def _min_span_masks(n, d1, d2):
     so the first vertex of the :func:`_connected_order` only needs the
     labels ``0..k//2``.
     """
-    order = _connected_order(d1, d2)
+    sq = _square_masks(d1)
+    order = _connected_order(d1, sq)
     # greedy labelling 0,2,4,... always works
-    for k in range(_lower_bound(n, d1, _far_masks(n, d1, d2)), 2 * n - 1):
-        table = _span_table(d1, d2, k)
+    for k in range(_lower_bound(d1, sq), 2 * len(d1) - 1):
+        table = _span_table(d1, sq, k)
         half = (1 << k + 1) - (1 << k // 2 + 1)  # the labels above k // 2
         word = table[-1][0] & ~(half << table[1][order[0]])
         if _search_masks(table, order, (word, 0)) is not None:
@@ -572,12 +575,6 @@ def _lex_least_witness(table, probe):
     return labels
 
 
-def _far_masks(n, d1, d2):
-    """Per vertex, the vertices at distance three or more, or unreachable."""
-    full = (1 << n) - 1
-    return [full & ~(a | b | 1 << v) for v, (a, b) in enumerate(zip(d1, d2))]
-
-
 def _far_partitions(far):
     """Every partition of the vertices into blocks of pairwise far vertices.
 
@@ -624,7 +621,7 @@ def _quotient(d1, blocks):
                  for i, t in enumerate(touch))
 
 
-def _partition_route(g, d1, d2, far):
+def _partition_route(g, d1, sq, far):
     """Span table and witness probe, by far-clique partitions.
 
     A colouring's label classes are pairwise far, so they partition the
@@ -658,7 +655,7 @@ def _partition_route(g, d1, d2, far):
             spans.append((k, blocks, comp))
     quotients = [([list(_bits(b)) for b in blocks], comp, {})
                  for span, blocks, comp in spans if span == k]
-    table = _span_table(d1, d2, k)
+    table = _span_table(d1, sq, k)
     shift = table[1]
     full = (1 << k + 1) - 1
 
@@ -707,22 +704,22 @@ def lambda_number(g: Graph) -> SolveReport:
         return SolveReport(0, c, ())
     n = g.n
     d1 = g.adj_masks
-    d2 = _second_neighbourhoods(d1)
-    far = _far_masks(n, d1, d2)
+    sq = _square_masks(d1)
+    far = _complement_masks(sq)
     # each far pair is counted at both of its vertices
     if sum(m.bit_count() for m in far) <= 2 * FAR_PAIR_LIMIT:
-        table, probe = _partition_route(g, d1, d2, far)
+        table, probe = _partition_route(g, d1, sq, far)
         k = table[0]
         labels = _lex_least_witness(table, probe)
         if labels is None:
             raise SpanSearchError(f"no colouring of span {k} found")
     else:
         # the span is the first k at which the witness search succeeds
-        order = _connected_order(d1, d2)
-        cliques = _square_cliques(d1, d2)
-        start = max(_lower_bound(n, d1, far), cliques[0].bit_count() - 1)
+        order = _connected_order(d1, sq)
+        cliques = _square_cliques(sq)
+        start = max(_lower_bound(d1, sq), cliques[0].bit_count() - 1)
         for k in range(start, 2 * n - 1):  # greedy 0,2,4,... always works
-            table = _span_table(d1, d2, k, cliques)
+            table = _span_table(d1, sq, k, cliques)
             labels = _lex_least_witness(
                 table, lambda state: _search_masks(table, order, state))
             if labels is not None:

@@ -115,7 +115,7 @@ class StandardisedGraph(_Record):
     def __post_init__(self):
         t = self.shape.t
         if t < 3:
-            raise ValueError("standardised graphs need span >= 3 (4 classes)")
+            raise ValueError(f"standardised graphs need span >= 3, got {t}")
         _check_construction_size("class pairs", t * (t - 1) // 2)
         _check_construction_size(
             "vertices plus edges", self.shape.n, edge_bound(self.shape)
@@ -192,8 +192,6 @@ def edge_standardise(g: Graph, c: Colouring):
     same shape and spread, and at least as many edges as ``g``.
     """
     cp = partition_of(g, c)
-    if cp.t < 3:
-        raise ValueError(f"standardisation needs span >= 3, got {cp.t}")
     sg = StandardisedGraph(shape_of(cp))
     corr = [0] * g.n
     for m, members in enumerate(cp.classes):

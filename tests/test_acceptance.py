@@ -37,7 +37,7 @@ from lambdacol import (
     PartitionShape,
 )
 from lambdacol.extremal import _sporadic_shape
-from lambdacol.solver import _min_span_masks, _second_neighbourhoods
+from lambdacol.solver import _min_span_masks
 from oracles import (
     all_graphs,
     brute_lambda,
@@ -276,7 +276,7 @@ def test_criterion_7_path_cover_theorem():
             if mask == 0:
                 lam = 0
             else:
-                lam = _min_span_masks(n, d1, _second_neighbourhoods(d1))
+                lam = _min_span_masks(d1)
             comp = frozenset(
                 pairs[i] for i in range(len(pairs)) if not mask >> i & 1
             )

@@ -349,6 +349,20 @@ def test_solver_fault_exits_one(capsys, tmp_path, monkeypatch):
     assert "error:" in err and "trivial upper bound" in err
 
 
+def test_embedding_fault_exits_one(capsys, tmp_path, monkeypatch):
+    # with partition_of's validity check skipped, a colouring that gives
+    # vertex 0 both its neighbours in class 3 leaves classes 0 and 3
+    # unmatched sets of different sizes
+    monkeypatch.setattr("lambdacol.standardise.is_lambda_colouring",
+                        lambda g, c: True)
+    star = write_colouring(tmp_path, "star.txt", "p 3 2\ne 0 1\ne 0 2\n")
+    col = write_colouring(tmp_path, "col.txt", "c 0 0\nc 1 3\nc 2 3\n")
+    code, out, err = run(capsys, "embed", star, col)
+    assert (code, out) == (1, "")
+    assert err == ("error: unmatched sets of classes 0 and 3 differ in size: "
+                   "1 vs 0\n")
+
+
 def test_failing_label_order_probes_exit_one(capsys, tmp_path, monkeypatch):
     # the path on 4 vertices has one far pair, so the partition route
     # decides it and its witness rests on the probes alone

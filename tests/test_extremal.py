@@ -491,8 +491,8 @@ def test_classify_raises_when_a_graph_beats_the_maximum(monkeypatch):
 
 
 def test_classify_rejects_out_of_scope_graphs():
-    with pytest.raises(ValueError):
-        classify(Graph.from_edges(2, [(0, 1)]))  # span 2
+    with pytest.raises(ValueError, match="^need span t >= 3, got 2$"):
+        classify(Graph.from_edges(2, [(0, 1)]))
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     with pytest.raises(ValueError):
         classify(k4)  # span 6 needs n >= 7

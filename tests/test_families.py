@@ -39,7 +39,7 @@ def test_path_complement_is_complement_of_a_path(n):
 
 
 def test_path_complement_rejects_small_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need t >= 3, got 2$"):
         path_complement(2)
 
 

@@ -22,6 +22,7 @@ from lambdacol import (
 import lambdacol.graphs as graphs_module
 from lambdacol.graphs import (
     _bits,
+    _complement_masks,
     _components,
     _greedy_path_count,
     _path_cover_bound,
@@ -29,7 +30,7 @@ from lambdacol.graphs import (
     _path_cover_number,
     _paths_needed,
 )
-from lambdacol.solver import _far_masks, _second_neighbourhoods
+from lambdacol.solver import _square_masks
 from oracles import (
     all_graphs,
     brute_path_cover,
@@ -72,6 +73,16 @@ def test_graph_validates_edges():
         Graph(-1, frozenset())
 
 
+@pytest.mark.parametrize("n,edges", [
+    (3, {(0.0, 1)}),  # accepted, then lambda_number indexed a list by it
+    (2.0, set()),
+    (3, {("0", "1")}),  # compared with 0 and raised TypeError
+])
+def test_graph_refuses_non_integer_input(n, edges):
+    with pytest.raises(ValueError, match="integer"):
+        Graph(n, frozenset(edges))
+
+
 def test_from_edges_normalises_orientation():
     g = Graph.from_edges(3, [(2, 0), (1, 2)])
     assert g.edges == frozenset({(0, 2), (1, 2)})
@@ -102,18 +113,17 @@ def test_complement_edge_count(g):
 
 @given(graphs())
 def test_distances_match_floyd_warshall(g):
-    # the neighbour, second-neighbour and far masks of u hold the vertices
-    # at distance 1, at distance 2 and at distance 3 or more from u
+    # the neighbour, square and far masks of u hold the vertices at
+    # distance 1, at distance 1 or 2 and at distance 3 or more from u
     ref = floyd_warshall(g)
     d1 = g.adj_masks
-    d2 = _second_neighbourhoods(d1)
-    far = _far_masks(g.n, d1, d2)
+    sq = _square_masks(d1)
+    far = _complement_masks(sq)
     for u in range(g.n):
-        dist = [0] * g.n
-        for d, mask in enumerate([d1[u], d2[u], far[u]], start=1):
-            for v in _bits(mask):
-                dist[v] = d
-        assert dist == [min(d, 3) for d in ref[u]]
+        dist = [min(d, 3) for d in ref[u]]
+        for want, mask in [({1}, d1[u]), ({1, 2}, sq[u]), ({3}, far[u])]:
+            assert list(_bits(mask)) == [v for v in range(g.n)
+                                         if dist[v] in want]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])

@@ -43,16 +43,15 @@ from lambdacol.graphs import (
 from lambdacol.solver import (
     FAR_PAIR_LIMIT,
     _connected_order,
-    _far_masks,
     _fix,
     _lex_least_witness,
     _lower_bound,
     _min_span_masks,
     _probe_in_label_order,
     _search_masks,
-    _second_neighbourhoods,
     _span_table,
     _square_cliques,
+    _square_masks,
 )
 from oracles import (
     all_graphs,
@@ -75,9 +74,8 @@ def P(n):
 
 def _far_pairs(g):
     """Pairs at distance three or more, or in different components."""
-    d1 = g.adj_masks
-    d2 = _second_neighbourhoods(d1)
-    return sum(g.n - 1 - (a | b).bit_count() for a, b in zip(d1, d2)) // 2
+    sq = _square_masks(g.adj_masks)
+    return sum(g.n - 1 - m.bit_count() for m in sq) // 2
 
 
 def K(n):
@@ -305,10 +303,9 @@ def test_path_cover_bound_is_no_weaker_than_the_checks_it_replaced(n):
         if not g.edges or _far_pairs(g):
             continue
         d1 = g.adj_masks
-        far = _far_masks(n, d1, _second_neighbourhoods(d1))
         comp = _complement_masks(d1)
         bound = _path_cover_bound(comp)
-        assert bound >= _lower_bound(n, d1, far) - n + 2, g
+        assert bound >= _lower_bound(d1, _square_masks(d1)) - n + 2, g
         assert bound >= _paths_needed(comp, (1 << n) - 1), g
 
 
@@ -345,11 +342,11 @@ def test_fix_is_the_list_forward_check(n):
         if not g.edges:
             continue
         d1 = g.adj_masks
-        d2 = _second_neighbourhoods(d1)
+        sq = _square_masks(d1)
         dist = floyd_warshall(g)
-        lb = _lower_bound(n, d1, _far_masks(n, d1, d2))
+        lb = _lower_bound(d1, sq)
         for span in range(lb, lambda_number(g).lambda_value + 2):
-            table = _span_table(d1, d2, span)
+            table = _span_table(d1, sq, span)
             dom = root_domains(g, span)
             assert _fields(table, table[-1]) == dom, (g, span)
             for v, (state,) in _fixed_prefixes([table], [table[-1]]):
@@ -371,13 +368,13 @@ def test_label_order_probe_agrees_with_the_dfs(n, above):
         if not g.edges or _far_pairs(g):
             continue
         d1 = g.adj_masks
-        d2 = _second_neighbourhoods(d1)
+        sq = _square_masks(d1)
         comp = _complement_masks(d1)
-        order = _connected_order(d1, d2)
+        order = _connected_order(d1, sq)
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
             gaps = {}
-            table = _span_table(d1, d2, span)
+            table = _span_table(d1, sq, span)
             for v, (state,) in _fixed_prefixes([table], [table[-1]]):
                 want = _search_masks(table, order, state)
                 dom = _fields(table, state)
@@ -397,11 +394,11 @@ def test_witness_search_succeeds_first_at_the_span(n):
         if not g.edges:
             continue
         d1 = g.adj_masks
-        d2 = _second_neighbourhoods(d1)
-        order = _connected_order(d1, d2)
-        cliques = _square_cliques(d1, d2)
-        for k in range(_lower_bound(n, d1, _far_masks(n, d1, d2)), 2 * n - 1):
-            table = _span_table(d1, d2, k, cliques)
+        sq = _square_masks(d1)
+        order = _connected_order(d1, sq)
+        cliques = _square_cliques(sq)
+        for k in range(_lower_bound(d1, sq), 2 * n - 1):
+            table = _span_table(d1, sq, k, cliques)
             got = _lex_least_witness(
                 table, lambda state: _search_masks(table, order, state))
             want = next(reference_colourings(g, k), None)
@@ -503,6 +500,9 @@ def test_span_search_past_the_trivial_bound_is_a_typed_error(monkeypatch):
     monkeypatch.setattr("lambdacol.solver._search_masks", lambda *a: None)
     with pytest.raises(SpanSearchError):
         lambda_number(P(7))
+    # and the census's search, on the same failing DFS
+    with pytest.raises(SpanSearchError):
+        _min_span_masks(P(7).adj_masks)
 
 
 def test_failing_label_order_probes_are_a_typed_error(monkeypatch):
@@ -536,9 +536,9 @@ def test_delta_bound_holds(g):
 def _square_clique_start(g):
     """The start of the span loop off the diameter-two route."""
     d1 = g.adj_masks
-    d2 = _second_neighbourhoods(d1)
-    return max(_lower_bound(g.n, d1, _far_masks(g.n, d1, d2)),
-               _square_cliques(d1, d2)[0].bit_count() - 1)
+    sq = _square_masks(d1)
+    return max(_lower_bound(d1, sq),
+               _square_cliques(sq)[0].bit_count() - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -549,13 +549,13 @@ def test_square_clique_bound_lies_between_the_elementary_bound_and_the_span(n):
     for g in all_graphs(n):
         if g.edges:
             d1 = g.adj_masks
-            d2 = _second_neighbourhoods(d1)
+            sq = _square_masks(d1)
             start = _square_clique_start(g)
-            lb = _lower_bound(n, d1, _far_masks(n, d1, d2))
+            lb = _lower_bound(d1, sq)
             assert start >= lb, g
             if start > lb:
                 raised += 1
-                assert start <= _min_span_masks(n, d1, d2), g
+                assert start <= _min_span_masks(d1), g
     # the first graphs the bound raises have six vertices (72 of them)
     assert raised or n < 6
     if n == 5:
@@ -563,8 +563,8 @@ def test_square_clique_bound_lies_between_the_elementary_bound_and_the_span(n):
         # one below the span, which the elementary bound reaches
         spider = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
         d1 = spider.adj_masks
-        d2 = _second_neighbourhoods(d1)
-        assert _square_cliques(d1, d2)[0].bit_count() - 1 == 3
+        sq = _square_masks(d1)
+        assert _square_cliques(sq)[0].bit_count() - 1 == 3
         assert _square_clique_start(spider) == 4
         assert lambda_number(spider).lambda_value == 4
 
@@ -579,11 +579,11 @@ def test_tight_clique_cut_keeps_every_completion(n):
     # completion with all vertices fixed, so none of them is cut either.
     for g in all_graphs(n):
         d1 = g.adj_masks
-        d2 = _second_neighbourhoods(d1)
-        cliques = _square_cliques(d1, d2)
+        sq = _square_masks(d1)
+        cliques = _square_cliques(sq)
         k = cliques[0].bit_count() - 1
-        order = _connected_order(d1, d2)
-        tables = [_span_table(d1, d2, k), _span_table(d1, d2, k, cliques)]
+        order = _connected_order(d1, sq)
+        tables = [_span_table(d1, sq, k), _span_table(d1, sq, k, cliques)]
         for v, (plain, cut) in _fixed_prefixes(
                 tables, [_unpinned(t) for t in tables]):
             want = _search_masks(tables[0], order, plain)
@@ -630,15 +630,15 @@ def test_search_returns_the_least_colouring_along_the_plan(n, above):
         if not g.edges:
             continue
         d1 = g.adj_masks
-        d2 = _second_neighbourhoods(d1)
-        order = _connected_order(d1, d2)
-        cliques = _square_cliques(d1, d2)
+        sq = _square_masks(d1)
+        order = _connected_order(d1, sq)
+        cliques = _square_cliques(sq)
         k = lambda_number(g).lambda_value
         for span in range(k, k + above + 1):
-            tables = [_span_table(d1, d2, span)]
+            tables = [_span_table(d1, sq, span)]
             # the cliques are maximum ones, so tight at this span only
             if span == cliques[0].bit_count() - 1:
-                tables.append(_span_table(d1, d2, span, cliques))
+                tables.append(_span_table(d1, sq, span, cliques))
             every = sorted(reference_colourings(g, span),
                            key=lambda c: [c[u] for u in order])
             for states, want in _least_inside(
@@ -738,8 +738,7 @@ def _square_clique_graphs():
         n = rng.randint(16, 20)
         g = _gnp(n, rng.uniform(1.5, 4.5) / (n - 1), rng)
         d1 = g.adj_masks
-        if _square_clique_start(g) > _lower_bound(
-                n, d1, _far_masks(n, d1, _second_neighbourhoods(d1))):
+        if _square_clique_start(g) > _lower_bound(d1, _square_masks(d1)):
             found += 1
             yield g
 
@@ -770,7 +769,7 @@ def test_witnesses_of_sparse_graphs_at_the_square_clique_bound():
 def test_census_runs_without_the_square_cliques(monkeypatch):
     # the census's spans stay independent of the distance-two clique bound,
     # and its search pays nothing for it
-    def refuse(d1, d2):
+    def refuse(sq):
         raise AssertionError("square cliques searched")
 
     monkeypatch.setattr(solver_module, "_square_cliques", refuse)
@@ -877,8 +876,7 @@ def _assert_routed_like_the_dfs(monkeypatch, g, pinned=None):
     at it, or the ``pinned`` pair of both, with no DFS when ``g`` has at
     most ``FAR_PAIR_LIMIT`` far pairs."""
     if pinned is None:
-        d1 = g.adj_masks
-        k = _min_span_masks(g.n, d1, _second_neighbourhoods(d1))
+        k = _min_span_masks(g.adj_masks)
         pinned = (k, reference_lex_witness(g, k))
 
     def refuse(*args):
@@ -965,8 +963,7 @@ def test_path_cover_route_agrees_with_solver(n):
         if g.edges:
             # the solver starts from the theorem at diameter two; the
             # theorem-free search must land on the same span
-            d1 = g.adj_masks
-            assert lam == _min_span_masks(n, d1, _second_neighbourhoods(d1)), g
+            assert lam == _min_span_masks(g.adj_masks), g
         if bound.exact:
             assert bound.path_cover >= 2
             assert lam == bound.value == g.n + bound.path_cover - 2

@@ -216,8 +216,9 @@ def test_edge_standardise_never_loses_edges(g):
 
 def test_edge_standardise_rejects_narrow_or_invalid():
     g = Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        edge_standardise(g, Colouring((0, 2)))  # span 2
+    with pytest.raises(ValueError,
+                       match="^standardised graphs need span >= 3, got 2$"):
+        edge_standardise(g, Colouring((0, 2)))
     g3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         edge_standardise(g3, Colouring((0, 0, 3)))  # invalid colouring
