@@ -3,10 +3,10 @@
 
 Usage: census_table.py [--max-n N]
 
-For each n up to the limit (default 6; at most the census cap, 7), run the
-census, which solves a graph from every isomorphism class exactly, and print
-the largest edge count per span next to the valid-shape maximum where the
-theory applies (3 <= t < n).
+For each n up to the limit (default 6; at most the census cap, 8), run the
+census, which decides the span of a graph from every isomorphism class
+wherever it could raise a maximum, and print the largest edge count per span
+next to the valid-shape maximum where the theory applies (3 <= t < n).
 """
 
 import argparse

@@ -39,7 +39,14 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 
 from .graphs import CapExceededError, Graph, _Record, _bits
-from .solver import _min_span_masks, lambda_number
+from .solver import (
+    _colourable,
+    _connected_order,
+    _lower_bound,
+    _min_span_masks,
+    _square_masks,
+    lambda_number,
+)
 from .shapes import (
     PartitionShape,
     dual_shape,
@@ -58,13 +65,15 @@ from .standardise import (
 #: :func:`max_edges` and :func:`predicted_shapes`.
 DEFAULT_MAX_SHAPES = 20_000_000
 
-#: Largest n for the census, checked by :func:`brute_force_graph_census`;
-#: n = 8 would solve 1,044 classes times 128 neighbourhoods, 133,632 graphs.
-CENSUS_CAP = 7
+#: Largest n for the census, checked by :func:`brute_force_graph_census`:
+#: n = 8 visits 1,044 classes times 128 neighbourhoods, 133,632 graphs, in
+#: about two seconds; n = 9 would visit 12,346 times 256, 3.2 million.
+CENSUS_CAP = 8
 
 #: Largest n that :func:`verify_classification` cross-checks against the
-#: census.  n = 7 takes about a second, but is left out so that ``verify``
-#: output and its goldens stay the same: each n = 7 line reads ``census=skip``.
+#: census.  n = 7 takes a quarter of a second, but is left out so that
+#: ``verify`` output and its goldens stay the same: each n = 7 line reads
+#: ``census=skip``.
 _CENSUS_CHECK_LIMIT = 6
 
 
@@ -469,17 +478,21 @@ def _graph_classes(n):
 def brute_force_graph_census(n):
     """Exact span of every graph on ``n`` vertices, summarised.
 
-    Returns {span: max edge count over graphs attaining that span}.  Span
-    and edge count are isomorphism invariants, so it solves the graphs of
-    :func:`_extensions`, which meet every isomorphism class: each
-    representative on ``n - 1`` vertices (156 of them at ``n = 7``) with
-    every neighbourhood of one more vertex.  Each is solved from the
-    elementary bounds alone (:func:`~lambdacol.solver._min_span_masks`),
-    independent of the shape search and of the solver's path-cover and
-    distance-two clique theorems.  ``n`` is capped at :data:`CENSUS_CAP`
-    (9,984 exact solves at 7, about a second).  Results are memoised per
+    Returns {span: max edge count over graphs attaining that span}, ordered
+    by span.  Span and edge count are isomorphism invariants, so it visits
+    the graphs of :func:`_extensions`, which meet every isomorphism class:
+    each representative on ``n - 1`` vertices (1,044 of them at ``n = 8``)
+    with every neighbourhood of one more vertex.  It decides only the graphs
+    that could raise a maximum, from the elementary bounds and a first-fit
+    labelling and by searches at single spans
+    (:func:`~lambdacol.solver._colourable`), independent of the shape search
+    and of the solver's path-cover and distance-two clique theorems.  ``n``
+    is an int capped at :data:`CENSUS_CAP` (133,632 graphs at 8, 1,131
+    searches at 7, about two seconds at 8).  Results are memoised per
     process.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n > CENSUS_CAP:
         raise CapExceededError(f"census limited to n <= {CENSUS_CAP}, got {n}")
     if n < 0:
@@ -487,17 +500,65 @@ def brute_force_graph_census(n):
     return dict(_census(n))
 
 
+def _edge_count(adj):
+    return sum(map(int.bit_count, adj)) // 2
+
+
+def _first_fit_span(d1, sq):
+    """Span of the first-fit labelling in id order: each vertex takes the
+    least label clear of ``x - 1..x + 1`` for its labelled neighbours and of
+    ``x`` for its labelled vertices at distance two."""
+    labels = []
+    for v, (l1, m) in enumerate(zip(d1, sq)):
+        banned = 0  # bit y + 1 for label y
+        for u in _bits(m & (1 << v) - 1):
+            banned |= (7 if l1 >> u & 1 else 2) << labels[u]
+        free = ~banned >> 1
+        labels.append((free & -free).bit_length() - 1)
+    return max(labels)
+
+
 @lru_cache(maxsize=None)
 def _census(n):
-    """The dict of :func:`brute_force_graph_census`, memoised per ``n``."""
+    """The dict of :func:`brute_force_graph_census`, memoised per ``n``.
+
+    The graphs go by decreasing edge count, and a graph is skipped when
+    every span it could have already has a maximum of at least its edges:
+    maxima only grow, so it could raise none.  The spans it could have are
+    first ``[Δ + 1, 2n - 2]``, from its degrees alone, then those from the
+    elementary bounds of :func:`~lambdacol.solver._lower_bound` to the span
+    of :func:`_first_fit_span`.  With one span ``k`` left open it counts
+    exactly when its span is ``k``: a search at ``k`` and one at ``k - 1``,
+    each unless a bound already decides it.  With more, it is solved.
+    """
     best = {0: 0}  # the edgeless graph, the only one of span 0
-    for d1 in _extensions(n) if n else ():
-        edges = sum(m.bit_count() for m in d1) // 2
-        if edges:
+    top = 2 * n - 2  # the span of the labelling 0, 2, 4, ...
+
+    def open_spans(lo, hi):
+        return [k for k in range(lo, hi + 1) if best.get(k, -1) < edges]
+
+    for d1 in sorted(_extensions(n) if n else (), key=_edge_count,
+                     reverse=True):
+        edges = _edge_count(d1)
+        if not edges:
+            break
+        lo = max(map(int.bit_count, d1)) + 1
+        if not open_spans(lo, top):
+            continue
+        sq = _square_masks(d1)
+        lo, hi = _lower_bound(d1, sq), _first_fit_span(d1, sq)
+        spans = open_spans(lo, hi)
+        if len(spans) == 1:
+            k = spans[0]
+            order = _connected_order(d1, sq)
+            if ((k == hi or _colourable(d1, sq, order, k))
+                    and (k == lo or not _colourable(d1, sq, order, k - 1))):
+                best[k] = edges
+        elif spans:
             lam = _min_span_masks(d1)
             if best.get(lam, -1) < edges:
                 best[lam] = edges
-    return best
+    return dict(sorted(best.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,10 @@ most one block), by two rules: a block left at the last label of its domain
 goes there, and a state that failed at a label fails at every later one.
 The DFS decides every other graph, and the census.
 The census keeps to three elementary bounds, ``max_degree + 1``,
-``2*(omega - 1)`` and ``n - 1`` at diameter two, and runs one search per
-span with no cut and no witness (:func:`_min_span_masks`), so the checks of
-the theorem stay independent of it and it pays nothing for the cliques of
-G^2.
+``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches one span at a
+time with no cut and no witness (:func:`_colourable`, which
+:func:`_min_span_masks` runs upward from the bounds), so the checks of the
+theorem stay independent of it and it pays nothing for the cliques of G^2.
 
 Every search, on both routes, runs on one packed state, built once per span
 with its masks (:func:`_span_table`, which alone decides which cliques are
@@ -432,25 +432,33 @@ def _search_masks(table, order, state):
             return None
 
 
+def _colourable(d1, sq, order, k):
+    """Whether bitmask adjacency ``d1`` with square ``sq`` has a colouring of
+    span ``k``: one search with no cut and no witness.
+
+    ``x -> k - x`` maps colourings of span ``k`` to colourings (and the root
+    domains of :func:`_span_table` to themselves), so the first vertex of
+    ``order`` only needs the labels ``0..k//2``.
+    """
+    table = _span_table(d1, sq, k)
+    half = (1 << k + 1) - (1 << k // 2 + 1)  # the labels above k // 2
+    word = table[-1][0] & ~(half << table[1][order[0]])
+    return _search_masks(table, order, (word, 0)) is not None
+
+
 def _min_span_masks(d1):
     """Smallest feasible span for bitmask adjacency with >= 1 edge.
 
-    One search per span upward from the elementary bounds alone, with no
-    cut and no witness: the census and the checks of the path-cover theorem
-    rely on it staying independent of path covers and of the solver's
-    witness loop.  ``x -> k - x`` maps colourings of span ``k`` to
-    colourings (and the root domains of :func:`_span_table` to themselves),
-    so the first vertex of the :func:`_connected_order` only needs the
-    labels ``0..k//2``.
+    One :func:`_colourable` search per span upward from the elementary
+    bounds alone: the census and the checks of the path-cover theorem rely
+    on it staying independent of path covers and of the solver's witness
+    loop.
     """
     sq = _square_masks(d1)
     order = _connected_order(d1, sq)
     # greedy labelling 0,2,4,... always works
     for k in range(_lower_bound(d1, sq), 2 * len(d1) - 1):
-        table = _span_table(d1, sq, k)
-        half = (1 << k + 1) - (1 << k // 2 + 1)  # the labels above k // 2
-        word = table[-1][0] & ~(half << table[1][order[0]])
-        if _search_masks(table, order, (word, 0)) is not None:
+        if _colourable(d1, sq, order, k):
             return k
     raise SpanSearchError("span search exceeded the trivial upper bound")
 

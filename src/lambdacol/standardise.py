@@ -173,13 +173,13 @@ def _is_layered_matching(g: Graph, class_of, shape: PartitionShape) -> bool:
     saturate their smaller class exactly when ``g`` has the shape's edge
     bound of edges.
     """
-    partnered = set()
+    partners = [0] * g.n  # bit c set once the vertex has a partner in c
     for u, v in g.edges:
         cu, cv = class_of[u], class_of[v]
-        if abs(cu - cv) < 2 or (u, cv) in partnered or (v, cu) in partnered:
+        if abs(cu - cv) < 2 or partners[u] >> cv & 1 or partners[v] >> cu & 1:
             return False
-        partnered.add((u, cv))
-        partnered.add((v, cu))
+        partners[u] |= 1 << cv
+        partners[v] |= 1 << cu
     return g.m == edge_bound(shape)
 
 

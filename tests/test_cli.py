@@ -216,7 +216,7 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert code == 1 and "at least 4" in err
     code, _, err = run(capsys, "maxedges", "3", "3")
     assert code == 1
-    code, _, err = run(capsys, "census", "8")
+    code, _, err = run(capsys, "census", "9")
     assert code == 1 and "census" in err
     code, _, err = run(capsys, "maxedges", "5000", "20")
     assert code == 1 and "error:" in err and "cap" in err

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from lambdacol import (
+    CENSUS_CAP,
     CapExceededError,
     Case,
     ClassificationError,
@@ -35,13 +37,16 @@ from lambdacol import (
     spread,
     verify_classification,
 )
+from lambdacol import extremal as extremal_module, solver as solver_module
 from lambdacol.extremal import (
     _SPORADIC_PATTERNS,
+    _extensions,
     _graph_classes,
     _layer_table,
     _max_edges_cached,
     _sporadic_shape,
 )
+from lambdacol.solver import _min_span_masks
 from oracles import (
     labelled_census,
     layered_matching,
@@ -555,7 +560,54 @@ def test_graph_class_counts_match_the_atlas():
 
 def test_census_cap():
     with pytest.raises(CapExceededError):
-        brute_force_graph_census(8)
+        brute_force_graph_census(9)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, 9.5, "4", None])
+def test_census_refuses_a_non_int_order(n):
+    # before the cap check, so 9.5 is a plain ValueError too
+    with pytest.raises(ValueError, match=re.escape(f"got {n!r}")) as exc:
+        brute_force_graph_census(n)
+    assert type(exc.value) is ValueError
+
+
+def _unpruned_census(n):
+    """{span: max edges}, every extension graph solved by _min_span_masks."""
+    best = {0: 0}
+    for d1 in _extensions(n) if n else ():
+        edges = sum(m.bit_count() for m in d1) // 2
+        if edges:
+            lam = _min_span_masks(d1)
+            best[lam] = max(best.get(lam, 0), edges)
+    return dict(sorted(best.items()))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_census_equals_the_unpruned_census(n):
+    census = brute_force_graph_census(n)
+    assert census == _unpruned_census(n)
+    assert list(census) == sorted(census)
+
+
+def test_census_at_8_equals_the_shape_maximum():
+    assert CENSUS_CAP == 8
+    census = brute_force_graph_census(8)
+    assert [census.get(t) for t in range(3, 8)] == [
+        max_edges(8, t)[0] for t in range(3, 8)] == [6, 9, 11, 15, 21]
+
+
+def test_census_at_7_skips_most_searches(monkeypatch):
+    # graphs that cannot raise a maximum are skipped, and most others are
+    # decided by a search at one span and one below: 13,364 searches
+    # without the skips, 1,131 with them
+    calls = []
+    search = solver_module._search_masks
+    monkeypatch.setattr(solver_module, "_search_masks",
+                        lambda *args: calls.append(1) or search(*args))
+    monkeypatch.setattr(extremal_module, "_census", lru_cache(maxsize=None)(
+        extremal_module._census.__wrapped__))
+    assert brute_force_graph_census(7)[12] == 21
+    assert 0 < len(calls) < 2000
 
 
 def test_census_never_reports_span_one():
