@@ -43,7 +43,6 @@ from .solver import (
     _colourable,
     _connected_order,
     _lower_bound,
-    _min_span_masks,
     _square_masks,
     lambda_number,
 )
@@ -83,6 +82,9 @@ class ClassificationError(RuntimeError):
 
 
 def _check_range(n, t):
+    for x in (n, t):
+        if not isinstance(x, int):
+            raise ValueError(f"n and t must be integers, got {x!r}")
     if t < 3:
         raise ValueError(f"need span t >= 3, got {t}")
     if n < t + 1:
@@ -483,13 +485,12 @@ def brute_force_graph_census(n):
     the graphs of :func:`_extensions`, which meet every isomorphism class:
     each representative on ``n - 1`` vertices (1,044 of them at ``n = 8``)
     with every neighbourhood of one more vertex.  It decides only the graphs
-    that could raise a maximum, from the elementary bounds and a first-fit
-    labelling and by searches at single spans
-    (:func:`~lambdacol.solver._colourable`), independent of the shape search
-    and of the solver's path-cover and distance-two clique theorems.  ``n``
-    is an int capped at :data:`CENSUS_CAP` (133,632 graphs at 8, 1,131
-    searches at 7, about two seconds at 8).  Results are memoised per
-    process.
+    that could raise a maximum, from the elementary bounds and by searches
+    at single spans (:func:`~lambdacol.solver._colourable`), independent of
+    the shape search and of the solver's path-cover and distance-two clique
+    theorems.  ``n`` is an int capped at :data:`CENSUS_CAP` (133,632 graphs
+    and 11,907 searches at 8, 1,116 searches at 7, about two seconds at 8).
+    Results are memoised per process.
     """
     if not isinstance(n, int):
         raise ValueError(f"vertex count must be an integer, got {n!r}")
@@ -504,60 +505,45 @@ def _edge_count(adj):
     return sum(map(int.bit_count, adj)) // 2
 
 
-def _first_fit_span(d1, sq):
-    """Span of the first-fit labelling in id order: each vertex takes the
-    least label clear of ``x - 1..x + 1`` for its labelled neighbours and of
-    ``x`` for its labelled vertices at distance two."""
-    labels = []
-    for v, (l1, m) in enumerate(zip(d1, sq)):
-        banned = 0  # bit y + 1 for label y
-        for u in _bits(m & (1 << v) - 1):
-            banned |= (7 if l1 >> u & 1 else 2) << labels[u]
-        free = ~banned >> 1
-        labels.append((free & -free).bit_length() - 1)
-    return max(labels)
-
-
 @lru_cache(maxsize=None)
 def _census(n):
     """The dict of :func:`brute_force_graph_census`, memoised per ``n``.
 
-    The graphs go by decreasing edge count, and a graph is skipped when
-    every span it could have already has a maximum of at least its edges:
-    maxima only grow, so it could raise none.  The spans it could have are
-    first ``[Δ + 1, 2n - 2]``, from its degrees alone, then those from the
-    elementary bounds of :func:`~lambdacol.solver._lower_bound` to the span
-    of :func:`_first_fit_span`.  With one span ``k`` left open it counts
-    exactly when its span is ``k``: a search at ``k`` and one at ``k - 1``,
-    each unless a bound already decides it.  With more, it is solved.
+    The graphs go by decreasing edge count.  A span is *open* to a graph
+    while no maximum of at least its edges has been found at that span;
+    maxima only grow, so a graph raises one exactly when its span is open.
+    It is skipped when no span it could have is open: first of
+    ``[Δ + 1, 2n - 2]``, from its degrees alone, then of ``[lo, 2n - 2]``,
+    from the elementary bounds ``lo`` of
+    :func:`~lambdacol.solver._lower_bound`.  Otherwise searches at ``lo``,
+    ``lo + 1``, ... find its span, the first that succeeds.  They never
+    search at ``2n - 2``, which every graph reaches, and they stop past the
+    greatest open span, on a span that is closed.
     """
     best = {0: 0}  # the edgeless graph, the only one of span 0
     top = 2 * n - 2  # the span of the labelling 0, 2, 4, ...
 
-    def open_spans(lo, hi):
-        return [k for k in range(lo, hi + 1) if best.get(k, -1) < edges]
+    def open_spans(lo):
+        return [k for k in range(lo, top + 1) if best.get(k, -1) < edges]
 
     for d1 in sorted(_extensions(n) if n else (), key=_edge_count,
                      reverse=True):
         edges = _edge_count(d1)
         if not edges:
             break
-        lo = max(map(int.bit_count, d1)) + 1
-        if not open_spans(lo, top):
+        if not open_spans(max(map(int.bit_count, d1)) + 1):
             continue
         sq = _square_masks(d1)
-        lo, hi = _lower_bound(d1, sq), _first_fit_span(d1, sq)
-        spans = open_spans(lo, hi)
-        if len(spans) == 1:
-            k = spans[0]
-            order = _connected_order(d1, sq)
-            if ((k == hi or _colourable(d1, sq, order, k))
-                    and (k == lo or not _colourable(d1, sq, order, k - 1))):
-                best[k] = edges
-        elif spans:
-            lam = _min_span_masks(d1)
-            if best.get(lam, -1) < edges:
-                best[lam] = edges
+        k = _lower_bound(d1, sq)
+        spans = open_spans(k)
+        if not spans:
+            continue
+        order = _connected_order(d1, sq)
+        while (k < top and k <= spans[-1]
+               and not _colourable(d1, sq, order, k)):
+            k += 1
+        if best.get(k, -1) < edges:
+            best[k] = edges
     return dict(sorted(best.items()))
 
 

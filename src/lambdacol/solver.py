@@ -71,11 +71,6 @@ Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
 most one block), by two rules: a block left at the last label of its domain
 goes there, and a state that failed at a label fails at every later one.
 The DFS decides every other graph, and the census.
-The census keeps to three elementary bounds, ``max_degree + 1``,
-``2*(omega - 1)`` and ``n - 1`` at diameter two, and searches one span at a
-time with no cut and no witness (:func:`_colourable`, which
-:func:`_min_span_masks` runs upward from the bounds), so the checks of the
-theorem stay independent of it and it pays nothing for the cliques of G^2.
 
 Every search, on both routes, runs on one packed state, built once per span
 with its masks (:func:`_span_table`, which alone decides which cliques are
@@ -444,23 +439,6 @@ def _colourable(d1, sq, order, k):
     half = (1 << k + 1) - (1 << k // 2 + 1)  # the labels above k // 2
     word = table[-1][0] & ~(half << table[1][order[0]])
     return _search_masks(table, order, (word, 0)) is not None
-
-
-def _min_span_masks(d1):
-    """Smallest feasible span for bitmask adjacency with >= 1 edge.
-
-    One :func:`_colourable` search per span upward from the elementary
-    bounds alone: the census and the checks of the path-cover theorem rely
-    on it staying independent of path covers and of the solver's witness
-    loop.
-    """
-    sq = _square_masks(d1)
-    order = _connected_order(d1, sq)
-    # greedy labelling 0,2,4,... always works
-    for k in range(_lower_bound(d1, sq), 2 * len(d1) - 1):
-        if _colourable(d1, sq, order, k):
-            return k
-    raise SpanSearchError("span search exceeded the trivial upper bound")
 
 
 def _fix(table, state, v, x):

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive — quadratic loops, full enumeration —
 and shares no code with the library, so agreement between the two is
-meaningful evidence.  The one exception, :func:`labelled_census`, reaches
-its spans by another route through the library than the code it checks.
-Sizes are expected to stay tiny.
+meaningful evidence.  The two exceptions reach their spans by another route
+through the library than the code they check: :func:`labelled_census` by
+:func:`lambda_number`, and :func:`_min_span_masks` by the solver's single-span
+search alone.  Sizes are expected to stay tiny.
 """
 
 from itertools import combinations, permutations, product
@@ -12,7 +13,19 @@ from math import inf
 
 import numpy as np
 
-from lambdacol import Colouring, Graph, PartitionShape, lambda_number
+from lambdacol import (
+    Colouring,
+    Graph,
+    PartitionShape,
+    SpanSearchError,
+    lambda_number,
+)
+from lambdacol.solver import (
+    _colourable,
+    _connected_order,
+    _lower_bound,
+    _square_masks,
+)
 
 
 def floyd_warshall(g: Graph):
@@ -226,6 +239,23 @@ def labelled_census(n):
         lam = lambda_number(g).lambda_value if g.edges else 0
         best[lam] = max(best.get(lam, 0), len(g.edges))
     return best
+
+
+def _min_span_masks(d1):
+    """Smallest feasible span for bitmask adjacency with >= 1 edge.
+
+    One :func:`_colourable` search per span upward from the elementary
+    bounds alone: the tests' unpruned census and the checks of the
+    path-cover theorem rely on it staying independent of path covers and
+    of the solver's witness loop.
+    """
+    sq = _square_masks(d1)
+    order = _connected_order(d1, sq)
+    # greedy labelling 0,2,4,... always works
+    for k in range(_lower_bound(d1, sq), 2 * len(d1) - 1):
+        if _colourable(d1, sq, order, k):
+            return k
+    raise SpanSearchError("span search exceeded the trivial upper bound")
 
 
 def layered_matching(sizes, injections=None):

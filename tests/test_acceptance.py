@@ -37,8 +37,8 @@ from lambdacol import (
     PartitionShape,
 )
 from lambdacol.extremal import _sporadic_shape
-from lambdacol.solver import _min_span_masks
 from oracles import (
+    _min_span_masks,
     all_graphs,
     brute_lambda,
     is_valid_by_distances,

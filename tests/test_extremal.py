@@ -46,8 +46,8 @@ from lambdacol.extremal import (
     _max_edges_cached,
     _sporadic_shape,
 )
-from lambdacol.solver import _min_span_masks
 from oracles import (
+    _min_span_masks,
     labelled_census,
     layered_matching,
     max_edges_by_rows,
@@ -571,6 +571,17 @@ def test_census_refuses_a_non_int_order(n):
     assert type(exc.value) is ValueError
 
 
+@pytest.mark.parametrize("check", [max_edges, predicted_shapes,
+                                   verify_classification])
+@pytest.mark.parametrize("n, t, bad", [(10.5, 3, 10.5), (10, 3.0, 3.0),
+                                       (10, "3", "3")])
+def test_shape_search_refuses_a_non_int_order_or_span(check, n, t, bad):
+    # not a TypeError from the arithmetic on n and t
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")) as exc:
+        check(n, t)
+    assert type(exc.value) is ValueError
+
+
 def _unpruned_census(n):
     """{span: max edges}, every extension graph solved by _min_span_masks."""
     best = {0: 0}
@@ -582,7 +593,8 @@ def _unpruned_census(n):
     return dict(sorted(best.items()))
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize(
+    "n", [*range(8), pytest.param(8, marks=pytest.mark.slow)])
 def test_census_equals_the_unpruned_census(n):
     census = brute_force_graph_census(n)
     assert census == _unpruned_census(n)
@@ -597,17 +609,19 @@ def test_census_at_8_equals_the_shape_maximum():
 
 
 def test_census_at_7_skips_most_searches(monkeypatch):
-    # graphs that cannot raise a maximum are skipped, and most others are
-    # decided by a search at one span and one below: 13,364 searches
-    # without the skips, 1,131 with them
+    # work counters: graphs that cannot raise a maximum are skipped, and the
+    # others are searched from the lower bound upwards, never at 2n - 2 nor
+    # past the greatest open span: 13,364 searches at 7 without the skips
     calls = []
     search = solver_module._search_masks
     monkeypatch.setattr(solver_module, "_search_masks",
                         lambda *args: calls.append(1) or search(*args))
-    monkeypatch.setattr(extremal_module, "_census", lru_cache(maxsize=None)(
-        extremal_module._census.__wrapped__))
-    assert brute_force_graph_census(7)[12] == 21
-    assert 0 < len(calls) < 2000
+    for n, searches in [(6, 169), (7, 1_116)]:
+        calls.clear()
+        monkeypatch.setattr(extremal_module, "_census", lru_cache(
+            maxsize=None)(extremal_module._census.__wrapped__))
+        brute_force_graph_census(n)
+        assert len(calls) == searches, n
 
 
 def test_census_never_reports_span_one():

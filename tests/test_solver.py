@@ -46,7 +46,6 @@ from lambdacol.solver import (
     _fix,
     _lex_least_witness,
     _lower_bound,
-    _min_span_masks,
     _probe_in_label_order,
     _search_masks,
     _span_table,
@@ -54,6 +53,7 @@ from lambdacol.solver import (
     _square_masks,
 )
 from oracles import (
+    _min_span_masks,
     all_graphs,
     brute_lambda,
     first_violation_by_distances,
@@ -500,9 +500,6 @@ def test_span_search_past_the_trivial_bound_is_a_typed_error(monkeypatch):
     monkeypatch.setattr("lambdacol.solver._search_masks", lambda *a: None)
     with pytest.raises(SpanSearchError):
         lambda_number(P(7))
-    # and the census's search, on the same failing DFS
-    with pytest.raises(SpanSearchError):
-        _min_span_masks(P(7).adj_masks)
 
 
 def test_failing_label_order_probes_are_a_typed_error(monkeypatch):
