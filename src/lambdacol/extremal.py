@@ -388,7 +388,6 @@ def classify(g: Graph) -> ClassificationReport:
     """
     report = lambda_number(g)
     t = report.lambda_value
-    _check_range(g.n, t)
     mx, argmax = max_edges(g.n, t)
     if g.m > mx:
         raise ClassificationError(

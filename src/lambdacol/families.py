@@ -114,10 +114,10 @@ def family_member(t: int, l: int):
     ``(l,) * (t+1)``.  Returns ``(graph, assignment)``; raises
     :class:`CapExceededError` above :data:`CONSTRUCTION_CAP`.
     """
-    if t < 3:  # before the size arithmetic or any shape is built
-        raise ValueError(f"need t >= 3, got {t}")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
+    if not isinstance(t, int) or t < 3:  # before any size arithmetic
+        raise ValueError(f"need t >= 3, got {t!r}")
+    if not isinstance(l, int) or l < 1:
+        raise ValueError(f"need l >= 1, got {l!r}")
     _check_member_size(t, l)
     sg = StandardisedGraph(PartitionShape((l,) * (t + 1)))
     return sg.graph(), FamilyAssignment(t, l, sg.class_labels)

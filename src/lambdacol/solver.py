@@ -62,15 +62,15 @@ At diameter two it is the only partition.  Each other quotient asks
 :mod:`~lambdacol.graphs` for its cover number, given only when the partition
 reaches the best span so far; that module alone decides whether the ``2^n``
 DP runs.
-Only the numbers are needed: the witness is built vertex by vertex in the
-same way, at that one span.  Each probe walks the labels ``0..k`` in
-order on each quotient of span ``k``, placing at each label a quotient
-neighbour of the block at the label before, or a hole
-(:func:`_probe_in_label_order`; the label-order subset search of Havet,
-Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of at
-most one block), by two rules: a block left at the last label of its domain
-goes there, and a state that failed at a label fails at every later one.
-The DFS decides every other graph, and the census.
+Only the numbers are needed: the route hands the span loop that one span and
+its probe, so the witness is built vertex by vertex in the same way.  Each
+probe walks the labels ``0..k`` in order on each quotient of span ``k``,
+placing at each label a quotient neighbour of the block at the label before,
+or a hole (:func:`_probe_in_label_order`; the label-order subset search of
+Havet, Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of
+at most one block), by two rules: a block left at the last label of its
+domain goes there, and a state that failed at a label fails at every later
+one.  The DFS decides every other graph, and the census.
 
 Every search, on both routes, runs on one packed state, built once per span
 with its masks (:func:`_span_table`, which alone decides which cliques are
@@ -133,7 +133,7 @@ class NotNormalisedError(GraphParseError):
 
 
 class SpanSearchError(RuntimeError):
-    """The span search passed the trivial upper bound: a solver fault."""
+    """No colouring at any span the search tried: a solver fault."""
 
 
 class Colouring(_Record):
@@ -528,12 +528,13 @@ def _lex_least_witness(table, probe):
     ``table`` of span ``k``, or None when there is none.
 
     Vertex by vertex in id order, labels still open to the vertex are tried
-    in ascending order: each is fixed (:func:`_fix`) and ``probe`` is asked
-    for a colouring from the fixed state, or None.  On the far-pair route
-    that is the label-order probe (:func:`_probe_in_label_order`) on each
-    quotient of span ``k`` in turn, sharing one ``gaps`` table per
-    quotient; else the DFS along the graph's one search order over
-    ``table``, so no probe builds an order or a table.  Reversal
+    in ascending order: each is fixed (:func:`_fix`), and
+    ``probe(table, state)`` returns a colouring from the fixed state, or
+    None.  On the far-pair route that is the label-order probe
+    (:func:`_probe_in_label_order`) on each quotient of span ``k`` in turn,
+    sharing one ``gaps`` table per quotient; else the DFS along the graph's
+    one search order.  Each route builds its probe once per graph, so no
+    probe is built per span or builds an order or a table.  Reversal
     ``x -> k - x`` maps colourings to colourings (and the root domains to
     themselves), so vertex 0 only tries the labels ``0..k//2``: when none
     of them extends, there is no colouring.  After that, each vertex only
@@ -551,7 +552,7 @@ def _lex_least_witness(table, probe):
             trial = _fix(table, state, v, x)
             if trial is None:
                 continue
-            got = probe(trial)
+            got = probe(table, trial)
             if got is not None:
                 labels = got
                 break
@@ -607,8 +608,8 @@ def _quotient(d1, blocks):
                  for i, t in enumerate(touch))
 
 
-def _partition_route(g, d1, sq, far):
-    """Span table and witness probe, by far-clique partitions.
+def _partition_route(g, d1, far):
+    """Span and witness probe, by far-clique partitions.
 
     A colouring's label classes are pairwise far, so they partition the
     vertices into blocks of :func:`_far_partitions`, each block at its own
@@ -624,9 +625,9 @@ def _partition_route(g, d1, sq, far):
     asks :func:`_path_cover_number` for its number below ``k - |P| + 3``,
     which comes only when the partition reaches span ``k``; ``k`` then
     drops to the partition's span, so every quotient at the least span is
-    known exactly.  The :func:`_span_table` of that span serves only the
-    witness search's fixes; the probe reads each member's domain out of the
-    fixed state.
+    known exactly.  The probe reads each member's domain out of the fixed
+    state of the :func:`_span_table` it is given, which serves only the
+    witness search's fixes.
     """
     k = g.n + g.complement_path_cover_number - 2
     spans = []
@@ -641,11 +642,10 @@ def _partition_route(g, d1, sq, far):
             spans.append((k, blocks, comp))
     quotients = [([list(_bits(b)) for b in blocks], comp, {})
                  for span, blocks, comp in spans if span == k]
-    table = _span_table(d1, sq, k)
-    shift = table[1]
-    full = (1 << k + 1) - 1
 
-    def probe(state):
+    def probe(table, state):
+        k, shift = table[:2]
+        full = (1 << k + 1) - 1
         word = state[0]
         for members, comp, gaps in quotients:
             dom = []
@@ -666,7 +666,7 @@ def _partition_route(g, d1, sq, far):
                     return labels
         return None
 
-    return table, probe
+    return k, probe
 
 
 # ---------------------------------------------------------------------------
@@ -694,24 +694,23 @@ def lambda_number(g: Graph) -> SolveReport:
     far = _complement_masks(sq)
     # each far pair is counted at both of its vertices
     if sum(m.bit_count() for m in far) <= 2 * FAR_PAIR_LIMIT:
-        table, probe = _partition_route(g, d1, sq, far)
-        k = table[0]
-        labels = _lex_least_witness(table, probe)
-        if labels is None:
-            raise SpanSearchError(f"no colouring of span {k} found")
+        k, probe = _partition_route(g, d1, far)
+        spans, cliques = (k,), ()
     else:
-        # the span is the first k at which the witness search succeeds
         order = _connected_order(d1, sq)
         cliques = _square_cliques(sq)
         start = max(_lower_bound(d1, sq), cliques[0].bit_count() - 1)
-        for k in range(start, 2 * n - 1):  # greedy 0,2,4,... always works
-            table = _span_table(d1, sq, k, cliques)
-            labels = _lex_least_witness(
-                table, lambda state: _search_masks(table, order, state))
-            if labels is not None:
-                break
-        else:
-            raise SpanSearchError("span search exceeded the trivial upper bound")
+        spans = range(start, 2 * n - 1)  # greedy 0,2,4,... always works
+
+        def probe(table, state):
+            return _search_masks(table, order, state)
+    # the span is the first k at which the witness search succeeds
+    for k in spans:
+        labels = _lex_least_witness(_span_table(d1, sq, k, cliques), probe)
+        if labels is not None:
+            break
+    else:
+        raise SpanSearchError(f"no colouring of span at most {spans[-1]} found")
     c = Colouring(tuple(labels))
     return SolveReport(k, c, holes_of(c))
 

@@ -112,6 +112,25 @@ def test_census_golden(capsys):
     assert out == "0 0\n2 2\n3 3\n4 4\n5 5\n6 6\n"
 
 
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    # each `$ lambdacol ...` line of the README's Examples block, run
+    # through main, prints the lines under it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ lambdacol "):
+            examples.append((line.split()[2:], ""))
+        else:
+            argv, want = examples[-1]
+            examples[-1] = (argv, want + line + "\n")
+    assert [argv for argv, _ in examples] == [
+        ["construct", "gn", "3"], ["maxedges", "8", "4"], ["verify", "9", "3"]]
+    for argv, want in examples:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, want), argv
+
+
 def test_pathcover_golden(capsys, g3_file):
     code, out, _ = run(capsys, "pathcover", g3_file)
     assert code == 0
@@ -337,16 +356,16 @@ def test_check_refuses_a_path_past_the_cap_before_any_mask(
 
 
 def test_solver_fault_exits_one(capsys, tmp_path, monkeypatch):
-    # a search that never succeeds runs past the trivial upper bound; the
-    # path on 7 vertices has 10 far pairs, too many for the partition route,
-    # so the DFS decides it
+    # a search that never succeeds runs up to the trivial upper bound,
+    # 2n - 2; the path on 7 vertices has 10 far pairs, too many for the
+    # partition route, so the DFS decides it
     p7 = tmp_path / "p7.txt"
     p7.write_text("p 7 6\n" + "".join(f"e {v} {v + 1}\n" for v in range(6)))
     assert FAR_PAIR_LIMIT < 10
     monkeypatch.setattr("lambdacol.solver._search_masks", lambda *a: None)
     code, out, err = run(capsys, "lambda", str(p7))
     assert code == 1 and out == ""
-    assert "error:" in err and "trivial upper bound" in err
+    assert err == "error: no colouring of span at most 12 found\n"
 
 
 def test_embedding_fault_exits_one(capsys, tmp_path, monkeypatch):

@@ -125,6 +125,31 @@ def test_family_member_refuses_width_zero_before_building(monkeypatch, t):
         family_member(t, 0)
 
 
+@pytest.mark.parametrize("t, l, message", [
+    (3.0, 1, "need t >= 3, got 3.0"),
+    ("3", 1, "need t >= 3, got '3'"),
+    (None, 1, "need t >= 3, got None"),
+    (3, 2.0, "need l >= 1, got 2.0"),
+    (3, "2", "need l >= 1, got '2'"),
+])
+def test_constructions_refuse_a_non_int_span_or_width(monkeypatch, t, l,
+                                                      message):
+    # named in the message, before the size cap's arithmetic (which raised a
+    # raw TypeError on these) or any shape
+    def refuse(*args):
+        raise AssertionError("sized or built")
+
+    for name in ("_check_member_size", "PartitionShape", "StandardisedGraph"):
+        monkeypatch.setattr(families, name, refuse)
+    builds = [lambda: family_member(t, l)]
+    if l == 1:
+        builds.append(lambda: path_complement(t))
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_membership_detects_tampering():
     g, fa = family_member(3, 2)
     # an intra-class edge

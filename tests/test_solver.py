@@ -400,7 +400,7 @@ def test_witness_search_succeeds_first_at_the_span(n):
         for k in range(_lower_bound(d1, sq), 2 * n - 1):
             table = _span_table(d1, sq, k, cliques)
             got = _lex_least_witness(
-                table, lambda state: _search_masks(table, order, state))
+                table, lambda table, state: _search_masks(table, order, state))
             want = next(reference_colourings(g, k), None)
             assert (got and tuple(got)) == want, (g, k)
             if want:
@@ -723,6 +723,30 @@ def test_one_plan_per_solve_and_one_table_per_span(
     assert counts["_connected_order"] == 1
     assert counts["_span_table"] == spans and counts["cut"] == 1
     assert counts["_search_masks"] == searches
+
+
+@pytest.mark.parametrize("g", [P(4), next(_diameter_two_graphs())],
+                         ids=["P4", "diameter-two-0"])
+def test_one_table_and_no_dfs_on_the_far_pair_route(monkeypatch, g):
+    # the far-pair route hands the span loop its one span: one search table,
+    # with no cliques, no search order, and every probe a label-order probe
+    assert _far_pairs(g) <= FAR_PAIR_LIMIT
+    counts = Counter()
+    for name in ("_connected_order", "_span_table", "_search_masks",
+                 "_probe_in_label_order"):
+        def counted(*args, _real=getattr(solver_module, name), _name=name):
+            counts[_name] += 1
+            if _name == "_span_table":
+                counts["cliques"] += len(args[3])
+            return _real(*args)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    rep = lambda_number(g)
+    assert is_valid_by_distances(g, rep.witness.labels)
+    assert rep.lambda_value == g.n + g.complement_path_cover_number - 2
+    assert counts["_span_table"] == 1 and counts["cliques"] == 0
+    assert counts["_connected_order"] == counts["_search_masks"] == 0
+    assert counts["_probe_in_label_order"] >= 1
 
 
 def _square_clique_graphs():
