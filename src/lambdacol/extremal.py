@@ -39,13 +39,7 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 
 from .graphs import CapExceededError, Graph, _Record, _bits
-from .solver import (
-    _colourable,
-    _connected_order,
-    _lower_bound,
-    _square_masks,
-    lambda_number,
-)
+from .solver import _least_span, lambda_number
 from .shapes import (
     PartitionShape,
     dual_shape,
@@ -484,12 +478,13 @@ def brute_force_graph_census(n):
     the graphs of :func:`_extensions`, which meet every isomorphism class:
     each representative on ``n - 1`` vertices (1,044 of them at ``n = 8``)
     with every neighbourhood of one more vertex.  It decides only the graphs
-    that could raise a maximum, from the elementary bounds and by searches
-    at single spans (:func:`~lambdacol.solver._colourable`), independent of
-    the shape search and of the solver's path-cover and distance-two clique
-    theorems.  ``n`` is an int capped at :data:`CENSUS_CAP` (133,632 graphs
-    and 11,907 searches at 8, 1,116 searches at 7, about two seconds at 8).
-    Results are memoised per process.
+    that could raise a maximum, each by the elementary bounds and searches
+    at single spans up to a ceiling (:func:`~lambdacol.solver._least_span`),
+    independent of the shape search and of the solver's path-cover and
+    distance-two clique theorems.  ``n`` is an int capped at
+    :data:`CENSUS_CAP` (133,632 graphs and 11,907 searches at 8, 1,116
+    searches at 7, about two seconds at 8).  Results are memoised per
+    process.
     """
     if not isinstance(n, int):
         raise ValueError(f"vertex count must be an integer, got {n!r}")
@@ -511,37 +506,20 @@ def _census(n):
     The graphs go by decreasing edge count.  A span is *open* to a graph
     while no maximum of at least its edges has been found at that span;
     maxima only grow, so a graph raises one exactly when its span is open.
-    It is skipped when no span it could have is open: first of
-    ``[Δ + 1, 2n - 2]``, from its degrees alone, then of ``[lo, 2n - 2]``,
-    from the elementary bounds ``lo`` of
-    :func:`~lambdacol.solver._lower_bound`.  Otherwise searches at ``lo``,
-    ``lo + 1``, ... find its span, the first that succeeds.  They never
-    search at ``2n - 2``, which every graph reaches, and they stop past the
-    greatest open span, on a span that is closed.
+    Each graph asks :func:`~lambdacol.solver._least_span` for its span up
+    to the greatest open span, its ceiling, and raises the maximum when the
+    span it gets is open.
     """
     best = {0: 0}  # the edgeless graph, the only one of span 0
-    top = 2 * n - 2  # the span of the labelling 0, 2, 4, ...
-
-    def open_spans(lo):
-        return [k for k in range(lo, top + 1) if best.get(k, -1) < edges]
-
     for d1 in sorted(_extensions(n) if n else (), key=_edge_count,
                      reverse=True):
         edges = _edge_count(d1)
         if not edges:
             break
-        if not open_spans(max(map(int.bit_count, d1)) + 1):
-            continue
-        sq = _square_masks(d1)
-        k = _lower_bound(d1, sq)
-        spans = open_spans(k)
-        if not spans:
-            continue
-        order = _connected_order(d1, sq)
-        while (k < top and k <= spans[-1]
-               and not _colourable(d1, sq, order, k)):
-            k += 1
-        if best.get(k, -1) < edges:
+        ceiling = next((k for k in range(2 * n - 2, 0, -1)
+                        if best.get(k, -1) < edges), 0)
+        k = _least_span(d1, ceiling)
+        if k is not None and best.get(k, -1) < edges:
             best[k] = edges
     return dict(sorted(best.items()))
 

@@ -34,7 +34,6 @@ from .graphs import Graph, _Record
 from .shapes import PartitionShape
 from .solver import Colouring
 from .standardise import (
-    CONSTRUCTION_CAP,
     StandardisedGraph,
     _check_construction_size,
     _is_layered_matching,

@@ -190,10 +190,6 @@ class Graph(_Record):
     def _sorted_edges(self) -> tuple:
         return tuple(sorted(self.edges))
 
-    def max_degree(self) -> int:
-        """Largest vertex degree; 0 for the empty or edgeless graph."""
-        return max((m.bit_count() for m in self.adj_masks), default=0)
-
     def complement(self) -> "Graph":
         """The graph with exactly the missing pairs as edges."""
         comp = frozenset(

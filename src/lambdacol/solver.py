@@ -70,7 +70,9 @@ or a hole (:func:`_probe_in_label_order`; the label-order subset search of
 Havet, Klazar, Kratochvil, Kratsch and Liedloff, 2011, with label classes of
 at most one block), by two rules: a block left at the last label of its
 domain goes there, and a state that failed at a label fails at every later
-one.  The DFS decides every other graph, and the census.
+one.  The DFS decides every other graph.  The census asks
+:func:`_least_span` for one graph's span up to a ceiling: the same DFS,
+one span at a time from the elementary bounds, with no cut and no witness.
 
 Every search, on both routes, runs on one packed state, built once per span
 with its masks (:func:`_span_table`, which alone decides which cliques are
@@ -256,9 +258,9 @@ def _lower_bound(d1, sq):
     """Best of the three elementary bounds for a graph with >= 1 edge.
 
     The graph has diameter two when every vertex is within distance two of
-    all ``n - 1`` others in the square ``sq``.  The census starts from this
-    alone; :func:`lambda_number` raises it to the distance-two clique bound
-    of :func:`_square_cliques`.
+    all ``n - 1`` others in the square ``sq``.  :func:`_least_span` starts
+    from this alone; :func:`lambda_number` raises it to the distance-two
+    clique bound of :func:`_square_cliques`.
     """
     n = len(d1)
     lb = max(m.bit_count() for m in d1) + 1
@@ -427,18 +429,35 @@ def _search_masks(table, order, state):
             return None
 
 
-def _colourable(d1, sq, order, k):
-    """Whether bitmask adjacency ``d1`` with square ``sq`` has a colouring of
-    span ``k``: one search with no cut and no witness.
+def _least_span(d1, ceiling):
+    """The span of bitmask adjacency ``d1`` (at least one edge) when it is at
+    most ``ceiling``, else None.
 
-    ``x -> k - x`` maps colourings of span ``k`` to colourings (and the root
-    domains of :func:`_span_table` to themselves), so the first vertex of
-    ``order`` only needs the labels ``0..k//2``.
+    The cheapest test goes first: ``None`` when ``max_degree + 1`` passes
+    ``ceiling``, before the square is built, then when the elementary bounds
+    of :func:`_lower_bound` do, before an order is built.  Then one search
+    per span, with no cut and no witness, from those bounds upward along
+    :func:`_connected_order`.  ``x -> k - x`` maps colourings of span ``k``
+    to colourings (and the root domains of :func:`_span_table` to
+    themselves), so the order's first vertex only needs the labels
+    ``0..k//2``.  Span ``2n - 2``, which every graph reaches, is never
+    searched, and no span past ``ceiling`` is.
     """
-    table = _span_table(d1, sq, k)
-    half = (1 << k + 1) - (1 << k // 2 + 1)  # the labels above k // 2
-    word = table[-1][0] & ~(half << table[1][order[0]])
-    return _search_masks(table, order, (word, 0)) is not None
+    if max(map(int.bit_count, d1)) + 1 > ceiling:
+        return None
+    sq = _square_masks(d1)
+    lo = _lower_bound(d1, sq)
+    if lo > ceiling:
+        return None
+    order = _connected_order(d1, sq)
+    top = 2 * len(d1) - 2  # the span of the labelling 0, 2, 4, ...
+    for k in range(lo, min(ceiling + 1, top)):
+        table = _span_table(d1, sq, k)
+        half = (1 << k + 1) - (1 << k // 2 + 1)  # the labels above k // 2
+        word = table[-1][0] & ~(half << table[1][order[0]])
+        if _search_masks(table, order, (word, 0)) is not None:
+            return k
+    return top if top <= ceiling else None
 
 
 def _fix(table, state, v, x):

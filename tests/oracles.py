@@ -4,8 +4,8 @@ Everything here is deliberately naive — quadratic loops, full enumeration —
 and shares no code with the library, so agreement between the two is
 meaningful evidence.  The two exceptions reach their spans by another route
 through the library than the code they check: :func:`labelled_census` by
-:func:`lambda_number`, and :func:`_min_span_masks` by the solver's single-span
-search alone.  Sizes are expected to stay tiny.
+:func:`lambda_number`, and :func:`_min_span_masks` by a loop of its own over
+the solver's single-span search.  Sizes are expected to stay tiny.
 """
 
 from itertools import combinations, permutations, product
@@ -21,9 +21,10 @@ from lambdacol import (
     lambda_number,
 )
 from lambdacol.solver import (
-    _colourable,
     _connected_order,
     _lower_bound,
+    _search_masks,
+    _span_table,
     _square_masks,
 )
 
@@ -41,6 +42,15 @@ def floyd_warshall(g: Graph):
                 if via < dist[i][j]:
                     dist[i][j] = via
     return dist
+
+
+def max_degree(g: Graph) -> int:
+    """Largest vertex degree, counted from the edge list; 0 when edgeless."""
+    degree = [0] * g.n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return max(degree, default=0)
 
 
 def first_violation_by_distances(g: Graph, labels):
@@ -244,16 +254,20 @@ def labelled_census(n):
 def _min_span_masks(d1):
     """Smallest feasible span for bitmask adjacency with >= 1 edge.
 
-    One :func:`_colourable` search per span upward from the elementary
-    bounds alone: the tests' unpruned census and the checks of the
-    path-cover theorem rely on it staying independent of path covers and
-    of the solver's witness loop.
+    One :func:`_search_masks` per span upward from the elementary bounds
+    alone, each from the root state of :func:`_span_table`.  The loop is
+    its own, apart from the census's :func:`_least_span`, and takes no
+    shortcut of it (no ceiling, no halving of the first vertex's labels):
+    the tests' unpruned census checks the census against it, and the checks
+    of the path-cover theorem rely on it staying independent of path covers
+    and of the solver's witness loop.
     """
     sq = _square_masks(d1)
     order = _connected_order(d1, sq)
     # greedy labelling 0,2,4,... always works
     for k in range(_lower_bound(d1, sq), 2 * len(d1) - 1):
-        if _colourable(d1, sq, order, k):
+        table = _span_table(d1, sq, k)
+        if _search_masks(table, order, table[-1]) is not None:
             return k
     raise SpanSearchError("span search exceeded the trivial upper bound")
 

@@ -43,6 +43,7 @@ from oracles import (
     brute_lambda,
     is_valid_by_distances,
     layered_matching,
+    max_degree,
 )
 
 
@@ -115,7 +116,7 @@ def test_criterion_3_embedding_and_degree_bound():
             if not g.edges:
                 continue
             rep = lambda_number(g)
-            assert g.max_degree() + 1 <= rep.lambda_value
+            assert max_degree(g) + 1 <= rep.lambda_value
             bounded += 1
             if rep.lambda_value < 3:
                 continue
@@ -305,7 +306,7 @@ def test_criterion_8_attaining_class_sizes_stay_in_the_window():
     assert is_valid_by_distances(g, labels)
     # A vertex of degree 2 forces span >= 3 (its neighbours are at distance
     # 2 from each other and 1 from it); the P3 component alone shows it.
-    assert g.max_degree() == 2
+    assert max_degree(g) == 2
     assert brute_lambda(Graph.from_edges(3, [(0, 1), (1, 2)])) == 3
     assert max(labels) == 3
     # Span 3 means maximum degree <= 2 and no path or cycle on >= 5

@@ -609,19 +609,29 @@ def test_census_at_8_equals_the_shape_maximum():
 
 
 def test_census_at_7_skips_most_searches(monkeypatch):
-    # work counters: graphs that cannot raise a maximum are skipped, and the
-    # others are searched from the lower bound upwards, never at 2n - 2 nor
-    # past the greatest open span: 13,364 searches at 7 without the skips
-    calls = []
-    search = solver_module._search_masks
-    monkeypatch.setattr(solver_module, "_search_masks",
-                        lambda *args: calls.append(1) or search(*args))
-    for n, searches in [(6, 169), (7, 1_116)]:
-        calls.clear()
+    # work counters: a graph whose degrees leave no span open builds no
+    # square and no bound, one whose elementary bounds leave none builds no
+    # order, and the others are searched from the lower bound upwards, never
+    # at 2n - 2 nor past the greatest open span: 13,364 searches at 7
+    # without the skips
+    names = ("_search_masks", "_lower_bound", "_connected_order")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(solver_module, name,
+                            counted(name, getattr(solver_module, name)))
+    for n, want in [(6, (169, 225, 162)), (7, (1_116, 1_800, 1_093))]:
+        calls.update(dict.fromkeys(names, 0))
         monkeypatch.setattr(extremal_module, "_census", lru_cache(
             maxsize=None)(extremal_module._census.__wrapped__))
         brute_force_graph_census(n)
-        assert len(calls) == searches, n
+        assert tuple(calls.values()) == want, n
 
 
 def test_census_never_reports_span_one():

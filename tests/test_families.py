@@ -16,7 +16,12 @@ from lambdacol import (
     path_complement,
 )
 from lambdacol import families
-from oracles import all_graphs, floyd_warshall, layered_matching
+from oracles import (
+    all_graphs,
+    floyd_warshall,
+    layered_matching,
+    max_degree,
+)
 from test_graphs import graphs
 
 
@@ -264,4 +269,4 @@ def test_embed_rejects_invalid_or_narrow_colourings():
 @settings(max_examples=40, deadline=None)
 def test_delta_bound_on_all_enumerated(g):
     if g.edges:
-        assert g.max_degree() + 1 <= lambda_number(g).lambda_value
+        assert max_degree(g) + 1 <= lambda_number(g).lambda_value

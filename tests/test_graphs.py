@@ -93,7 +93,6 @@ def test_from_edges_normalises_orientation():
 def test_adjacency_and_degrees():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
     assert g.adj_masks[1].bit_count() == 3 and g.adj_masks[0].bit_count() == 1
-    assert g.max_degree() == 3
     assert g.adj_masks[1] == 0b1101
 
 

@@ -75,6 +75,26 @@ def test_no_assert_statements_in_the_library():
     assert asserts == []
 
 
+def test_every_library_import_is_read():
+    # a name a module imports but never reads is dead weight; __init__.py
+    # imports to re-export, so it is left out
+    unread = []
+    for path in sorted((ROOT / "src" / "lambdacol").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unread == []
+
+
 _SHAPE = PartitionShape((1, 1, 1, 1))
 # each record class with its fields in order and, where its constructor
 # checks them, field values that check refuses

@@ -44,6 +44,7 @@ from lambdacol.solver import (
     FAR_PAIR_LIMIT,
     _connected_order,
     _fix,
+    _least_span,
     _lex_least_witness,
     _lower_bound,
     _probe_in_label_order,
@@ -60,6 +61,7 @@ from oracles import (
     floyd_warshall,
     forward_check,
     is_valid_by_distances,
+    max_degree,
     optimal_witness_by_brute_force,
     reference_colourings,
     reference_lex_witness,
@@ -514,16 +516,16 @@ def test_failing_label_order_probes_are_a_typed_error(monkeypatch):
 
 def test_delta_lower_bound():
     # span >= max_degree + 1: tight on the path, loose on the clique
-    assert P(4).max_degree() + 1 == lambda_number(P(4)).lambda_value == 3
-    assert K(4).max_degree() + 1 == 4 < lambda_number(K(4)).lambda_value
-    assert Graph(3, frozenset()).max_degree() == 0
+    assert max_degree(P(4)) + 1 == lambda_number(P(4)).lambda_value == 3
+    assert max_degree(K(4)) + 1 == 4 < lambda_number(K(4)).lambda_value
+    assert max_degree(Graph(3, frozenset())) == 0
 
 
 @given(graphs(max_n=6))
 @settings(max_examples=60, deadline=None)
 def test_delta_bound_holds(g):
     if g.edges:
-        assert lambda_number(g).lambda_value >= g.max_degree() + 1
+        assert lambda_number(g).lambda_value >= max_degree(g) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +804,22 @@ def test_census_runs_without_the_square_cliques(monkeypatch):
         extremal_module._census.__wrapped__))
     assert extremal_module.brute_force_graph_census(4) == {
         0: 0, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
+
+
+def test_least_span_is_the_span_up_to_the_ceiling():
+    # every labelled graph with 2 <= n <= 5 and an edge, at every ceiling
+    # 0..2n - 2: the span when the ceiling reaches it, else None
+    pairs = 0
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            if not g.edges:
+                continue
+            lam = lambda_number(g).lambda_value
+            for c in range(2 * n - 1):
+                want = lam if lam <= c else None
+                assert _least_span(g.adj_masks, c) == want, (g, c)
+                pairs += 1
+    assert pairs == 9_686
 
 
 # ---------------------------------------------------------------------------
