@@ -34,7 +34,6 @@ from .graphs import (
     path_cover_number,
 )
 from .solver import (
-    CHECK_CAP,
     Colouring,
     DuplicateVertexError,
     MissingVertexError,

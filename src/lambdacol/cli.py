@@ -167,7 +167,7 @@ def _cmd_verify(args):
 
 
 def _cmd_census(args):
-    table = sorted(brute_force_graph_census(args.n).items())
+    table = list(brute_force_graph_census(args.n).items())
     return ({"n": args.n, "table": table},
             "".join(f"{lam} {m}\n" for lam, m in table))
 

@@ -503,12 +503,11 @@ def _edge_count(adj):
 def _census(n):
     """The dict of :func:`brute_force_graph_census`, memoised per ``n``.
 
-    The graphs go by decreasing edge count.  A span is *open* to a graph
-    while no maximum of at least its edges has been found at that span;
-    maxima only grow, so a graph raises one exactly when its span is open.
-    Each graph asks :func:`~lambdacol.solver._least_span` for its span up
-    to the greatest open span, its ceiling, and raises the maximum when the
-    span it gets is open.
+    The graphs go by non-increasing edge count, so the first graph found at
+    a span holds that span's maximum: a span is *open* until its first
+    graph.  Each graph asks :func:`~lambdacol.solver._least_span` for its
+    span up to the greatest open span, its ceiling, and sets that span's
+    maximum when the span it gets is open.
     """
     best = {0: 0}  # the edgeless graph, the only one of span 0
     for d1 in sorted(_extensions(n) if n else (), key=_edge_count,
@@ -517,9 +516,9 @@ def _census(n):
         if not edges:
             break
         ceiling = next((k for k in range(2 * n - 2, 0, -1)
-                        if best.get(k, -1) < edges), 0)
+                        if k not in best), 0)
         k = _least_span(d1, ceiling)
-        if k is not None and best.get(k, -1) < edges:
+        if k is not None and k not in best:
             best[k] = edges
     return dict(sorted(best.items()))
 

@@ -150,8 +150,9 @@ def embed_universal(g: Graph, c: Colouring):
     labelled subgraph under ``injection`` (the identity: original vertices
     keep their ids, padding takes fresh ids in class order) and passes
     :func:`is_family_member` with width ``l`` = largest colour class of ``c``.
-    Raises :class:`CapExceededError` when that member exceeds
-    :data:`CONSTRUCTION_CAP`, before it is built.
+    Each vertex's neighbour classes are read off the edge list, so the work
+    is linear in the member's size.  Raises :class:`CapExceededError` when
+    that member exceeds :data:`CONSTRUCTION_CAP`, before it is built.
     """
     cp = partition_of(g, c)
     t = cp.t
@@ -172,15 +173,17 @@ def embed_universal(g: Graph, c: Colouring):
         for v in members:
             class_of[v] = m
 
-    adj = g.adj_masks
-    in_class = [sum(1 << v for v in cl) for cl in cp.classes]
+    partners = [0] * g.n  # bit p set once the vertex has a neighbour in p
+    for u, v in g.edges:
+        partners[u] |= 1 << c.labels[v]
+        partners[v] |= 1 << c.labels[u]
     edges = set(g.edges)
     for m in range(t + 1):
         for p in range(m + 2, t + 1):
             z_mp = [v for v in padded[m]
-                    if v >= g.n or not adj[v] & in_class[p]]
+                    if v >= g.n or not partners[v] >> p & 1]
             z_pm = [v for v in padded[p]
-                    if v >= g.n or not adj[v] & in_class[m]]
+                    if v >= g.n or not partners[v] >> m & 1]
             if len(z_mp) != len(z_pm):
                 raise EmbeddingConsistencyError(
                     f"unmatched sets of classes {m} and {p} differ in size: "

@@ -132,8 +132,8 @@ class Graph(_Record):
     """An undirected simple graph on vertices ``0..n-1``.
 
     ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``.  Instances
-    are immutable and hashable; neighbours are read from the bitmasks
-    :attr:`adj_masks`, computed once and cached.
+    are immutable and hashable; the exact searches read neighbours from the
+    bitmasks :attr:`adj_masks`, computed once and cached.
     """
 
     n: int
@@ -161,7 +161,9 @@ class Graph(_Record):
 
     @cached_property
     def adj_masks(self) -> tuple:
-        """Neighbour sets as bitmasks (bit ``v`` set iff ``v`` adjacent)."""
+        """Neighbour sets as bitmasks (bit ``v`` set iff ``v`` adjacent), read
+        only by the solver and the path covers, each after its
+        :data:`DEFAULT_SOLVER_CAP` check."""
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v

@@ -4,10 +4,10 @@ A *colouring* here is a total map ``c`` from vertices to non-negative integer
 labels such that ``|c(u) - c(v)| + d(u, v) >= 3`` for every pair of distinct
 vertices: adjacent vertices need labels at least 2 apart, vertices at distance
 two need distinct labels, and pairs further apart (or disconnected) are
-unconstrained.  So every check and search here reads G and the square G^2,
-whose edges are the constrained pairs.  The *span* of the graph is the least
-achievable maximum label (minimum label normalised to 0), written
-``lambda_number`` below.
+unconstrained.  So every search here reads G and the square G^2, whose
+edges are the constrained pairs, and the check reads the edge list.  The
+*span* of the graph is the least achievable maximum label (minimum label
+normalised to 0), written ``lambda_number`` below.
 
 The solver iterates candidate spans upward from a lower bound and, at each
 span ``k``, searches for the lexicographically least colouring with labels
@@ -103,10 +103,6 @@ from .graphs import (
     _significant_lines,
 )
 
-#: Largest order :func:`find_violation` checks: its masks take up to n bits
-#: per vertex (a path at the cap peaks near 110 MB).
-CHECK_CAP = 25_000
-
 #: Most far pairs, at distance three or more, of a graph that
 #: :func:`lambda_number` decides by its far-clique partitions rather than by
 #: the DFS.  The partitions it enumerates number at most ``2^f`` for ``f``
@@ -168,27 +164,30 @@ def find_violation(g: Graph, c: Colouring):
 
     Returns ``(u, v, distance)`` with ``u < v`` for the lexicographically
     first offending pair: an edge whose labels differ by less than 2, or a
-    distance-two pair with equal labels.  Raises :class:`CapExceededError`
-    above :data:`CHECK_CAP` vertices, before any mask is built.
+    distance-two pair with equal labels.  Vertices within distance two are
+    adjacent or share a neighbour, so one pass over the edges finds both
+    kinds, in time linear in the edges apart from sorting neighbour lists.
     """
     if len(c.labels) != g.n:
         raise ValueError(f"colouring covers {len(c.labels)} vertices, graph has {g.n}")
-    if g.n > CHECK_CAP:
-        raise CapExceededError(
-            f"colouring check limited to n <= {CHECK_CAP}, got {g.n}"
-        )
     lab = c.labels
-    d1 = g.adj_masks
-    sq = _square_masks(d1)
-    for u in range(g.n):
-        # only pairs within distance two can break the condition
-        for v in _bits(sq[u] >> (u + 1) << (u + 1)):
-            if d1[u] >> v & 1:
-                if abs(lab[u] - lab[v]) < 2:
-                    return (u, v, 1)
-            elif lab[u] == lab[v]:
-                return (u, v, 2)
-    return None
+    nbrs = [[] for _ in range(g.n)]
+    bad = []
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        if abs(lab[u] - lab[v]) < 2:
+            bad.append((u, v))
+    for vs in nbrs:
+        first = {}  # label -> least neighbour holding it
+        for v in sorted(vs):
+            u = first.setdefault(lab[v], v)
+            if u != v:
+                bad.append((u, v))
+    if not bad:
+        return None
+    u, v = min(bad)
+    return (u, v, 1 if (u, v) in g.edges else 2)
 
 
 def is_lambda_colouring(g: Graph, c: Colouring) -> bool:
@@ -203,10 +202,7 @@ def is_lambda_colouring(g: Graph, c: Colouring) -> bool:
 def holes_of(c: Colouring) -> tuple:
     """Unused labels strictly between 0 and the largest used label."""
     used = set(c.labels)
-    if not used:
-        return ()
-    top = max(used)
-    return tuple(h for h in range(1, top) if h not in used)
+    return tuple(h for h in range(1, c.span) if h not in used)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lambdacol import (
-    CHECK_CAP, Graph, GraphParseError, parse_colouring, parse_graph,
-)
+from lambdacol import Graph, GraphParseError, parse_colouring, parse_graph
 from lambdacol.solver import FAR_PAIR_LIMIT
 from lambdacol.cli import main
 
@@ -336,23 +334,38 @@ def test_check_on_a_long_path_reads_only_pairs_within_distance_two(
     assert secs < 10.0
 
 
-def test_check_refuses_a_path_past_the_cap_before_any_mask(
+def test_coloured_verbs_on_a_long_path_build_no_mask(
         capsys, tmp_path, monkeypatch):
-    # the masks take up to n bits per vertex, so none may be built first
+    # the check and the embedding read the edge list, so no verb here
+    # builds the n-bit adjacency masks
     def refuse(self):
         raise AssertionError("masks built")
 
     monkeypatch.setattr(Graph, "adj_masks", property(refuse))
-    n = CHECK_CAP + 1
+    n = 30_000
     g, c = graph_and_colouring(
         tmp_path,
         f"p {n} {n - 1}\n" + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)),
-        "".join(f"c {v} {2 * (v % 3)}\n" for v in range(n)),
+        "".join(f"c {v} {2 * v % 5}\n" for v in range(n)),
     )
-    code, out, err, secs = run_timed(capsys, "check", g, c)
-    assert (code, out) == (1, "")
-    assert err == f"error: colouring check limited to n <= {CHECK_CAP}, got {n}\n"
-    assert secs < 1.0
+    assert run(capsys, "check", g, c)[:2] == (0, "valid span=4\n")
+    code, out, _ = run(capsys, "standardise", g, c)
+    assert code == 0 and out.startswith("shape 6000,6000,6000,6000,6000\n")
+    code, out, _ = run(capsys, "embed", g, c)
+    assert code == 0 and out.startswith("p 30000 36000\n")
+
+
+def test_check_on_a_large_star_is_linear_in_its_edges(capsys, tmp_path):
+    # 3 * 10^8 pairs within distance two, all through the centre
+    n = 25_000
+    g, c = graph_and_colouring(
+        tmp_path,
+        f"p {n} {n - 1}\n" + "".join(f"e 0 {v}\n" for v in range(1, n)),
+        "c 0 0\n" + "".join(f"c {v} {v + 1}\n" for v in range(1, n)),
+    )
+    code, out, _, secs = run_timed(capsys, "check", g, c)
+    assert (code, out) == (0, f"valid span={n}\n")
+    assert secs < 5.0
 
 
 def test_solver_fault_exits_one(capsys, tmp_path, monkeypatch):

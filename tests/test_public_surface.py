@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 
 PUBLIC = [
-    "CENSUS_CAP", "CHECK_CAP", "CONSTRUCTION_CAP", "CapExceededError", "Case",
+    "CENSUS_CAP", "CONSTRUCTION_CAP", "CapExceededError", "Case",
     "ClassificationError", "ClassificationReport", "ColouredPartition",
     "Colouring", "DEFAULT_MAX_SHAPES", "DEFAULT_SOLVER_CAP",
     "DuplicateEdgeError", "DuplicateVertexError", "EmbeddingConsistencyError",
