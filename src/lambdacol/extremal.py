@@ -369,16 +369,16 @@ def is_stationary(g: Graph, partition: ColouredPartition):
 def classify(g: Graph) -> ClassificationReport:
     """Where ``g`` stands among graphs of its order and span.
 
-    Solves the span exactly (so ``g.n`` must be within the solver cap),
-    requires span >= 3 and ``n >= span + 1``, and reports either
-    ``NOT_MAXIMAL`` or the classification case: ``DIVISIBLE`` when
-    ``(span+1) | n``, else ``EQUITABLE_MIN_K`` or ``SPORADIC`` according to
-    the witness shape, read from the solver's lexicographically least
-    optimal witness.  At equality with the maximum that witness's shape
-    meets the edge bound exactly, so it attains the maximum and its
-    partition is stationary.  A graph with more edges than the maximum, or
-    a maximal one whose witness is not stationary or not attaining, raises
-    :class:`ClassificationError`.
+    Solves the span exactly, so above :data:`DEFAULT_SOLVER_CAP` vertices
+    it raises the solver's :class:`CapExceededError`.  Requires span >= 3
+    and ``n >= span + 1``, and reports either ``NOT_MAXIMAL`` or the
+    classification case: ``DIVISIBLE`` when ``(span+1) | n``, else
+    ``EQUITABLE_MIN_K`` or ``SPORADIC`` according to the witness shape,
+    read from the solver's lexicographically least optimal witness.  At
+    equality with the maximum that witness's shape meets the edge bound
+    exactly, so it attains the maximum and its partition is stationary.  A
+    graph with more edges than the maximum, or a maximal one whose witness
+    is not stationary or not attaining, raises :class:`ClassificationError`.
     """
     report = lambda_number(g)
     t = report.lambda_value

@@ -64,10 +64,10 @@ class FamilyAssignment(_Record):
     class_of: tuple
 
     def __post_init__(self):
-        if self.t < 3:
-            raise ValueError(f"need t >= 3, got {self.t}")
-        if self.l < 1:
-            raise ValueError(f"need l >= 1, got {self.l}")
+        if not isinstance(self.t, int) or self.t < 3:
+            raise ValueError(f"need t >= 3, got {self.t!r}")
+        if not isinstance(self.l, int) or self.l < 1:
+            raise ValueError(f"need l >= 1, got {self.l!r}")
         if len(self.class_of) != (self.t + 1) * self.l:
             raise ValueError(
                 f"expected {(self.t + 1) * self.l} vertices, got {len(self.class_of)}"

@@ -19,9 +19,9 @@ line.
 from functools import cached_property
 from operator import attrgetter
 
-#: Largest order :func:`lambda_number` solves and whose path cover number
-#: :func:`_path_cover_number` counts: the cover's dynamic programme visits
-#: all ``2^n`` vertex subsets.
+#: Largest order whose :attr:`Graph.adj_masks` are built, so the largest
+#: :func:`lambda_number` solves and whose path cover number
+#: :func:`_path_cover_number` counts: its DP visits all ``2^n`` subsets.
 DEFAULT_SOLVER_CAP = 24
 
 
@@ -131,15 +131,17 @@ class _Record:
 class Graph(_Record):
     """An undirected simple graph on vertices ``0..n-1``.
 
-    ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``.  Instances
-    are immutable and hashable; the exact searches read neighbours from the
-    bitmasks :attr:`adj_masks`, computed once and cached.
+    ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``, made from
+    whatever container is given.  Instances are immutable and hashable; the
+    exact searches read neighbours from the bitmasks :attr:`adj_masks`,
+    computed once and cached, and refused above :data:`DEFAULT_SOLVER_CAP`.
     """
 
     n: int
     edges: frozenset
 
     def __post_init__(self):
+        _setattr(self, "edges", frozenset(self.edges))
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(
                 f"vertex count must be a non-negative integer, got {self.n!r}"
@@ -162,8 +164,14 @@ class Graph(_Record):
     @cached_property
     def adj_masks(self) -> tuple:
         """Neighbour sets as bitmasks (bit ``v`` set iff ``v`` adjacent), read
-        only by the solver and the path covers, each after its
-        :data:`DEFAULT_SOLVER_CAP` check."""
+        only by the solver and the path covers.  Raises
+        :class:`CapExceededError` above :data:`DEFAULT_SOLVER_CAP` vertices,
+        before any mask is built: the one cap check of the exact searches."""
+        if self.n > DEFAULT_SOLVER_CAP:
+            raise CapExceededError(
+                f"exact searches limited to n <= {DEFAULT_SOLVER_CAP}, "
+                f"got {self.n}"
+            )
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v
@@ -175,9 +183,8 @@ class Graph(_Record):
         """The path cover number of the complement.
 
         Raises :class:`CapExceededError` above :data:`DEFAULT_SOLVER_CAP`
-        vertices, before any masks are built.
+        vertices, from :attr:`adj_masks`.
         """
-        _check_cover_cap(self.n)
         return _path_cover_number(_complement_masks(self.adj_masks), self.n + 1)
 
     @property
@@ -232,19 +239,9 @@ def path_cover_number(g: Graph) -> int:
     Isolated vertices are length-zero paths, so the answer is between 1 and
     ``n`` for any non-empty graph (and 0 for the empty one).  From
     :func:`_path_cover_number`.  Raises :class:`CapExceededError` when ``n``
-    exceeds :data:`DEFAULT_SOLVER_CAP`, before any masks are built.
+    exceeds :data:`DEFAULT_SOLVER_CAP`, from :attr:`Graph.adj_masks`.
     """
-    _check_cover_cap(g.n)
     return _path_cover_number(g.adj_masks, g.n + 1)
-
-
-def _check_cover_cap(n):
-    """Refuse a cover of more than :data:`DEFAULT_SOLVER_CAP` vertices."""
-    if n > DEFAULT_SOLVER_CAP:
-        raise CapExceededError(
-            f"path cover limited to n <= {DEFAULT_SOLVER_CAP} vertices, "
-            f"got {n}"
-        )
 
 
 def _complement_masks(adj):

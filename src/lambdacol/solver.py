@@ -89,8 +89,6 @@ domain out of it.
 """
 
 from .graphs import (
-    CapExceededError,
-    DEFAULT_SOLVER_CAP,
     Graph,
     GraphParseError,
     MalformedLineError,
@@ -691,20 +689,17 @@ def _partition_route(g, d1, far):
 def lambda_number(g: Graph) -> SolveReport:
     """Exact span of ``g`` with the lexicographically least optimal witness.
 
-    Raises :class:`CapExceededError` when ``g.n`` exceeds
-    :data:`DEFAULT_SOLVER_CAP` and ``ValueError`` on the empty graph.
+    Raises ``ValueError`` on the empty graph and :class:`CapExceededError`
+    above :data:`DEFAULT_SOLVER_CAP` vertices, from ``g.adj_masks``, read
+    first so that an edgeless graph past the cap is refused too.
     """
     if g.n == 0:
         raise ValueError("span of the empty graph is undefined")
-    if g.n > DEFAULT_SOLVER_CAP:
-        raise CapExceededError(
-            f"exact solver limited to n <= {DEFAULT_SOLVER_CAP}, got {g.n}"
-        )
+    d1 = g.adj_masks
     if not g.edges:
         c = Colouring((0,) * g.n)
         return SolveReport(0, c, ())
     n = g.n
-    d1 = g.adj_masks
     sq = _square_masks(d1)
     far = _complement_masks(sq)
     # each far pair is counted at both of its vertices
@@ -737,7 +732,7 @@ def lambda_via_path_cover(g: Graph) -> PathCoverBound:
     exactly when the span is ``n + t - 2``, provided ``t >= 2``; when the
     complement has a Hamilton path (``t = 1``) the span is only bounded above
     by ``n - 1``.  Raises :class:`CapExceededError` above
-    :data:`DEFAULT_SOLVER_CAP` vertices.
+    :data:`DEFAULT_SOLVER_CAP` vertices, from ``g.adj_masks``.
     """
     if g.n == 0:
         raise ValueError("span of the empty graph is undefined")

@@ -56,8 +56,10 @@ class ColouredPartition(_Record):
     classes: tuple
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("span must be non-negative")
+        if not isinstance(self.t, int) or self.t < 0:
+            raise ValueError(
+                f"span must be a non-negative integer, got {self.t!r}"
+            )
         if len(self.classes) != self.t + 1:
             raise ValueError(
                 f"expected {self.t + 1} classes, got {len(self.classes)}"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lambdacol import (
     CapExceededError,
+    Case,
     DuplicateEdgeError,
     EndpointRangeError,
     Graph,
@@ -15,7 +16,10 @@ from lambdacol import (
     MalformedLineError,
     MissingHeaderError,
     SelfLoopError,
+    classify,
     format_graph,
+    lambda_number,
+    lambda_via_path_cover,
     parse_graph,
     path_cover_number,
 )
@@ -259,9 +263,36 @@ def test_path_cover_cap():
         path_cover_number(Graph(25, frozenset()))
 
 
+def test_every_exact_search_refuses_past_the_cap_with_one_message():
+    # the masks refuse themselves, so each entry point fails in one place
+    g = Graph(25, frozenset({(0, 1)}))
+    searches = (
+        lambda g: g.adj_masks, lambda_number, path_cover_number,
+        lambda_via_path_cover, classify,
+    )
+    for search in searches:
+        with pytest.raises(CapExceededError) as err:
+            search(g)
+        assert str(err.value) == "exact searches limited to n <= 24, got 25"
+    path = Graph.from_edges(24, [(v, v + 1) for v in range(23)])
+    assert len(path.adj_masks) == 24
+    assert lambda_number(path).lambda_value == 4
+    assert path_cover_number(path) == 1
+    assert lambda_via_path_cover(path).path_cover == 1
+    assert classify(path).case is Case.NOT_MAXIMAL
+
+
 # ---------------------------------------------------------------------------
 # files
 # ---------------------------------------------------------------------------
+
+def test_graph_keeps_its_edges_as_a_frozenset():
+    g = Graph(3, [(0, 1), (0, 1)])
+    want = Graph(3, frozenset({(0, 1)}))
+    assert g.m == 1 and type(g.edges) is frozenset
+    assert g == want and hash(g) == hash(want)
+    assert parse_graph(format_graph(g)) == want
+
 
 def test_parse_format_roundtrip():
     g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 3)])

@@ -62,8 +62,19 @@ def test_partition_of_refuses_classes_above_the_cap():
         partition_of(g, Colouring((0, CONSTRUCTION_CAP)))
 
 
+def test_partition_records_refuse_a_non_integer_span_or_width():
+    with pytest.raises(ValueError, match=r"need t >= 3, got 3\.0"):
+        FamilyAssignment(3.0, 1, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match=r"need l >= 1, got 1\.0"):
+        FamilyAssignment(3, 1.0, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match=r"non-negative integer, got 2\.0"):
+        ColouredPartition(2.0, (frozenset(),) * 3)
+    with pytest.raises(ValueError, match="non-negative integer, got '3'"):
+        ColouredPartition("3", ())
+
+
 def test_coloured_partition_validation():
-    with pytest.raises(ValueError, match="span must be non-negative"):
+    with pytest.raises(ValueError, match="span must be a non-negative integer"):
         ColouredPartition(-1, ())
     with pytest.raises(ValueError):
         ColouredPartition(1, (frozenset({0}),))  # wrong class count
