@@ -52,7 +52,6 @@ from .solver import (
 )
 from .families import (
     EmbeddingConsistencyError,
-    FamilyAssignment,
     embed_universal,
     family_member,
     is_family_member,

@@ -102,18 +102,18 @@ def _cmd_construct(args):
         return _graph_json(g), format_graph(g)
     if len(args.params) != 2:
         raise _Usage("construct gtl takes two arguments: T L")
-    g, fa = family_member(_int_arg(args.params[0], "T"),
-                          _int_arg(args.params[1], "L"))
-    return ({**_graph_json(g), "classes": list(fa.class_of)},
-            format_graph(g) + _indexed("v", fa.class_of))
+    g, part = family_member(_int_arg(args.params[0], "T"),
+                            _int_arg(args.params[1], "L"))
+    return ({**_graph_json(g), "classes": list(part.class_of)},
+            format_graph(g) + _indexed("v", part.class_of))
 
 
 def _cmd_embed(args):
-    host, fa, injection = embed_universal(*_read_coloured(args))
+    host, part, injection = embed_universal(*_read_coloured(args))
     return (
-        {"host": _graph_json(host), "classes": list(fa.class_of),
+        {"host": _graph_json(host), "classes": list(part.class_of),
          "injection": list(injection)},
-        format_graph(host) + _indexed("v", fa.class_of)
+        format_graph(host) + _indexed("v", part.class_of)
         + _indexed("map", injection),
     )
 

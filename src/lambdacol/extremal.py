@@ -342,19 +342,12 @@ def is_stationary(g: Graph, partition: ColouredPartition):
     pairs matched, saturating the smaller class), then the shape condition
     (near-equal, or a sporadic letter on the shape or its reversal).
     """
-    covered = set()
-    for cl in partition.classes:
-        covered |= set(cl)
-    if covered != set(range(g.n)):
+    if len(partition.class_of) != g.n:
         raise ValueError("partition does not cover exactly the graph's vertices")
     shape = shape_of(partition)
     if not is_valid_shape(shape):
         return False, None
-    class_of = [0] * g.n
-    for m, cl in enumerate(partition.classes):
-        for v in cl:
-            class_of[v] = m
-    if not _is_layered_matching(g, class_of, shape):
+    if not _is_layered_matching(g, partition.class_of, shape):
         return False, None
     st = _stationary_type_of(shape)
     if st is None:

@@ -18,7 +18,8 @@ edges and span exactly ``t``; the class map itself is a valid colouring.
 Width-1 members are exactly the :func:`path_complement` graphs.  A member is
 a layered matching on the shape ``(l,) * (t+1)``: :func:`family_member`
 builds the rank-aligned one with the builder of :mod:`lambdacol.standardise`,
-and :func:`is_family_member` recognises every one with its checker.
+and :func:`is_family_member` recognises every one with its checker, on
+that module's :class:`ColouredPartition`.
 
 The family is universal: any graph with a valid colouring of span ``t`` sits
 inside some member with ``l`` equal to its largest colour class.
@@ -30,14 +31,16 @@ neighbours in one other class, so the cross-class edges already present form
 a partial matching.
 """
 
-from .graphs import Graph, _Record
+from .graphs import Graph
 from .shapes import PartitionShape
 from .solver import Colouring
 from .standardise import (
+    ColouredPartition,
     StandardisedGraph,
     _check_construction_size,
     _is_layered_matching,
     partition_of,
+    shape_of,
 )
 
 
@@ -48,37 +51,6 @@ class EmbeddingConsistencyError(RuntimeError):
     sizes; the result a family member) are theorems for valid colourings,
     so this error indicates a bug, not bad input.
     """
-
-
-class FamilyAssignment(_Record):
-    """Partition of ``(t+1)*l`` vertices into classes ``0..t`` of size ``l``.
-
-    ``class_of[v]`` is the class of vertex ``v``.  The constructor enforces
-    the size discipline, so instances always describe a legal layer layout;
-    whether the *edges* of a graph respect it is :func:`is_family_member`'s
-    question.
-    """
-
-    t: int
-    l: int
-    class_of: tuple
-
-    def __post_init__(self):
-        if not isinstance(self.t, int) or self.t < 3:
-            raise ValueError(f"need t >= 3, got {self.t!r}")
-        if not isinstance(self.l, int) or self.l < 1:
-            raise ValueError(f"need l >= 1, got {self.l!r}")
-        if len(self.class_of) != (self.t + 1) * self.l:
-            raise ValueError(
-                f"expected {(self.t + 1) * self.l} vertices, got {len(self.class_of)}"
-            )
-        counts = [0] * (self.t + 1)
-        for m in self.class_of:
-            if not 0 <= m <= self.t:
-                raise ValueError(f"class index {m} out of range 0..{self.t}")
-            counts[m] += 1
-        if any(k != self.l for k in counts):
-            raise ValueError(f"class sizes {counts} are not all {self.l}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,31 +82,37 @@ def family_member(t: int, l: int):
     Vertices are numbered class-major (``class * l + index``), and index
     ``i`` of every class is joined to index ``i`` of each class at index
     distance two or more: the standardised graph of the shape
-    ``(l,) * (t+1)``.  Returns ``(graph, assignment)``; raises
+    ``(l,) * (t+1)``.  Returns ``(graph, partition)``; raises
     :class:`CapExceededError` above :data:`CONSTRUCTION_CAP`.
     """
-    if not isinstance(t, int) or t < 3:  # before any size arithmetic
+    if type(t) is not int or t < 3:  # before any size arithmetic
         raise ValueError(f"need t >= 3, got {t!r}")
-    if not isinstance(l, int) or l < 1:
+    if type(l) is not int or l < 1:
         raise ValueError(f"need l >= 1, got {l!r}")
     _check_member_size(t, l)
     sg = StandardisedGraph(PartitionShape((l,) * (t + 1)))
-    return sg.graph(), FamilyAssignment(t, l, sg.class_labels)
+    return sg.graph(), sg.partition()
 
 
-def is_family_member(g: Graph, fa: FamilyAssignment) -> bool:
-    """Return ``True`` when ``g``'s edges realise the layer structure of ``fa``.
+def is_family_member(g: Graph, partition: ColouredPartition) -> bool:
+    """Whether ``g``'s edges realise the layer structure of ``partition``.
 
-    Requires: no edge inside a class or between consecutive classes, and a
-    perfect matching between every pair of classes at index distance >= 2
-    (a matching saturating one of two equal classes is perfect).
+    Requires span ``t >= 3`` and ``t + 1`` classes of one size ``l >= 1``
+    (else ``False``), no edge inside a class or between consecutive classes,
+    and a perfect matching between every pair of classes at index distance
+    >= 2 (a matching saturating one of two equal classes is perfect).
     """
-    if len(fa.class_of) != g.n:
+    if len(partition.class_of) != g.n:
         raise ValueError(
-            f"assignment covers {len(fa.class_of)} vertices, graph has {g.n}"
+            f"partition covers {len(partition.class_of)} vertices, "
+            f"graph has {g.n}"
         )
-    shape = PartitionShape((fa.l,) * (fa.t + 1))
-    return _is_layered_matching(g, fa.class_of, shape)
+    t, l = partition.t, g.n // (partition.t + 1)
+    if t < 3 or l < 1:  # then t + 1 <= n, so the sizes are counted cheaply
+        return False
+    shape = shape_of(partition)
+    return (shape.sizes == (l,) * (t + 1)
+            and _is_layered_matching(g, partition.class_of, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +124,7 @@ def embed_universal(g: Graph, c: Colouring):
 
     ``c`` must be a valid colouring of ``g`` with span ``t >= 3`` (optimality
     is the caller's business — the construction only needs validity).  Returns
-    ``(gstar, assignment, injection)`` where ``gstar`` contains ``g`` as a
+    ``(gstar, partition, injection)`` where ``gstar`` contains ``g`` as a
     labelled subgraph under ``injection`` (the identity: original vertices
     keep their ids, padding takes fresh ids in class order) and passes
     :func:`is_family_member` with width ``l`` = largest colour class of ``c``.
@@ -158,32 +136,27 @@ def embed_universal(g: Graph, c: Colouring):
     t = cp.t
     if t < 3:
         raise ValueError(f"embedding needs span >= 3, got {t}")
-    width = max(len(cl) for cl in cp.classes)
+    sizes = shape_of(cp).sizes
+    width = max(sizes)
     _check_member_size(t, width)
 
-    # originals ascending, then fresh ids, so every class is in id order
-    next_id = g.n
-    padded = []
-    for cl in cp.classes:
-        pad = width - len(cl)
-        padded.append(sorted(cl) + list(range(next_id, next_id + pad)))
-        next_id += pad
-    class_of = [0] * next_id
-    for m, members in enumerate(padded):
-        for v in members:
-            class_of[v] = m
+    # fresh ids pad each class in turn, so every class is in id order
+    class_of = list(cp.class_of)
+    for m, size in enumerate(sizes):
+        class_of += [m] * (width - size)
+    padded = [[] for _ in range(t + 1)]
+    for v, m in enumerate(class_of):
+        padded[m].append(v)
 
-    partners = [0] * g.n  # bit p set once the vertex has a neighbour in p
+    partners = [0] * len(class_of)  # bit p set once v has a neighbour in p
     for u, v in g.edges:
-        partners[u] |= 1 << c.labels[v]
-        partners[v] |= 1 << c.labels[u]
+        partners[u] |= 1 << class_of[v]
+        partners[v] |= 1 << class_of[u]
     edges = set(g.edges)
     for m in range(t + 1):
         for p in range(m + 2, t + 1):
-            z_mp = [v for v in padded[m]
-                    if v >= g.n or not partners[v] >> p & 1]
-            z_pm = [v for v in padded[p]
-                    if v >= g.n or not partners[v] >> m & 1]
+            z_mp = [v for v in padded[m] if not partners[v] >> p & 1]
+            z_pm = [v for v in padded[p] if not partners[v] >> m & 1]
             if len(z_mp) != len(z_pm):
                 raise EmbeddingConsistencyError(
                     f"unmatched sets of classes {m} and {p} differ in size: "
@@ -192,8 +165,8 @@ def embed_universal(g: Graph, c: Colouring):
             for a, b in zip(z_mp, z_pm):
                 edges.add((min(a, b), max(a, b)))
 
-    gstar = Graph(next_id, frozenset(edges))
-    fa = FamilyAssignment(t, width, tuple(class_of))
-    if not is_family_member(gstar, fa):
+    gstar = Graph(len(class_of), frozenset(edges))
+    partition = ColouredPartition(t, tuple(class_of))
+    if not is_family_member(gstar, partition):
         raise EmbeddingConsistencyError("the padded graph is not a family member")
-    return gstar, fa, tuple(range(g.n))
+    return gstar, partition, tuple(range(g.n))

@@ -132,9 +132,10 @@ class Graph(_Record):
     """An undirected simple graph on vertices ``0..n-1``.
 
     ``edges`` is a frozenset of pairs ``(u, v)`` with ``u < v``, made from
-    whatever container is given.  Instances are immutable and hashable; the
-    exact searches read neighbours from the bitmasks :attr:`adj_masks`,
-    computed once and cached, and refused above :data:`DEFAULT_SOLVER_CAP`.
+    whatever container is given; ``n`` and the endpoints are ints, not
+    bools.  Instances are immutable and hashable; the exact searches read
+    neighbours from the bitmasks :attr:`adj_masks`, computed once and cached,
+    and refused above :data:`DEFAULT_SOLVER_CAP`.
     """
 
     n: int
@@ -142,18 +143,21 @@ class Graph(_Record):
 
     def __post_init__(self):
         _setattr(self, "edges", frozenset(self.edges))
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise ValueError(
                 f"vertex count must be a non-negative integer, got {self.n!r}"
             )
         for e in self.edges:
-            u, v = e
-            if not (isinstance(u, int) and isinstance(v, int)):
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of vertices") from None
+            if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge {e} must join integer vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
+                raise ValueError(f"edge {e} must have 0 <= u < v < n={self.n}")
 
     @classmethod
     def from_edges(cls, n, edges) -> "Graph":

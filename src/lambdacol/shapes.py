@@ -40,7 +40,7 @@ class PartitionShape(_Record):
         if len(self.sizes) < 1:
             raise ValueError("a shape needs at least one class")
         for s in self.sizes:
-            if not isinstance(s, int) or s < 0:
+            if type(s) is not int or s < 0:
                 raise ValueError(f"class sizes must be non-negative integers, got {s!r}")
 
     @property

@@ -143,7 +143,7 @@ class Colouring(_Record):
 
     def __post_init__(self):
         for x in self.labels:
-            if not isinstance(x, int) or x < 0:
+            if type(x) is not int or x < 0:
                 raise ValueError(f"labels must be non-negative integers, got {x!r}")
         if self.labels and min(self.labels) != 0:
             raise ValueError("colouring must be normalised: minimum label 0")

@@ -1,7 +1,9 @@
 """Coloured partitions and the rank-aligned standardised graph.
 
 A colouring of span ``t`` partitions the vertices into classes ``C_0..C_t``
-(some possibly empty — holes).  The *standardised graph* of a pair ``(g, c)``
+(some possibly empty — holes).  :class:`ColouredPartition`, a class map, is
+the one record of such a partition that every construction returns and
+every check reads.  The *standardised graph* of a pair ``(g, c)``
 keeps the vertex set and the partition but replaces the edge set with the
 one determined purely by the shape: rank the vertices of each class
 by ascending id, then join rank ``i`` of class ``m`` with rank ``i`` of class
@@ -50,51 +52,47 @@ def _check_construction_size(what, *counts):
 
 
 class ColouredPartition(_Record):
-    """Ordered colour classes ``C_0..C_t`` (disjoint vertex sets, empties ok)."""
+    """Colour classes ``C_0..C_t``, empties allowed, as a class map:
+    ``class_of[v]`` is vertex ``v``'s class, an ``int`` (not a ``bool``)."""
 
     t: int
-    classes: tuple
+    class_of: tuple
 
     def __post_init__(self):
-        if not isinstance(self.t, int) or self.t < 0:
+        if type(self.t) is not int or self.t < 0:
             raise ValueError(
                 f"span must be a non-negative integer, got {self.t!r}"
             )
-        if len(self.classes) != self.t + 1:
-            raise ValueError(
-                f"expected {self.t + 1} classes, got {len(self.classes)}"
-            )
-        seen = set()
-        for cl in self.classes:
-            for v in cl:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two classes")
-                seen.add(v)
+        for m in self.class_of:
+            if type(m) is not int or not 0 <= m <= self.t:
+                raise ValueError(
+                    f"class indices must be integers in 0..{self.t}, got {m!r}"
+                )
+
+    @cached_property
+    def classes(self) -> tuple:
+        """The classes as frozensets of vertices."""
+        members = [[] for _ in range(self.t + 1)]
+        for v, m in enumerate(self.class_of):
+            members[m].append(v)
+        return tuple(map(frozenset, members))
 
 
 def partition_of(g: Graph, c: Colouring) -> ColouredPartition:
-    """The coloured partition of ``g`` under a valid colouring ``c``.
-
-    Its ``span + 1`` classes are checked against :data:`CONSTRUCTION_CAP`.
-    The holes share one empty class, so a span far above ``n`` costs one
-    list of that length and no more.
-    """
+    """The coloured partition of ``g`` under a valid colouring ``c``, its
+    ``span + 1`` classes checked against :data:`CONSTRUCTION_CAP`."""
     if not is_lambda_colouring(g, c):
         raise ValueError("colouring is not valid on the graph")
-    t = c.span
-    _check_construction_size("colour classes", t + 1)
-    members = {}
-    for v, x in enumerate(c.labels):
-        members.setdefault(x, []).append(v)
-    classes = [frozenset()] * (t + 1)
-    for x, vs in members.items():
-        classes[x] = frozenset(vs)
-    return ColouredPartition(t, tuple(classes))
+    _check_construction_size("colour classes", c.span + 1)
+    return ColouredPartition(c.span, c.labels)
 
 
 def shape_of(cp: ColouredPartition) -> PartitionShape:
     """Class sizes of a partition."""
-    return PartitionShape(tuple(len(cl) for cl in cp.classes))
+    sizes = [0] * (cp.t + 1)
+    for m in cp.class_of:
+        sizes[m] += 1
+    return PartitionShape(tuple(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +135,6 @@ class StandardisedGraph(_Record):
             raise IndexError(f"no rank {i} in class {m} of 0..{len(sizes) - 1}")
         return self.offsets[m] + i
 
-    @cached_property
-    def class_labels(self) -> tuple:
-        """Class index of every vertex, in vertex order."""
-        return tuple(
-            m for m, size in enumerate(self.shape.sizes) for _ in range(size)
-        )
-
     def graph(self) -> Graph:
         """The standardised graph: each noncontiguous pair joins equal ranks."""
         s = self.shape.sizes
@@ -157,12 +148,10 @@ class StandardisedGraph(_Record):
         return Graph(self.shape.n, frozenset(edges))
 
     def partition(self) -> ColouredPartition:
-        s = self.shape.sizes
-        classes = tuple(
-            frozenset(range(self.offsets[m], self.offsets[m] + s[m]))
-            for m in range(len(s))
-        )
-        return ColouredPartition(self.shape.t, classes)
+        """The class-major partition: class ``m`` is its block of vertices."""
+        return ColouredPartition(self.shape.t, tuple(
+            m for m, size in enumerate(self.shape.sizes) for _ in range(size)
+        ))
 
 
 def _is_layered_matching(g: Graph, class_of, shape: PartitionShape) -> bool:
@@ -195,8 +184,9 @@ def edge_standardise(g: Graph, c: Colouring):
     """
     cp = partition_of(g, c)
     sg = StandardisedGraph(shape_of(cp))
-    corr = [0] * g.n
-    for m, members in enumerate(cp.classes):
-        for i, v in enumerate(sorted(members)):
-            corr[v] = sg.vertex(m, i)
+    nxt = list(sg.offsets)  # the next free id of each class block
+    corr = []
+    for m in cp.class_of:
+        corr.append(nxt[m])
+        nxt[m] += 1
     return sg, tuple(corr)

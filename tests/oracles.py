@@ -325,6 +325,20 @@ def is_layered_matching(g, class_of) -> bool:
     return True
 
 
+def standardised_ids(labels):
+    """Each vertex's id in the class-major numbering of its colouring.
+
+    Classes are numbered in label order and each class's members are
+    ranked by ascending id: sort the vertices by ``(label, id)`` and read
+    off positions.
+    """
+    order = sorted(range(len(labels)), key=lambda v: (labels[v], v))
+    ids = [None] * len(labels)
+    for position, v in enumerate(order):
+        ids[v] = position
+    return tuple(ids)
+
+
 def is_stationary_shape(sizes) -> bool:
     """The shape condition of a stationary partition, from the definition.
 

@@ -14,7 +14,7 @@ from itertools import combinations, product
 from math import ceil, comb
 
 from lambdacol import (
-    FamilyAssignment,
+    ColouredPartition,
     Graph,
     brute_force_graph_census,
     build_stationary,
@@ -94,7 +94,7 @@ def test_criterion_2_construction_spans():
                     for p in range(m + 2, t + 1)
                 }
                 g, class_of = layered_matching((l,) * (t + 1), injections)
-                members.append((g, FamilyAssignment(t, l, class_of)))
+                members.append((g, ColouredPartition(t, class_of)))
             for g, fa in members:
                 assert is_family_member(g, fa)
                 assert lambda_number(g).lambda_value == t

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from lambdacol import (
     Colouring,
+    ColouredPartition,
     EmbeddingConsistencyError,
-    FamilyAssignment,
     Graph,
+    PartitionShape,
+    StandardisedGraph,
     embed_universal,
     family_member,
     is_family_member,
@@ -93,7 +95,7 @@ def test_family_member_custom_matchings():
     # a member other than the rank-aligned one, built by the oracle
     perm = {(0, 2): (1, 0), (1, 3): (1, 0)}
     g, class_of = layered_matching((2,) * 4, perm)
-    fa = FamilyAssignment(3, 2, class_of)
+    fa = ColouredPartition(3, class_of)
     assert is_family_member(g, fa)
     assert (0, 5) in g.edges  # class 0 rank 0 -> class 2 rank 1
     aligned, aligned_fa = family_member(3, 2)
@@ -174,17 +176,18 @@ def test_membership_rejects_size_mismatch():
         is_family_member(Graph(5, g.edges), fa)
 
 
-def test_assignment_validation():
-    with pytest.raises(ValueError, match="need t >= 3"):
-        FamilyAssignment(2, 1, (0, 1, 2))
-    with pytest.raises(ValueError, match="need l >= 1"):
-        FamilyAssignment(3, 0, ())
-    with pytest.raises(ValueError):
-        FamilyAssignment(3, 1, (0, 1, 2))  # wrong length
-    with pytest.raises(ValueError):
-        FamilyAssignment(3, 1, (0, 1, 2, 4))  # class out of range
-    with pytest.raises(ValueError):
-        FamilyAssignment(3, 2, (0, 0, 0, 1, 1, 2, 2, 3))  # uneven classes
+def test_membership_needs_equal_classes_and_span_three():
+    # a layered matching on unequal classes is no family member
+    sg = StandardisedGraph(PartitionShape((2, 1, 2, 1)))
+    assert not is_family_member(sg.graph(), sg.partition())
+    g, part = family_member(3, 2)
+    assert not is_family_member(
+        g, ColouredPartition(3, (0, 0, 0, 1, 1, 2, 2, 3)))
+    assert not is_family_member(g, ColouredPartition(4, part.class_of))
+    # span 2: classes 0 and 2 perfectly matched, but t < 3
+    assert not is_family_member(Graph(3, {(0, 2)}),
+                                ColouredPartition(2, (0, 1, 2)))
+    assert not is_family_member(Graph(0, ()), ColouredPartition(3, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,18 @@ def test_graph_refuses_non_integer_input(n, edges):
         Graph(n, frozenset(edges))
 
 
+@pytest.mark.parametrize("edges, message", [
+    ({(1, 0)}, r"^edge \(1, 0\) must have 0 <= u < v < n=3$"),
+    ({(0, 3)}, r"^edge \(0, 3\) must have 0 <= u < v < n=3$"),
+    ({(0, 1, 2)}, r"^edge \(0, 1, 2\) is not a pair of vertices$"),
+    ({7}, r"^edge 7 is not a pair of vertices$"),
+])
+def test_graph_names_the_bad_edge(edges, message):
+    # the message names the edge and what is wrong with it
+    with pytest.raises(ValueError, match=message):
+        Graph(3, edges)
+
+
 def test_from_edges_normalises_orientation():
     g = Graph.from_edges(3, [(2, 0), (1, 2)])
     assert g.edges == frozenset({(0, 2), (1, 2)})

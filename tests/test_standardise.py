@@ -1,7 +1,10 @@
 """Rank-aligned standardisation, label-class partitions, layered matchings."""
 
+import importlib.util
 import random
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,6 @@ from lambdacol import (
     CapExceededError,
     ColouredPartition,
     Colouring,
-    FamilyAssignment,
     Graph,
     PartitionShape,
     StandardisedGraph,
@@ -25,11 +27,19 @@ from lambdacol import (
     is_stationary,
     is_valid_shape,
     lambda_number,
+    parse_graph,
     partition_of,
     shape_of,
 )
 from lambdacol import standardise
-from oracles import is_layered_matching, is_stationary_shape, layered_matching
+from oracles import (
+    all_graphs,
+    is_layered_matching,
+    is_stationary_shape,
+    layered_matching,
+    reference_colourings,
+    standardised_ids,
+)
 from test_graphs import graphs
 from test_shapes import small_valid_shapes
 
@@ -63,12 +73,12 @@ def test_partition_of_refuses_classes_above_the_cap():
 
 
 def test_partition_records_refuse_a_non_integer_span_or_width():
-    with pytest.raises(ValueError, match=r"need t >= 3, got 3\.0"):
-        FamilyAssignment(3.0, 1, (0, 1, 2, 3))
-    with pytest.raises(ValueError, match=r"need l >= 1, got 1\.0"):
-        FamilyAssignment(3, 1.0, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match=r"non-negative integer, got 3\.0"):
+        ColouredPartition(3.0, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match=r"integers in 0\.\.3, got 1\.0"):
+        ColouredPartition(3, (0, 1.0, 2, 3))
     with pytest.raises(ValueError, match=r"non-negative integer, got 2\.0"):
-        ColouredPartition(2.0, (frozenset(),) * 3)
+        ColouredPartition(2.0, ())
     with pytest.raises(ValueError, match="non-negative integer, got '3'"):
         ColouredPartition("3", ())
 
@@ -76,12 +86,15 @@ def test_partition_records_refuse_a_non_integer_span_or_width():
 def test_coloured_partition_validation():
     with pytest.raises(ValueError, match="span must be a non-negative integer"):
         ColouredPartition(-1, ())
-    with pytest.raises(ValueError):
-        ColouredPartition(1, (frozenset({0}),))  # wrong class count
-    with pytest.raises(ValueError):
-        ColouredPartition(
-            1, (frozenset({0, 1}), frozenset({1}))
-        )  # overlap
+    with pytest.raises(ValueError, match=r"integers in 0\.\.1, got 2"):
+        ColouredPartition(1, (0, 2))  # a class past the span
+    with pytest.raises(ValueError, match=r"integers in 0\.\.1, got -1"):
+        ColouredPartition(1, (0, -1))
+    # the class map and the class sets describe one partition
+    part = ColouredPartition(3, (2, 0, 2, 3))
+    assert part.classes == (
+        frozenset({1}), frozenset(), frozenset({0, 2}), frozenset({3}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +141,7 @@ def test_standardised_vertex_numbering():
     for m, i in [(-1, 0), (-1, 1), (4, 0), (-5, 0)]:
         with pytest.raises(IndexError):
             sg.vertex(m, i)
-    assert sg.class_labels == (0, 0, 1, 2, 2, 3)
+    assert sg.partition() == ColouredPartition(3, (0, 0, 1, 2, 2, 3))
 
 
 def test_standardised_graph_realises_the_edge_bound():
@@ -151,10 +164,10 @@ def test_standardised_graph_properties(s):
     sg = StandardisedGraph(s)
     g = sg.graph()
     assert g.m == edge_bound(s)
-    assert (g, sg.class_labels) == layered_matching(s.sizes)
     part = sg.partition()
+    assert (g, part.class_of) == layered_matching(s.sizes)
     assert shape_of(part) == s
-    c = Colouring(sg.class_labels)
+    c = Colouring(part.class_of)
     assert is_lambda_colouring(g, c)
     assert c.span == s.t
 
@@ -218,11 +231,45 @@ def test_edge_standardise_never_loses_edges(g):
     assert edge_bound(sg.shape) >= g.m
     # corr maps each vertex into its own class block, bijectively
     assert sorted(corr) == list(range(g.n))
+    class_of = sg.partition().class_of
     for v in range(g.n):
-        assert sg.class_labels[corr[v]] == c[v]
+        assert class_of[corr[v]] == c[v]
     # the standardised graph achieves the same span
     out = sg.graph()
     assert lambda_number(out).lambda_value == rep.lambda_value
+
+
+def _sparse_bench_witnesses():
+    """The sparse benchmark's seed-1 graphs, one round, with the solver's
+    witness of each."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    for inst in workloads.sparse(1, 1):
+        g = parse_graph(inst.text)
+        yield g, lambda_number(g).witness
+
+
+def test_edge_standardise_ranks_each_class_by_ascending_id():
+    # every valid colouring of span 3 or 4 of every labelled graph with
+    # n <= 5, then the sparse benchmark's witnesses: each vertex lands at
+    # its rank within its class, not only in its class
+    checked = 0
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for labels in reference_colourings(g, 4):
+                if min(labels) == 0 and max(labels) >= 3:
+                    _, corr = edge_standardise(g, Colouring(labels))
+                    assert corr == standardised_ids(labels), (g, labels)
+                    checked += 1
+    for g, c in _sparse_bench_witnesses():
+        assert c.span >= 3
+        _, corr = edge_standardise(g, c)
+        assert corr == standardised_ids(c.labels), g
+        checked += 1
+    assert checked == 58_146 + 54
 
 
 def test_edge_standardise_rejects_narrow_or_invalid():
@@ -271,13 +318,13 @@ def test_family_membership_agrees_with_the_oracle():
         rng.shuffle(relabel)
         g, class_of = layered_matching((l,) * (t + 1),
                                        _random_injections(rng, (l,) * (t + 1)))
-        fa = FamilyAssignment(t, l, class_of)
+        fa = ColouredPartition(t, class_of)
         # the same member with shuffled vertex ids
         g = Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in g.edges])
         class_of = [0] * g.n
         for v, m in enumerate(fa.class_of):
             class_of[relabel[v]] = m
-        fa = FamilyAssignment(t, l, tuple(class_of))
+        fa = ColouredPartition(t, tuple(class_of))
         if rng.random() < 0.2:
             g = Graph.from_edges(g.n, [
                 e for e in combinations(range(g.n), 2) if rng.random() < 0.3
